@@ -15,8 +15,7 @@ using namespace eccsim;
 int main(int argc, char** argv) {
   eccsim::bench::init(argc, argv);
   std::printf("Ablation -- degraded-mode cost of faulty banks (steps B/D)\n\n");
-  sim::SimOptions base_opts;
-  base_opts.target_instructions = bench::target_instructions();
+  sim::SimOptions base_opts = bench::sim_options();
 
   const auto desc = ecc::make_scheme(ecc::SchemeId::kLotEcc5Parity,
                                      ecc::SystemScale::kQuadEquivalent);

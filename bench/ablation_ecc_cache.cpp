@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
       {"dedicated 32KB", 32ULL * 1024},
   };
   for (const Cfg& cfg : cfgs) {
-    sim::SimOptions opts;
-    opts.target_instructions = bench::target_instructions();
+    sim::SimOptions opts = bench::sim_options();
     opts.dedicated_ecc_cache_bytes = cfg.bytes;
     sim::SystemSim s(desc, trace::workload_by_name("milc"),
                      sim::CpuConfig{}, opts);

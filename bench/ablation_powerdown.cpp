@@ -14,8 +14,7 @@ int main(int argc, char** argv) {
   std::printf(
       "Ablation -- rank power-down under the close-page policy "
       "(Sec. IV-B)\n\n");
-  sim::SimOptions opts;
-  opts.target_instructions = bench::target_instructions();
+  sim::SimOptions opts = bench::sim_options();
 
   Table t({"scheme", "power-down", "EPI (pJ/instr)", "background EPI",
            "bg share"});

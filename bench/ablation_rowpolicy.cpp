@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   for (const char* wl : {"lbm", "sjeng"}) {
     for (auto policy : {dram::RowPolicy::kClosePage,
                         dram::RowPolicy::kOpenPage}) {
-      sim::SimOptions opts;
-      opts.target_instructions = bench::target_instructions();
+      sim::SimOptions opts = bench::sim_options();
       opts.row_policy = policy;
       sim::SystemSim s(desc, trace::workload_by_name(wl), sim::CpuConfig{},
                        opts);

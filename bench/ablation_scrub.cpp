@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
            "IPC", "EPI overhead"});
   double base_epi = 0;
   for (std::uint64_t interval : {0ULL, 1024ULL, 256ULL, 64ULL, 16ULL}) {
-    sim::SimOptions opts;
-    opts.target_instructions = bench::target_instructions();
+    sim::SimOptions opts = bench::sim_options();
     opts.scrub_read_interval = interval;
     sim::SystemSim s(desc, trace::workload_by_name("milc"),
                      sim::CpuConfig{}, opts);

@@ -14,8 +14,7 @@ using namespace eccsim;
 int main(int argc, char** argv) {
   eccsim::bench::init(argc, argv);
   std::printf("Ablation -- DRAM speed bin (Sec. V-D)\n\n");
-  sim::SimOptions opts;
-  opts.target_instructions = bench::target_instructions();
+  sim::SimOptions opts = bench::sim_options();
 
   Table t({"configuration", "EPI (pJ/instr)", "IPC", "MAPI",
            "EPI vs ck18"});

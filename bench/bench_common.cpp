@@ -1,5 +1,7 @@
 #include "bench_common.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -37,42 +39,31 @@ namespace {
 const std::chrono::steady_clock::time_point kProcessStart =
     std::chrono::steady_clock::now();
 
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && std::string(v) != "0";
+RunConfig g_config;
+std::string g_bench_name = "bench";
+
+bool smoke_mode() { return g_config.fidelity == RunConfig::Fidelity::kSmoke; }
+
+std::string fidelity_name() {
+  switch (g_config.fidelity) {
+    case RunConfig::Fidelity::kFull: return "full";
+    case RunConfig::Fidelity::kQuick: return "quick";
+    case RunConfig::Fidelity::kSmoke: return "smoke";
+  }
+  return "full";
 }
 
-bool quick_mode() { return env_flag("ECCSIM_QUICK"); }
-bool smoke_mode() { return env_flag("ECCSIM_SMOKE"); }
-
-bool cache_enabled() {
-  const char* c = std::getenv("ECCSIM_SWEEP_CACHE");
-  return c == nullptr || std::string(c) != "0";
-}
-
-std::string fidelity_suffix() {
-  if (smoke_mode()) return "_smoke";
-  if (quick_mode()) return "_quick";
-  return "";
-}
-
-/// Filename suffix for non-default DRAM generations ("_ddr4"/"_ddr5");
-/// empty for DDR3 so the paper-faithful artifact names are unchanged.
-std::string dram_suffix() {
-  const dram::Generation gen = dram_generation();
-  if (gen == dram::Generation::kDdr3) return "";
-  return "_" + dram::to_string(gen);
-}
-
-/// Output directory prefix: smoke runs are quarantined in a subdirectory
-/// so CI-sized numbers never overwrite the committed full-fidelity CSVs,
-/// and non-DDR3 generations get their own subdirectory for the same
-/// reason (the committed results are all DDR3).
+/// Output directory: a full-fidelity DDR3 run writes straight into `base`;
+/// every other run gets `base/[ddr4/|ddr5/][quick/|smoke/]`, so it never
+/// overwrites the committed goldens.
 std::string out_dir(const std::string& base) {
   std::string dir = base;
-  const dram::Generation gen = dram_generation();
-  if (gen != dram::Generation::kDdr3) dir += "/" + dram::to_string(gen);
-  if (smoke_mode()) dir += "/smoke";
+  if (g_config.dram != dram::Generation::kDdr3) {
+    dir += "/" + dram::to_string(g_config.dram);
+  }
+  if (g_config.fidelity != RunConfig::Fidelity::kFull) {
+    dir += "/" + fidelity_name();
+  }
   return dir;
 }
 
@@ -80,31 +71,165 @@ std::string scale_name(ecc::SystemScale scale) {
   return scale == ecc::SystemScale::kQuadEquivalent ? "quad" : "dual";
 }
 
-std::string cache_path(ecc::SystemScale scale) {
-  return "bench_results/sweep_" + scale_name(scale) + dram_suffix() +
-         fidelity_suffix() + ".csv";
-}
-
-std::string g_bench_name = "bench";
-
-/// Trace record/replay controls (the --trace-in/--trace-out/--trace-point
-/// flags set these; scripts can set the environment directly).
-std::string trace_in_dir() {
-  const char* v = std::getenv("ECCSIM_TRACE_IN");
-  return v != nullptr ? std::string(v) : std::string();
-}
-std::string trace_out_dir() {
-  const char* v = std::getenv("ECCSIM_TRACE_OUT");
-  return v != nullptr ? std::string(v) : std::string();
-}
-tracefile::CapturePoint trace_point() {
-  const char* v = std::getenv("ECCSIM_TRACE_POINT");
-  const std::string s = v != nullptr ? v : "pre";
-  if (s == "pre") return tracefile::CapturePoint::kPreLlc;
-  if (s == "post") return tracefile::CapturePoint::kPostLlc;
-  std::fprintf(stderr, "%s: ECCSIM_TRACE_POINT/--trace-point must be 'pre' "
-               "or 'post', got '%s'\n", g_bench_name.c_str(), s.c_str());
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "%s: %s\n", g_bench_name.c_str(), message.c_str());
   std::exit(2);
+}
+
+/// `v` as an unsigned number, or `fallback` when it is not one.
+std::uint64_t parse_u64(const std::string& v, std::uint64_t fallback) {
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
+  return !v.empty() && *end == '\0' ? n : fallback;
+}
+
+/// Applies one setting, named by its environment variable, to `cfg`.
+/// `source` (the flag or variable the value came from) names it in errors.
+void apply(RunConfig& cfg, const std::string& var, const std::string& v,
+           const std::string& source) {
+  const bool on = v != "0";
+  if (var == "ECCSIM_STATS") {
+    cfg.stats.enabled = on;
+  } else if (var == "STATS_EPOCH") {
+    cfg.stats.epoch_cycles = parse_u64(v, 0);
+    if (source == "--stats-epoch") cfg.stats.enabled = true;
+  } else if (var == "STATS_TRACE") {
+    cfg.stats.trace_dir = v;
+    if (!v.empty()) cfg.stats.enabled = true;  // tracing implies stats
+  } else if (var == "STATS_TRACE_LIMIT") {
+    cfg.stats.trace_limit = parse_u64(v, cfg.stats.trace_limit);
+  } else if (var == "ECCSIM_QUICK") {
+    if (on) cfg.fidelity = RunConfig::Fidelity::kQuick;
+  } else if (var == "ECCSIM_SMOKE") {
+    if (on) cfg.fidelity = RunConfig::Fidelity::kSmoke;
+  } else if (var == "ECCSIM_DRAM") {
+    const auto gen = dram::parse_generation(v);
+    if (!gen) {
+      usage_error(source + " must be ddr3, ddr4, or ddr5, got '" + v + "'");
+    }
+    cfg.dram = *gen;
+  } else if (var == "ECCSIM_MC_SYSTEMS") {
+    cfg.mc_systems = static_cast<unsigned>(parse_u64(v, 0));
+  } else if (var == "ECCSIM_MC_CHUNK") {
+    cfg.mc.chunk_size = static_cast<unsigned>(parse_u64(v, 0));
+  } else if (var == "ECCSIM_MC_TARGET_REL_CI") {
+    cfg.mc.target_rel_ci = std::strtod(v.c_str(), nullptr);
+  } else if (var == "ECCSIM_MC_CHECKPOINT") {
+    cfg.mc.checkpoint_path = v;
+  } else if (var == "ECCSIM_TRACE_IN") {
+    cfg.trace_in = v;
+  } else if (var == "ECCSIM_TRACE_OUT") {
+    cfg.trace_out = v;
+  } else if (var == "ECCSIM_TRACE_POINT") {
+    if (v == "pre") {
+      cfg.trace_point = tracefile::CapturePoint::kPreLlc;
+    } else if (v == "post") {
+      cfg.trace_point = tracefile::CapturePoint::kPostLlc;
+    } else {
+      usage_error(source + " must be 'pre' or 'post', got '" + v + "'");
+    }
+  } else if (var == "ECCSIM_STATUS") {
+    cfg.heartbeat.status_path = v;
+  } else if (var == "ECCSIM_PROGRESS") {
+    cfg.heartbeat.stderr_line = on;
+  } else if (var == "ECCSIM_STATUS_INTERVAL_MS") {
+    cfg.heartbeat.min_interval_ms = parse_u64(v, cfg.heartbeat.min_interval_ms);
+  }
+}
+
+/// Every flag and the environment variable it overrides.  A switch
+/// (no metavar) sets its variable to 1.
+struct Flag {
+  const char* name;
+  const char* var;
+  const char* metavar;  ///< nullptr = switch
+  const char* help;
+};
+constexpr Flag kFlags[] = {
+    {"--stats", "ECCSIM_STATS", nullptr,
+     "stats registry, epoch series, results/<bench>.stats.json, profiler"},
+    {"--stats-epoch", "STATS_EPOCH", "N",
+     "memory cycles per epoch (implies --stats; 10000, or 500 with --smoke)"},
+    {"--trace", "STATS_TRACE", "DIR",
+     "one Chrome trace-event file per sweep cell in DIR (implies --stats)"},
+    {"--quick", "ECCSIM_QUICK", nullptr,
+     "reduced fidelity (200k instructions per cell), outputs in quick/"},
+    {"--smoke", "ECCSIM_SMOKE", nullptr,
+     "CI size (50k instructions per cell), outputs in smoke/"},
+    {"--dram", "ECCSIM_DRAM", "G",
+     "ddr3 (default), ddr4, or ddr5; non-ddr3 outputs go to ddr4/ or ddr5/"},
+    {"--mc-systems", "ECCSIM_MC_SYSTEMS", "N",
+     "Monte Carlo system budget (overrides the fidelity scaling)"},
+    {"--mc-chunk", "ECCSIM_MC_CHUNK", "N",
+     "MC systems per chunk (results are identical for any value)"},
+    {"--mc-target-rel-ci", "ECCSIM_MC_TARGET_REL_CI", "X",
+     "stop MC runs once the relative 95% CI half-width reaches X"},
+    {"--mc-checkpoint", "ECCSIM_MC_CHECKPOINT", "FILE",
+     "append completed MC chunks to FILE and skip them on rerun"},
+    {"--trace-in", "ECCSIM_TRACE_IN", "DIR",
+     "replay sweep stimulus from DIR/<workload>[_<scheme>].ecctrace"},
+    {"--trace-out", "ECCSIM_TRACE_OUT", "DIR",
+     "record each sweep cell's stimulus to DIR/<workload>_<scheme>.ecctrace"},
+    {"--trace-point", "ECCSIM_TRACE_POINT", "P",
+     "--trace-out capture point: pre (replayable, default) or post"},
+    {"--status", "ECCSIM_STATUS", "FILE",
+     "publish live progress snapshots to FILE (see `benchtool watch`)"},
+    {"--progress", "ECCSIM_PROGRESS", nullptr,
+     "live stderr progress line with throughput, ETA and MC rel-CI"},
+};
+/// Settings with no flag, read from the environment only.
+constexpr const char* kEnvOnly[] = {"STATS_TRACE_LIMIT",
+                                    "ECCSIM_STATUS_INTERVAL_MS"};
+
+void print_help() {
+  std::printf(
+      "usage: %s [--stats] [--stats-epoch=N] [--trace=DIR]\n"
+      "          [--quick|--smoke] [--dram G] [--list-workloads]\n"
+      "          [--trace-in DIR] [--trace-out DIR] [--trace-point pre|post]\n"
+      "          [--mc-systems N] [--mc-chunk N]\n"
+      "          [--mc-target-rel-ci X] [--mc-checkpoint FILE]\n"
+      "          [--status FILE] [--progress]\n"
+      "Each flag overrides the environment variable in brackets.\n",
+      g_bench_name.c_str());
+  for (const Flag& f : kFlags) {
+    std::string spelled = f.name;
+    if (f.metavar != nullptr) spelled += std::string(" ") + f.metavar;
+    std::printf("  %-24s [%s]\n      %s\n", spelled.c_str(), f.var, f.help);
+  }
+  std::printf(
+      "  --list-workloads         print the 16 paper workloads and exit\n"
+      "Environment only: STATS_TRACE_LIMIT (trace events per file, default\n"
+      "200000), ECCSIM_STATUS_INTERVAL_MS (default 200).  Read by the\n"
+      "libraries: RUNNER_THREADS, ECCSIM_CHECK, ECCSIM_KERNEL.\n");
+}
+
+/// Every RunConfig field as a manifest label.
+std::vector<std::pair<std::string, std::string>> config_fields() {
+  const RunConfig& c = g_config;
+  auto num = [](double v) {
+    std::ostringstream os;
+    os << v;
+    return os.str();
+  };
+  return {
+      {"fidelity", fidelity_name()},
+      {"dram", dram::to_string(c.dram)},
+      {"stats", c.stats.enabled ? "1" : "0"},
+      {"stats_epoch", std::to_string(c.stats.epoch_cycles)},
+      {"stats_trace", c.stats.trace_dir},
+      {"stats_trace_limit", std::to_string(c.stats.trace_limit)},
+      {"trace_in", c.trace_in},
+      {"trace_out", c.trace_out},
+      {"trace_point",
+       c.trace_point == tracefile::CapturePoint::kPreLlc ? "pre" : "post"},
+      {"mc_systems", std::to_string(c.mc_systems)},
+      {"mc_chunk", std::to_string(c.mc.chunk_size)},
+      {"mc_target_rel_ci", num(c.mc.target_rel_ci)},
+      {"mc_checkpoint", c.mc.checkpoint_path},
+      {"status", c.heartbeat.status_path},
+      {"progress", c.heartbeat.stderr_line ? "1" : "0"},
+      {"status_interval_ms", std::to_string(c.heartbeat.min_interval_ms)},
+  };
 }
 
 /// Resolves the replay file for one sweep cell: a shared per-workload
@@ -113,9 +238,10 @@ tracefile::CapturePoint trace_point() {
 /// one clear error instead of a worker-thread exception.
 std::string resolve_trace_in(const std::string& workload,
                              const std::string& scheme) {
-  const std::string shared = trace_in_dir() + "/" + workload + ".ecctrace";
+  const std::string& dir = g_config.trace_in;
+  const std::string shared = dir + "/" + workload + ".ecctrace";
   const std::string per_cell =
-      trace_in_dir() + "/" + workload + "_" + scheme + ".ecctrace";
+      dir + "/" + workload + "_" + scheme + ".ecctrace";
   for (const auto& p : {shared, per_cell}) {
     if (std::ifstream(p).good()) return p;
   }
@@ -140,12 +266,9 @@ void print_workloads() {
   }
 }
 
-/// Default epoch length: small enough that even a CI-sized smoke run
-/// (~tens of thousands of memory cycles) records several epochs.
-std::uint64_t default_epoch_cycles() { return smoke_mode() ? 500 : 10'000; }
-
-stats::Config stats_config() {
-  return stats::Config::from_env(default_epoch_cycles());
+runner::RunMetadata metadata() {
+  return runner::collect_metadata(
+      g_config.fidelity == RunConfig::Fidelity::kQuick, smoke_mode());
 }
 
 void write_stats_dump(
@@ -173,7 +296,7 @@ void profile_report() {
   // Flush any collectors from direct-SystemSim benches (ablations) first:
   // their stats dump is part of the run's output, not just the profile.
   if (!g_adhoc_collectors.empty()) {
-    write_stats_dump("custom", stats_config(), g_adhoc_collectors);
+    write_stats_dump("custom", g_config.stats, g_adhoc_collectors);
   }
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - kProcessStart)
@@ -192,13 +315,12 @@ void profile_report() {
   if (m.status == "running") m.status = "completed";
   obs::write_manifest(manifest_path(), m);
 
-  if (stats_config().enabled && prom_registry().size() > 0) {
+  if (g_config.stats.enabled && prom_registry().size() > 0) {
     obs::write_openmetrics(
         out_dir("results") + "/" + g_bench_name + ".prom", prom_registry(),
         {{"bench", g_bench_name},
-         {"dram", dram::to_string(dram_generation())},
-         {"fidelity",
-          smoke_mode() ? "smoke" : (quick_mode() ? "quick" : "full")}});
+         {"dram", dram::to_string(g_config.dram)},
+         {"fidelity", fidelity_name()}});
   }
   if (!stats::Profiler::enabled()) return;
 
@@ -238,7 +360,7 @@ void write_stats_dump(
   doc.set("bench", g_bench_name);
   doc.set("scale", scale_label);
   doc.set("epoch_cycles", cfg.epoch_cycles);
-  doc.set("metadata", runner::to_json(runner::collect_metadata()));
+  doc.set("metadata", runner::to_json(metadata()));
   doc.set("merged", runner::to_json(merged));
   runner::Json cells = runner::Json::array();
   for (const auto& c : collectors) {
@@ -302,46 +424,6 @@ std::string serialize(const sim::RunResult& r) {
   return os.str();
 }
 
-bool deserialize(const std::string& line, sim::RunResult& r) {
-  std::istringstream is(line);
-  std::string cell;
-  auto next = [&](std::string& out) {
-    return static_cast<bool>(std::getline(is, out, ','));
-  };
-  std::string f[15];
-  for (auto& s : f) {
-    if (!next(s)) return false;
-  }
-  r.scheme = f[0];
-  r.workload = f[1];
-  r.instructions = std::stoull(f[2]);
-  r.mem_cycles = std::stoull(f[3]);
-  r.ipc = std::stod(f[4]);
-  r.epi_pj = std::stod(f[5]);
-  r.dynamic_epi_pj = std::stod(f[6]);
-  r.background_epi_pj = std::stod(f[7]);
-  r.mapi = std::stod(f[8]);
-  r.bandwidth_utilization = std::stod(f[9]);
-  r.avg_read_latency = std::stod(f[10]);
-  r.mem.reads = std::stoull(f[11]);
-  r.mem.writes = std::stoull(f[12]);
-  r.mem.ecc_reads = std::stoull(f[13]);
-  r.mem.ecc_writes = std::stoull(f[14]);
-  return true;
-}
-
-std::vector<sim::RunResult> load_cache(const std::string& path) {
-  std::vector<sim::RunResult> rows;
-  std::ifstream in(path);
-  if (!in) return rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    sim::RunResult r;
-    if (deserialize(line, r)) rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
 std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
   // One cell per (workload, scheme), fanned out over the runner.  Each
   // cell builds its own SimOptions with the workload's substream seed, so
@@ -349,14 +431,12 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
   // order.  With --stats every cell additionally owns one Collector
   // (single-threaded registries; merged on this thread after the fan-out,
   // so the bit-identical-at-any-thread-count guarantee is untouched).
-  const stats::Config stats_cfg = stats_config();
+  const stats::Config& stats_cfg = g_config.stats;
   std::vector<std::unique_ptr<stats::Collector>> collectors;
   const auto schemes = ecc::all_schemes();
   const auto& workloads = trace::paper_workloads();
   std::vector<runner::Cell> cells;
   cells.reserve(workloads.size() * schemes.size());
-  const tracefile::CapturePoint point = trace_point();
-  const dram::Generation gen = dram_generation();
   for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
     const std::uint64_t seed = trace::paper_sweep_seed(wi);
     for (const auto id : schemes) {
@@ -365,36 +445,27 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
       cell.workload = workloads[wi].name;
       // Trace paths resolve on this thread (clear errors); recordings get
       // per-cell names so concurrent cells never share a file.
-      std::string trace_in;
-      if (!trace_in_dir().empty()) {
-        trace_in = resolve_trace_in(cell.workload, cell.scheme);
+      sim::SimOptions opts = sim_options();
+      opts.seed = seed;
+      if (!g_config.trace_in.empty()) {
+        opts.trace_in = resolve_trace_in(cell.workload, cell.scheme);
       }
-      std::string trace_out;
-      if (!trace_out_dir().empty()) {
-        trace_out = trace_out_dir() + "/" + cell.workload + "_" +
-                    cell.scheme + ".ecctrace";
+      if (!g_config.trace_out.empty()) {
+        opts.trace_out = g_config.trace_out + "/" + cell.workload + "_" +
+                         cell.scheme + ".ecctrace";
       }
-      stats::Collector* col = nullptr;
+      opts.trace_point = g_config.trace_point;
       if (stats_cfg.enabled) {
         collectors.push_back(std::make_unique<stats::Collector>(stats_cfg));
-        col = collectors.back().get();
-        col->set_label(cell.workload, cell.scheme);
+        opts.stats = collectors.back().get();
+        opts.stats->set_label(cell.workload, cell.scheme);
         if (!stats_cfg.trace_dir.empty()) {
-          col->open_trace(stats_cfg.trace_dir + "/" + cell.workload + "_" +
-                          cell.scheme + ".trace.json");
+          opts.stats->open_trace(stats_cfg.trace_dir + "/" + cell.workload +
+                                 "_" + cell.scheme + ".trace.json");
         }
       }
-      cell.work = [id, scale, seed, name = workloads[wi].name, col,
-                   trace_in, trace_out, point, gen] {
-        sim::SimOptions opts;
-        opts.target_instructions = target_instructions();
-        opts.seed = seed;
-        opts.dram_gen = gen;
-        opts.stats = col;
-        opts.trace_in = trace_in;
-        opts.trace_out = trace_out;
-        opts.trace_point = point;
-        if (trace_in.empty() && trace_out.empty()) {
+      cell.work = [id, scale, name = workloads[wi].name, opts] {
+        if (opts.trace_in.empty() && opts.trace_out.empty()) {
           return sim::run_experiment(id, scale, name, opts);
         }
         // Trace I/O can fail mid-run (exhausted/corrupt trace, full disk);
@@ -426,7 +497,7 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
   doc.set("bench", "sweep_" + scale_name(scale));
   doc.set("scale", scale_name(scale));
   doc.set("target_instructions", target_instructions());
-  doc.set("metadata", runner::to_json(runner::collect_metadata()));
+  doc.set("metadata", runner::to_json(metadata()));
   doc.set("run", runner::to_json(report));
   runner::write_json(
       out_dir("results") + "/sweep_" + scale_name(scale) + ".json", doc);
@@ -446,123 +517,55 @@ void init(int argc, char** argv) {
     g_bench_name =
         slash == std::string::npos ? path : path.substr(slash + 1);
   }
-  // Valued flags accept both `--flag=value` and `--flag value`; returns
-  // the value and advances `i` past a space-separated one.
-  auto flag_value = [&](int& i, const std::string& arg,
-                        const std::string& name) -> const char* {
-    if (arg.rfind(name + "=", 0) == 0) return argv[i] + name.size() + 1;
-    if (arg != name) return nullptr;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s: %s requires a value\n", g_bench_name.c_str(),
-                   name.c_str());
-      std::exit(2);
-    }
-    return argv[++i];
+  // Environment first (in kFlags order, so ECCSIM_SMOKE beats
+  // ECCSIM_QUICK; an empty variable counts as unset), then the flags in
+  // command-line order.
+  RunConfig& cfg = g_config;
+  cfg.stats.epoch_cycles = 0;  // unset until the fidelity is known
+  auto apply_env = [&cfg](const char* var) {
+    const char* v = std::getenv(var);
+    if (v != nullptr && *v != '\0') apply(cfg, var, v, var);
   };
+  for (const Flag& f : kFlags) apply_env(f.var);
+  for (const char* var : kEnvOnly) apply_env(var);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const char* v = nullptr;
-    if (arg == "--stats") {
-      setenv("ECCSIM_STATS", "1", 1);
-    } else if (arg.rfind("--stats-epoch=", 0) == 0) {
-      setenv("ECCSIM_STATS", "1", 1);
-      setenv("STATS_EPOCH", arg.c_str() + 14, 1);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      setenv("STATS_TRACE", arg.c_str() + 8, 1);
-    } else if (arg == "--smoke") {
-      setenv("ECCSIM_SMOKE", "1", 1);
-    } else if (arg == "--quick") {
-      setenv("ECCSIM_QUICK", "1", 1);
-    } else if ((v = flag_value(i, arg, "--dram")) != nullptr) {
-      if (!dram::parse_generation(v)) {
-        std::fprintf(stderr,
-                     "%s: --dram must be ddr3, ddr4, or ddr5, got '%s'\n",
-                     g_bench_name.c_str(), v);
-        std::exit(2);
-      }
-      setenv("ECCSIM_DRAM", v, 1);
-    } else if ((v = flag_value(i, arg, "--mc-systems")) != nullptr) {
-      setenv("ECCSIM_MC_SYSTEMS", v, 1);
-    } else if ((v = flag_value(i, arg, "--mc-chunk")) != nullptr) {
-      setenv("ECCSIM_MC_CHUNK", v, 1);
-    } else if ((v = flag_value(i, arg, "--mc-target-rel-ci")) != nullptr) {
-      setenv("ECCSIM_MC_TARGET_REL_CI", v, 1);
-    } else if ((v = flag_value(i, arg, "--mc-checkpoint")) != nullptr) {
-      setenv("ECCSIM_MC_CHECKPOINT", v, 1);
-    } else if ((v = flag_value(i, arg, "--trace-in")) != nullptr) {
-      setenv("ECCSIM_TRACE_IN", v, 1);
-    } else if ((v = flag_value(i, arg, "--trace-out")) != nullptr) {
-      setenv("ECCSIM_TRACE_OUT", v, 1);
-    } else if ((v = flag_value(i, arg, "--trace-point")) != nullptr) {
-      setenv("ECCSIM_TRACE_POINT", v, 1);
-      (void)trace_point();  // reject anything but pre/post immediately
-    } else if ((v = flag_value(i, arg, "--status")) != nullptr) {
-      setenv("ECCSIM_STATUS", v, 1);
-    } else if (arg == "--progress") {
-      setenv("ECCSIM_PROGRESS", "1", 1);
-    } else if (arg == "--list-workloads") {
+    if (arg == "--list-workloads") {
       print_workloads();
       std::exit(0);
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--stats] [--stats-epoch=N] [--trace=DIR]\n"
-          "          [--smoke|--quick] [--dram G] [--list-workloads]\n"
-          "          [--trace-in DIR] [--trace-out DIR] "
-          "[--trace-point pre|post]\n"
-          "          [--mc-systems N] [--mc-chunk N]\n"
-          "          [--mc-target-rel-ci X] [--mc-checkpoint FILE]\n"
-          "          [--status FILE] [--progress]\n"
-          "  --stats          enable the stats registry, epoch time series,\n"
-          "                   results/<bench>.stats.json, and the profiler\n"
-          "  --stats-epoch=N  epoch length in memory cycles (implies "
-          "--stats)\n"
-          "  --trace=DIR      Chrome trace-event file per sweep cell in DIR\n"
-          "  --smoke          CI-sized run, outputs under .../smoke/\n"
-          "  --quick          reduced-fidelity run\n"
-          "  --dram G         DRAM generation: ddr3 (default), ddr4, ddr5;\n"
-          "                   non-ddr3 sweep caches and outputs go to\n"
-          "                   generation-suffixed paths (sweep_*_ddr5.csv,\n"
-          "                   bench_results/ddr5/, results/ddr5/)\n"
-          "  --list-workloads print the 16 paper workloads (name, bin,\n"
-          "                   multithreaded, apki, write%%, footprint)\n"
-          "  --trace-in DIR   replay sweep stimulus from DIR's .ecctrace\n"
-          "                   files (<workload>.ecctrace, falling back to\n"
-          "                   <workload>_<scheme>.ecctrace); bypasses the\n"
-          "                   sweep CSV cache so the cells really replay\n"
-          "  --trace-out DIR  record each sweep cell's stimulus to\n"
-          "                   DIR/<workload>_<scheme>.ecctrace\n"
-          "  --trace-point P  capture point for --trace-out: 'pre' (pre-LLC\n"
-          "                   per-core stream, replayable; default) or\n"
-          "                   'post' (post-LLC DRAM requests, analysis "
-          "only)\n"
-          "  --mc-systems N   Monte Carlo system budget (overrides scaling)\n"
-          "  --mc-chunk N     MC systems per chunk (any value: results are\n"
-          "                   bit-identical; affects early-stop/checkpoint\n"
-          "                   granularity only)\n"
-          "  --mc-target-rel-ci X  stop MC runs early once the relative\n"
-          "                   95%% CI half-width of the estimate reaches X\n"
-          "  --mc-checkpoint FILE  append completed MC chunks to FILE and\n"
-          "                   skip them on rerun (kill-safe resume)\n"
-          "  --status FILE    publish live progress snapshots to FILE\n"
-          "                   (atomic JSON; watch with `benchtool watch`)\n"
-          "  --progress       live progress line on stderr (throughput,\n"
-          "                   ETA, and rel-CI during Monte Carlo runs)\n"
-          "Environment: ECCSIM_STATS, STATS_EPOCH, STATS_TRACE,\n"
-          "STATS_TRACE_LIMIT, ECCSIM_QUICK, ECCSIM_SMOKE, ECCSIM_DRAM,\n"
-          "RUNNER_THREADS, ECCSIM_SWEEP_CACHE, ECCSIM_CHECK,\n"
-          "ECCSIM_TRACE_IN, ECCSIM_TRACE_OUT, ECCSIM_TRACE_POINT,\n"
-          "ECCSIM_MC_SYSTEMS, ECCSIM_MC_CHUNK, ECCSIM_MC_TARGET_REL_CI,\n"
-          "ECCSIM_MC_CHECKPOINT, ECCSIM_STATUS, ECCSIM_PROGRESS,\n"
-          "ECCSIM_STATUS_INTERVAL_MS\n",
-          g_bench_name.c_str());
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "%s: unknown flag '%s' (try --help)\n",
-                   g_bench_name.c_str(), arg.c_str());
-      std::exit(2);
     }
+    if (arg == "--help" || arg == "-h") {
+      print_help();
+      std::exit(0);
+    }
+    const Flag* flag = nullptr;
+    std::string value;
+    for (const Flag& f : kFlags) {
+      const std::string name = f.name;
+      if (f.metavar == nullptr ? arg == name
+                               : arg.rfind(name + "=", 0) == 0) {
+        value = f.metavar == nullptr ? "1" : arg.substr(name.size() + 1);
+      } else if (f.metavar != nullptr && arg == name) {
+        if (i + 1 >= argc) usage_error(name + " requires a value");
+        value = argv[++i];
+      } else {
+        continue;
+      }
+      flag = &f;
+      break;
+    }
+    if (flag == nullptr) {
+      usage_error("unknown flag '" + arg + "' (try --help)");
+    }
+    apply(cfg, flag->var, value, flag->name);
   }
-  if (stats_config().enabled) stats::Profiler::set_enabled(true);
+  if (cfg.stats.epoch_cycles == 0) {
+    // Small enough that even a CI-sized smoke run (~tens of thousands of
+    // memory cycles) records several epochs.
+    cfg.stats.epoch_cycles = smoke_mode() ? 500 : 10'000;
+  }
+  obs::Heartbeat::global().configure(cfg.heartbeat);
+  if (cfg.stats.enabled) stats::Profiler::set_enabled(true);
 
   // Boot the run manifest: written with status "running" now, finalized
   // by the atexit report.  A reader that finds a stale "running" manifest
@@ -572,7 +575,7 @@ void init(int argc, char** argv) {
   m.tool = g_bench_name;
   for (int i = 1; i < argc; ++i) m.args.emplace_back(argv[i]);
   m.git_sha = obs::git_head_sha();
-  m.dram = dram::to_string(dram_generation());
+  m.dram = dram::to_string(cfg.dram);
   // All sweeps draw per-workload substreams of root seed 1 (see
   // trace::paper_sweep_seed); that is the only seed regime the benches use.
   m.seed_regime = "paper_sweep_seed(root=1)";
@@ -580,9 +583,7 @@ void init(int argc, char** argv) {
   m.host = obs::hostname();
   m.host_cpus = obs::cpu_count();
   m.started_utc = obs::utc_timestamp();
-  m.extra.emplace_back("fidelity", smoke_mode()   ? "smoke"
-                                   : quick_mode() ? "quick"
-                                                  : "full");
+  m.extra = config_fields();
   // Resolving the GF kernel here makes a bad ECCSIM_KERNEL fail fast at
   // startup (exit 2, like any malformed flag) instead of mid-sweep, and
   // stamps the manifest so every result names the kernel that computed it.
@@ -622,22 +623,15 @@ void init(int argc, char** argv) {
   std::atexit(&profile_report);
 }
 
+const RunConfig& run_config() { return g_config; }
+
 const std::string& bench_name() { return g_bench_name; }
 
-dram::Generation dram_generation() {
-  try {
-    return dram::generation_from_env().value_or(dram::Generation::kDdr3);
-  } catch (const std::exception& e) {
-    // A typo in ECCSIM_DRAM must not silently benchmark DDR3 (or abort
-    // with an unhandled exception from deep inside a path helper).
-    std::fprintf(stderr, "%s: %s\n", g_bench_name.c_str(), e.what());
-    std::exit(2);
-  }
-}
+dram::Generation dram_generation() { return g_config.dram; }
 
 stats::Collector* new_collector(const std::string& workload,
                                 const std::string& scheme) {
-  const stats::Config cfg = stats_config();
+  const stats::Config& cfg = g_config.stats;
   if (!cfg.enabled) return nullptr;
   g_adhoc_collectors.push_back(std::make_unique<stats::Collector>(cfg));
   stats::Collector* col = g_adhoc_collectors.back().get();
@@ -650,22 +644,24 @@ stats::Collector* new_collector(const std::string& workload,
 }
 
 std::uint64_t target_instructions() {
-  if (smoke_mode()) return 50'000;
-  return quick_mode() ? 200'000 : 1'000'000;
+  switch (g_config.fidelity) {
+    case RunConfig::Fidelity::kSmoke: return 50'000;
+    case RunConfig::Fidelity::kQuick: return 200'000;
+    case RunConfig::Fidelity::kFull: break;
+  }
+  return 1'000'000;
+}
+
+sim::SimOptions sim_options() {
+  sim::SimOptions opts;
+  opts.target_instructions = target_instructions();
+  opts.dram_gen = g_config.dram;
+  return opts;
 }
 
 faults::McOptions mc_options() {
-  faults::McOptions opts;
-  if (const char* v = std::getenv("ECCSIM_MC_CHUNK")) {
-    opts.chunk_size = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-  }
-  if (const char* v = std::getenv("ECCSIM_MC_TARGET_REL_CI")) {
-    opts.target_rel_ci = std::strtod(v, nullptr);
-  }
-  if (const char* v = std::getenv("ECCSIM_MC_CHECKPOINT")) {
-    opts.checkpoint_path = v;
-  }
-  if (stats_config().enabled) {
+  faults::McOptions opts = g_config.mc;
+  if (g_config.stats.enabled) {
     // One collector labeled ("mc", <bench>) carries every MC run's mc.*
     // counters and rel-CI series into results/<bench>.stats.json.
     static stats::Collector* col = new_collector("mc", g_bench_name);
@@ -675,14 +671,11 @@ faults::McOptions mc_options() {
 }
 
 unsigned mc_systems(unsigned full) {
-  if (const char* v = std::getenv("ECCSIM_MC_SYSTEMS")) {
-    const auto n = std::strtoul(v, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
+  if (g_config.mc_systems > 0) return g_config.mc_systems;
   unsigned n = full;
-  if (smoke_mode()) {
+  if (g_config.fidelity == RunConfig::Fidelity::kSmoke) {
     n = full / 20;
-  } else if (quick_mode()) {
+  } else if (g_config.fidelity == RunConfig::Fidelity::kQuick) {
     n = full / 5;
   }
   return std::max(n, 200u);
@@ -692,8 +685,9 @@ runner::Report run_cells(const std::string& label,
                          const std::vector<runner::Cell>& cells) {
   runner::RunOptions opts;
   obs::Heartbeat& hb = obs::Heartbeat::global();
-  opts.progress = [&label, &hb](std::size_t done, std::size_t total,
-                                const runner::Cell& cell) {
+  const bool tty = isatty(fileno(stderr)) != 0;
+  opts.progress = [&label, &hb, tty](std::size_t done, std::size_t total,
+                                     const runner::Cell& cell) {
     if (hb.enabled()) {
       obs::Heartbeat::Tick t;
       t.phase = label;
@@ -703,48 +697,35 @@ runner::Report run_cells(const std::string& label,
       hb.tick(t);
     }
     // The heartbeat's --progress line supersedes the plain one; printing
-    // both would interleave two \r lines on the same row.
-    if (hb.config().stderr_line) return;
+    // both would interleave two \r lines on the same row.  A \r line only
+    // makes sense on a terminal: in a log it is one line per cell.
+    if (hb.config().stderr_line || !tty) return;
     std::fprintf(stderr, "\r[%s] %zu/%zu (%s / %s)        ", label.c_str(),
                  done, total, cell.workload.c_str(), cell.scheme.c_str());
     std::fflush(stderr);
   };
   runner::Report report = runner::run_cells(cells, opts);
   std::fprintf(stderr,
-               "\r[%s] %zu cells, %.1fs wall (%.1fs serial-equivalent, "
+               "%s[%s] %zu cells, %.1fs wall (%.1fs serial-equivalent, "
                "%.2fx on %u threads)\n",
-               label.c_str(), cells.size(), report.wall_seconds,
-               report.cell_seconds, report.speedup(), report.threads);
+               tty ? "\r" : "", label.c_str(), cells.size(),
+               report.wall_seconds, report.cell_seconds, report.speedup(),
+               report.threads);
   return report;
 }
 
 const std::vector<sim::RunResult>& sweep(ecc::SystemScale scale) {
-  static std::map<int, std::vector<sim::RunResult>> cache;
+  static std::map<int, std::vector<sim::RunResult>> memo;
   const int key = static_cast<int>(scale);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
+  auto it = memo.find(key);
+  if (it != memo.end()) return it->second;
 
-  const std::string path = cache_path(scale);
-  // A cache hit would skip simulation entirely, so --stats (which only
-  // observes live runs) and trace record/replay (which must actually run
-  // the cells) force a fresh sweep.  The CSV is still written afterwards:
-  // under --trace-in it doubles as the replay-vs-live comparison artifact.
-  const bool tracing = !trace_in_dir().empty() || !trace_out_dir().empty();
-  if (cache_enabled() && !stats_config().enabled && !tracing) {
-    auto rows = load_cache(path);
-    // 16 workloads x 8 schemes expected.
-    if (rows.size() == trace::paper_workloads().size() *
-                           ecc::all_schemes().size()) {
-      return cache.emplace(key, std::move(rows)).first->second;
-    }
-  }
   auto rows = run_sweep(scale);
-  if (cache_enabled()) {
-    std::ostringstream os;
-    for (const auto& r : rows) os << serialize(r) << '\n';
-    write_file(path, os.str());
-  }
-  return cache.emplace(key, std::move(rows)).first->second;
+  std::ostringstream os;
+  for (const auto& r : rows) os << serialize(r) << '\n';
+  write_file(out_dir("bench_results") + "/sweep_" + scale_name(scale) + ".csv",
+             os.str());
+  return memo.emplace(key, std::move(rows)).first->second;
 }
 
 const sim::RunResult& find(const std::vector<sim::RunResult>& rows,
@@ -770,7 +751,7 @@ void emit(const std::string& name, const Table& table) {
 
   runner::Json doc = runner::Json::object();
   doc.set("bench", name);
-  doc.set("metadata", runner::to_json(runner::collect_metadata()));
+  doc.set("metadata", runner::to_json(metadata()));
   doc.set("wall_seconds",
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         kProcessStart)

@@ -7,22 +7,20 @@
 // thread count because every cell owns its simulator and draws its
 // workload stimulus from a per-workload RNG substream of the root seed.
 //
-// The sweep is lazily computed and cached as CSV under bench_results/, so
-// the first figure binary pays the simulation cost and the rest load
-// instantly.  Delete bench_results/ (or set ECCSIM_SWEEP_CACHE=0) to force
-// re-simulation.  Fidelity knobs:
-//   ECCSIM_QUICK=1  fast, lower-fidelity pass (200k instructions/cell)
-//   ECCSIM_SMOKE=1  CI-sized pass (50k instructions/cell); outputs are
-//                   redirected to bench_results/smoke/ and results/smoke/
-//                   so they never clobber the committed full-fidelity CSVs
+// Each process simulates the sweeps it uses (once per scale, memoized in
+// memory) and writes them to sweep_<scale>.csv beside its figure CSVs.  The
+// committed bench_results/*.csv are goldens to compare against, never
+// inputs.  Full-fidelity DDR3 runs write to bench_results/ and results/;
+// every other run writes to bench_results/[ddr4/|ddr5/][quick/|smoke/]
+// (same under results/), so it never clobbers a golden.
 //
-// Besides the stdout table and bench_results/<name>.csv, every emit() also
-// writes machine-readable results/<name>.json (table + run metadata), and
-// each freshly simulated sweep writes results/sweep_<scale>.json with
-// per-cell metrics, timings, and the realized parallel speedup.  Every run
-// additionally writes results/<bench>.manifest.json (git SHA, DRAM
-// generation, host, timings, exit status; docs/OBSERVABILITY.md) and, with
-// --stats, an OpenMetrics results/<bench>.prom export.
+// Besides the stdout table and <name>.csv, every emit() also writes
+// machine-readable results/<name>.json (table + run metadata), and each
+// sweep writes results/sweep_<scale>.json with per-cell metrics, timings,
+// and the realized parallel speedup.  Every run additionally writes
+// results/<bench>.manifest.json (git SHA, the whole RunConfig, host,
+// timings, exit status; docs/OBSERVABILITY.md) and, with --stats, an
+// OpenMetrics results/<bench>.prom export.
 #pragma once
 
 #include <string>
@@ -32,50 +30,58 @@
 #include "dram/spec.hpp"
 #include "ecc/scheme.hpp"
 #include "faults/mc_engine.hpp"
+#include "obs/heartbeat.hpp"
 #include "runner/runner.hpp"
 #include "sim/system.hpp"
+#include "stats/stats.hpp"
 #include "trace/workload.hpp"
 
 namespace eccsim::bench {
 
-/// Parses the standard bench flags and installs the end-of-run profile
-/// report (wall-clock + peak RSS on stderr; scripts/run_all.sh parses it).
-/// Flags:
-///   --stats           enable the observability layer (= ECCSIM_STATS=1):
-///                     per-cell stat registries, epoch time series, a
-///                     results/<bench>.stats.json dump, and a summary table
-///   --stats-epoch=N   epoch length in memory cycles (implies --stats)
-///   --trace=DIR       Chrome trace-event files, one per sweep cell, in DIR
-///                     (loadable in Perfetto / chrome://tracing)
-///   --smoke / --quick CI-sized / reduced fidelity (= ECCSIM_SMOKE/QUICK=1)
-///   --dram G          DRAM generation: ddr3 (default), ddr4, or ddr5
-///                     (= ECCSIM_DRAM).  Non-DDR3 runs write their sweep
-///                     cache and outputs under generation-suffixed paths so
-///                     the committed DDR3 CSVs are never clobbered.
-///   --mc-systems N       Monte Carlo system budget override
-///   --mc-chunk N         MC systems per chunk (results identical for any)
-///   --mc-target-rel-ci X stop MC runs once the relative 95% CI reaches X
-///   --mc-checkpoint F    chunk-granular MC checkpoint/resume file
+/// Every setting of a bench run, resolved once by init(): the environment
+/// variables below are the outer layer, command-line flags override them.
+/// Nothing is written back to the environment.
+struct RunConfig {
+  enum class Fidelity { kFull, kQuick, kSmoke };
+  /// --quick / --smoke (ECCSIM_QUICK, ECCSIM_SMOKE; smoke wins if both)
+  Fidelity fidelity = Fidelity::kFull;
+  /// --dram G (ECCSIM_DRAM): ddr3, ddr4, or ddr5
+  dram::Generation dram = dram::Generation::kDdr3;
+  /// --stats (ECCSIM_STATS), --stats-epoch=N (STATS_EPOCH; implies
+  /// --stats), --trace=DIR (STATS_TRACE; implies --stats), and
+  /// STATS_TRACE_LIMIT.  The epoch defaults to 500 memory cycles under
+  /// --smoke, else 10 000.
+  stats::Config stats;
+  /// --trace-in DIR, --trace-out DIR, --trace-point pre|post
+  /// (ECCSIM_TRACE_IN, ECCSIM_TRACE_OUT, ECCSIM_TRACE_POINT)
+  std::string trace_in;
+  std::string trace_out;
+  tracefile::CapturePoint trace_point = tracefile::CapturePoint::kPreLlc;
+  /// --mc-systems N (ECCSIM_MC_SYSTEMS); 0 = scale the bench's budget by
+  /// fidelity
+  unsigned mc_systems = 0;
+  /// --mc-chunk N, --mc-target-rel-ci X, --mc-checkpoint FILE
+  /// (ECCSIM_MC_CHUNK, ECCSIM_MC_TARGET_REL_CI, ECCSIM_MC_CHECKPOINT)
+  faults::McOptions mc;
+  /// --status FILE, --progress (ECCSIM_STATUS, ECCSIM_PROGRESS) and
+  /// ECCSIM_STATUS_INTERVAL_MS; installed into obs::Heartbeat::global()
+  obs::HeartbeatConfig heartbeat;
+};
+
+/// Parses the environment and then the flags into the run config, and
+/// installs the end-of-run profile report (wall-clock + peak RSS on
+/// stderr; scripts/run_all.sh parses it).  Valued flags accept both
+/// `--flag value` and `--flag=value`.  Also:
 ///   --list-workloads  print the 16 paper workloads and exit
-///   --trace-in DIR    replay sweep stimulus from DIR's .ecctrace files
-///                     (= ECCSIM_TRACE_IN; bypasses the sweep CSV cache)
-///   --trace-out DIR   record each cell's stimulus to
-///                     DIR/<workload>_<scheme>.ecctrace (= ECCSIM_TRACE_OUT)
-///   --trace-point P   'pre' (replayable per-core stream, default) or
-///                     'post' (DRAM request stream) (= ECCSIM_TRACE_POINT)
-///   --status FILE     publish live progress snapshots to FILE as atomically
-///                     replaced JSON (= ECCSIM_STATUS; see src/obs and
-///                     `benchtool watch`)
-///   --progress        live stderr progress line with throughput/ETA/rel-CI
-///                     (= ECCSIM_PROGRESS=1)
-/// Valued flags accept both `--flag value` and `--flag=value` and map to
-/// their ECCSIM_* environment equivalents.  Call first in main(); unknown
-/// flags exit with code 2 and point at --help, which documents every flag
-/// and environment variable.
+///   --help            document every flag and environment variable
+/// Call first in main(); unknown flags and malformed values exit with
+/// code 2.
 void init(int argc, char** argv);
 
-/// Monte Carlo engine knobs assembled from the --mc-* flags (or their
-/// ECCSIM_MC_* environment equivalents).  With --stats, the returned
+/// The configuration init() resolved (defaults before init()).
+const RunConfig& run_config();
+
+/// Monte Carlo engine knobs from the run config.  With --stats, the returned
 /// options carry a registry so the engine's mc.* counters and rel-CI
 /// series land in results/<bench>.stats.json.
 faults::McOptions mc_options();
@@ -88,8 +94,6 @@ unsigned mc_systems(unsigned full);
 const std::string& bench_name();
 
 /// DRAM generation selected by --dram / ECCSIM_DRAM (DDR3 when unset).
-/// Exits with code 2 on an unrecognized ECCSIM_DRAM value so scripts fail
-/// loudly instead of silently benchmarking the wrong generation.
 dram::Generation dram_generation();
 
 /// Per-run stats collector for benches that build SystemSims directly
@@ -101,10 +105,15 @@ dram::Generation dram_generation();
 stats::Collector* new_collector(const std::string& workload,
                                 const std::string& scheme);
 
-/// Instructions per run (ECCSIM_QUICK / ECCSIM_SMOKE shrink it).
+/// Instructions per run (--quick / --smoke shrink it).
 std::uint64_t target_instructions();
 
-/// All (workload x scheme) results at one scale, cached on disk.
+/// SimOptions carrying the run's instruction target and DRAM generation;
+/// benches that build SystemSims directly start from these.
+sim::SimOptions sim_options();
+
+/// All (workload x scheme) results at one scale, simulated on first use
+/// and memoized for the rest of the process.
 const std::vector<sim::RunResult>& sweep(ecc::SystemScale scale);
 
 /// Finds one run in a sweep; throws if missing.
@@ -120,15 +129,16 @@ double reduction_pct(double baseline, double ours);
 
 /// Prints the table, saves CSV under bench_results/<name>.csv, and saves
 /// JSON (table cells + run metadata + elapsed wall-clock) under
-/// results/<name>.json.  In smoke mode both land in .../smoke/ instead.
+/// results/<name>.json, both in the run's output subdirectory.
 void emit(const std::string& name, const Table& table);
 
 /// Workload names in presentation order (Bin1 first, then Bin2).
 std::vector<std::string> workload_order();
 
 /// Fans custom cells out over the runner with the standard stderr progress
-/// line.  For ablations that sweep knobs other than (workload x scheme);
-/// the standard sweep() already uses it internally.
+/// (a per-cell line on a terminal, else only the summary).  For ablations
+/// that sweep knobs other than (workload x scheme); the standard sweep()
+/// already uses it internally.
 runner::Report run_cells(const std::string& label,
                          const std::vector<runner::Cell>& cells);
 

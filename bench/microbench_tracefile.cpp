@@ -196,13 +196,12 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  const char* smoke = std::getenv("ECCSIM_SMOKE");
-  const std::string dir =
-      (smoke != nullptr && std::string(smoke) != "0") ? "results/smoke"
-                                                      : "results";
+  const char* env = std::getenv("ECCSIM_SMOKE");
+  const bool smoke = env != nullptr && std::string(env) != "0";
+  const std::string dir = smoke ? "results/smoke" : "results";
   runner::Json doc = runner::Json::object();
   doc.set("bench", std::string("microbench_tracefile"));
-  doc.set("metadata", runner::to_json(runner::collect_metadata()));
+  doc.set("metadata", runner::to_json(runner::collect_metadata(false, smoke)));
   runner::Json runs = runner::Json::array();
   for (const auto& r : reporter.captured()) {
     runner::Json run = runner::Json::object();

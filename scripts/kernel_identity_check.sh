@@ -26,10 +26,9 @@ trap 'rm -rf "$tmp"' EXIT
 
 run_sweep() {  # $1 = label, $2... = extra env assignments
   label=$1; shift
-  rm -f bench_results/sweep_quad_smoke.csv
   env -u ECCSIM_KERNEL -u ECCSIM_QUICK -u ECCSIM_DRAM ECCSIM_SMOKE=1 \
       "$@" "$bin" >/dev/null
-  cp bench_results/sweep_quad_smoke.csv "$tmp/sweep.$label"
+  cp bench_results/smoke/sweep_quad.csv "$tmp/sweep.$label"
   cp bench_results/smoke/fig10_epi_quad.csv "$tmp/fig10.$label"
 }
 
@@ -53,10 +52,6 @@ for k in $kernels; do
     fi
   done
 done
-
-# Leave no smoke sweep cache behind: later CI steps rely on an empty
-# cache so their checked runs really re-simulate.
-rm -f bench_results/sweep_quad_smoke.csv
 
 if [ "$fail" -ne 0 ]; then
   echo "[kernel-identity] FAIL: kernel choice changed simulation results" >&2

@@ -3,9 +3,11 @@
 #
 # Usage: ./scripts/run_all.sh [--quick | --smoke] [--no-build]
 #   --quick     lower-fidelity sweep (200k instructions per cell); outputs
-#               overwrite bench_results/ and results/ like a full run
-#   --smoke     CI-sized run (50k instructions per cell); outputs are
-#               quarantined under bench_results/smoke/ and results/smoke/
+#               go to bench_results/quick/ and results/quick/
+#   --smoke     CI-sized run (50k instructions per cell); outputs go to
+#               bench_results/smoke/ and results/smoke/
+# Without either, every binary rewrites the committed full-fidelity
+# bench_results/*.csv; they must come out byte-identical.
 #   --no-build  skip configure/build/ctest (binaries must already exist)
 #
 # Sweeps fan out over all cores by default; set RUNNER_THREADS=N to cap

@@ -34,7 +34,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/off" "$work/on" "$work/traces"
 
-sweep_csv=bench_results/sweep_quad_smoke.csv
+sweep_csv=bench_results/smoke/sweep_quad.csv
 fig_csv=bench_results/smoke/fig10_epi_quad.csv
 
 echo "[telemetry-identity] smoke sweep with telemetry off" >&2

@@ -40,7 +40,7 @@ echo "[trace-replay] replay sweep (--trace-in)" >&2
 (cd "$work/replay" && "$bench" --trace-in "$work/traces" \
   >stdout.txt 2>/dev/null)
 
-csv=bench_results/sweep_quad_smoke.csv
+csv=bench_results/smoke/sweep_quad.csv
 if ! cmp -s "$work/live/$csv" "$work/replay/$csv"; then
   echo "[trace-replay] FAIL: replay sweep CSV differs from live" >&2
   diff "$work/live/$csv" "$work/replay/$csv" >&2 || true

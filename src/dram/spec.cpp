@@ -1,6 +1,5 @@
 #include "dram/spec.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/units.hpp"
@@ -30,18 +29,6 @@ std::optional<Generation> parse_generation(std::string_view name) {
   if (name == "ddr4") return Generation::kDdr4;
   if (name == "ddr5") return Generation::kDdr5;
   return std::nullopt;
-}
-
-std::optional<Generation> generation_from_env() {
-  const char* env = std::getenv("ECCSIM_DRAM");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  const auto gen = parse_generation(env);
-  if (!gen) {
-    throw std::runtime_error(std::string("ECCSIM_DRAM: unknown DRAM "
-                                         "generation '") +
-                             env + "' (expected ddr3, ddr4, or ddr5)");
-  }
-  return gen;
 }
 
 namespace {

@@ -199,9 +199,4 @@ DramSpec spec_for(Generation g, DeviceWidth width, double speed_factor = 1.0);
 /// LOT-ECC5 mixed x16/x8 rank as scaled x16 chips).
 void rederive_energy(DramSpec& device);
 
-/// Reads the ECCSIM_DRAM environment variable (set by the bench front-end's
-/// --dram flag).  Returns std::nullopt when unset; throws std::runtime_error
-/// on an unrecognized value so typos cannot silently fall back to DDR3.
-std::optional<Generation> generation_from_env();
-
 }  // namespace eccsim::dram

@@ -33,9 +33,7 @@ std::string human_eta(double seconds) {
   return buf;
 }
 
-}  // namespace
-
-HeartbeatConfig HeartbeatConfig::from_env() {
+HeartbeatConfig config_from_env() {
   HeartbeatConfig cfg;
   if (const char* v = std::getenv("ECCSIM_STATUS")) cfg.status_path = v;
   if (const char* v = std::getenv("ECCSIM_PROGRESS")) {
@@ -46,6 +44,8 @@ HeartbeatConfig HeartbeatConfig::from_env() {
   }
   return cfg;
 }
+
+}  // namespace
 
 void Heartbeat::set_tool(std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -146,7 +146,7 @@ void Heartbeat::tick(const Tick& t) {
 }
 
 Heartbeat& Heartbeat::global() {
-  static Heartbeat hb(HeartbeatConfig::from_env());
+  static Heartbeat hb(config_from_env());
   return hb;
 }
 

@@ -11,8 +11,8 @@
 //
 // Strictly observation-only: ticks never feed back into simulation state,
 // so enabling the heartbeat cannot change any simulated result.  Off by
-// default; configured from the environment (or the bench --status /
-// --progress flags, which set it):
+// default; configured from the environment (the bench front-end layers
+// its --status / --progress flags on top and calls configure()):
 //   ECCSIM_STATUS=FILE          write status snapshots to FILE
 //   ECCSIM_PROGRESS=1           print a \r progress line to stderr
 //   ECCSIM_STATUS_INTERVAL_MS=N min milliseconds between snapshots
@@ -44,9 +44,6 @@ struct HeartbeatConfig {
   std::string status_path;  ///< "" = no status file
   bool stderr_line = false;
   std::uint64_t min_interval_ms = 200;
-
-  /// Reads ECCSIM_STATUS / ECCSIM_PROGRESS / ECCSIM_STATUS_INTERVAL_MS.
-  static HeartbeatConfig from_env();
 };
 
 class Heartbeat {
@@ -73,6 +70,9 @@ class Heartbeat {
   }
   const HeartbeatConfig& config() const { return cfg_; }
 
+  /// Replaces the configuration; call before the first tick.
+  void configure(HeartbeatConfig cfg) { cfg_ = std::move(cfg); }
+
   /// Names the process in snapshots (bench binary name).
   void set_tool(std::string name);
 
@@ -83,8 +83,8 @@ class Heartbeat {
 
   std::uint64_t snapshots_written() const;
 
-  /// The process-global heartbeat, configured from the environment on
-  /// first use.
+  /// The process-global heartbeat, configured on first use from
+  /// ECCSIM_STATUS / ECCSIM_PROGRESS / ECCSIM_STATUS_INTERVAL_MS.
   static Heartbeat& global();
 
  private:

@@ -1,7 +1,6 @@
 #include "runner/runner.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 
 #include "common/rng.hpp"
@@ -11,15 +10,6 @@
 #include "stats/scope.hpp"
 
 namespace eccsim::runner {
-
-namespace {
-
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && std::string(v) != "0";
-}
-
-}  // namespace
 
 Report run_cells(const std::vector<Cell>& cells, const RunOptions& opts) {
   STATS_SCOPE("runner.run_cells");
@@ -64,13 +54,13 @@ std::uint64_t substream_seed(std::uint64_t root_seed, std::uint64_t stream) {
   return sm.next();
 }
 
-RunMetadata collect_metadata() {
+RunMetadata collect_metadata(bool quick, bool smoke) {
   RunMetadata meta;
   meta.git_sha = obs::git_head_sha();
   meta.threads = ThreadPool::default_thread_count();
   meta.timestamp = obs::utc_timestamp();
-  meta.quick = env_flag("ECCSIM_QUICK");
-  meta.smoke = env_flag("ECCSIM_SMOKE");
+  meta.quick = quick;
+  meta.smoke = smoke;
   return meta;
 }
 

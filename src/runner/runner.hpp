@@ -82,13 +82,14 @@ struct RunMetadata {
   std::string git_sha;      ///< HEAD commit, or "unknown" outside a repo
   unsigned threads = 1;     ///< ThreadPool::default_thread_count()
   std::string timestamp;    ///< ISO-8601 UTC wall-clock of collection
-  bool quick = false;       ///< ECCSIM_QUICK reduced-fidelity run
-  bool smoke = false;       ///< ECCSIM_SMOKE CI-sized run
+  bool quick = false;       ///< reduced-fidelity run
+  bool smoke = false;       ///< CI-sized run
 };
 
 /// Collects metadata for the current process (reads .git/HEAD by walking
-/// up from the working directory; never shells out).
-RunMetadata collect_metadata();
+/// up from the working directory; never shells out).  The caller knows
+/// the run's fidelity and passes it in.
+RunMetadata collect_metadata(bool quick, bool smoke);
 
 // --- JSON encoding ---------------------------------------------------------
 

@@ -34,10 +34,7 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
       cpu_(cpu),
       opts_(opts),
       mem_([&] {
-        const dram::Generation gen = opts.dram_gen
-            ? *opts.dram_gen
-            : dram::generation_from_env().value_or(dram::Generation::kDdr3);
-        dram::MemSystemConfig cfg = scheme.mem_config(gen);
+        dram::MemSystemConfig cfg = scheme.mem_config(opts.dram_gen);
         cfg.powerdown_enabled = opts.powerdown_enabled;
         cfg.row_policy = opts.row_policy;
         return cfg;

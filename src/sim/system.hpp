@@ -65,10 +65,9 @@ struct SimOptions {
   /// Row-buffer policy (the paper uses close-page; open-page is available
   /// for the row-policy ablation).
   dram::RowPolicy row_policy = dram::RowPolicy::kClosePage;
-  /// DRAM generation to build the scheme's memory system on.  Unset means
-  /// "consult the ECCSIM_DRAM environment variable (set by the bench
-  /// front-end's --dram flag), else DDR3" -- the paper-faithful default.
-  std::optional<dram::Generation> dram_gen;
+  /// DRAM generation to build the scheme's memory system on (DDR3 is the
+  /// paper-faithful default).
+  dram::Generation dram_gen = dram::Generation::kDdr3;
   /// Demand-scrub injection: when nonzero, one extra scrub read is issued
   /// every this many memory cycles, sweeping addresses round-robin
   /// (Sec. VI-C's scrub-rate cost in performance/energy terms).
@@ -114,9 +113,9 @@ struct SimOptions {
   stats::Collector* stats = nullptr;
 };
 
-/// Everything a run produces.  Plain data: serialized to CSV by the bench
-/// sweep cache and to JSON by runner::to_json(), so additions here should
-/// be mirrored in both encoders.
+/// Everything a run produces.  Plain data: serialized to the bench sweep
+/// CSV and to JSON by runner::to_json(), so additions here should be
+/// mirrored in both encoders.
 struct RunResult {
   std::string scheme;             ///< ecc::SchemeDesc::name of the run
   std::string workload;           ///< trace::WorkloadDesc::name of the run

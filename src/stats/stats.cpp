@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -282,33 +281,6 @@ std::vector<Registry::EntryView> Registry::view() const {
     out.push_back(v);
   }
   return out;
-}
-
-// --- Config ----------------------------------------------------------------
-
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-}  // namespace
-
-Config Config::from_env(std::uint64_t default_epoch) {
-  Config cfg;
-  const char* on = std::getenv("ECCSIM_STATS");
-  cfg.enabled = on != nullptr && std::string(on) != "0";
-  cfg.epoch_cycles = env_u64("STATS_EPOCH", default_epoch);
-  if (const char* dir = std::getenv("STATS_TRACE"); dir != nullptr && *dir) {
-    cfg.trace_dir = dir;
-    cfg.enabled = true;  // tracing implies stats collection
-  }
-  cfg.trace_limit = env_u64("STATS_TRACE_LIMIT", cfg.trace_limit);
-  return cfg;
 }
 
 // --- Collector -------------------------------------------------------------

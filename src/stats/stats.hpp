@@ -224,18 +224,13 @@ class Registry {
 
 class Tracer;
 
-/// Observability knobs for one run, normally parsed from the environment:
-///   ECCSIM_STATS=1        master switch (the bench --stats flag sets it)
-///   STATS_EPOCH=N         epoch length in memory cycles
-///   STATS_TRACE=DIR       enable Chrome tracing, one file per run in DIR
-///   STATS_TRACE_LIMIT=N   max trace events before rate-limiting kicks in
+/// Observability knobs for one run (the bench front-end fills them from
+/// --stats, --stats-epoch, --trace and their environment variables).
 struct Config {
   bool enabled = false;
-  std::uint64_t epoch_cycles = 10'000;
-  std::string trace_dir;  ///< empty = tracing off
-  std::uint64_t trace_limit = 200'000;
-
-  static Config from_env(std::uint64_t default_epoch = 10'000);
+  std::uint64_t epoch_cycles = 10'000;  ///< memory cycles per epoch
+  std::string trace_dir;  ///< Chrome trace files go here; empty = off
+  std::uint64_t trace_limit = 200'000;  ///< events before rate-limiting
 };
 
 /// Everything one simulation run collects: a registry, an optional

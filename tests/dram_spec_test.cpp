@@ -11,7 +11,6 @@
 // on-die-ECC fault filter, and the sub-channel planes of the parity layout.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -150,7 +149,8 @@ TEST(DramSpec, SchemeMemConfigDefaultsToDdr3) {
 }
 
 // ---------------------------------------------------------------------------
-// Generation parsing and the ECCSIM_DRAM environment contract.
+// Generation parsing (the ECCSIM_DRAM / --dram contract is tested in
+// bench_flags_test).
 
 TEST(DramSpec, GenerationNamesRoundTrip) {
   for (Generation g :
@@ -162,17 +162,6 @@ TEST(DramSpec, GenerationNamesRoundTrip) {
   EXPECT_FALSE(dram::parse_generation("ddr6").has_value());
   EXPECT_FALSE(dram::parse_generation("DDR3").has_value());
   EXPECT_FALSE(dram::parse_generation("").has_value());
-}
-
-TEST(DramSpec, GenerationFromEnvContract) {
-  unsetenv("ECCSIM_DRAM");
-  EXPECT_FALSE(dram::generation_from_env().has_value());
-  setenv("ECCSIM_DRAM", "ddr4", 1);
-  ASSERT_TRUE(dram::generation_from_env().has_value());
-  EXPECT_EQ(*dram::generation_from_env(), Generation::kDdr4);
-  setenv("ECCSIM_DRAM", "lpddr4", 1);
-  EXPECT_THROW(dram::generation_from_env(), std::runtime_error);
-  unsetenv("ECCSIM_DRAM");
 }
 
 // ---------------------------------------------------------------------------

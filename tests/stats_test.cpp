@@ -370,31 +370,6 @@ TEST(Tracer, RateLimitKeepsPrefixInIssueOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Config parsing
-
-TEST(Config, FromEnvReadsKnobs) {
-  ::setenv("ECCSIM_STATS", "1", 1);
-  ::setenv("STATS_EPOCH", "1234", 1);
-  ::setenv("STATS_TRACE", "/tmp/tdir", 1);
-  ::setenv("STATS_TRACE_LIMIT", "77", 1);
-  Config cfg = Config::from_env(500);
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.epoch_cycles, 1234u);
-  EXPECT_EQ(cfg.trace_dir, "/tmp/tdir");
-  EXPECT_EQ(cfg.trace_limit, 77u);
-  ::unsetenv("ECCSIM_STATS");
-  ::unsetenv("STATS_EPOCH");
-  ::unsetenv("STATS_TRACE_LIMIT");
-  // STATS_TRACE alone implies enabled (tracing is useless otherwise).
-  Config tr_only = Config::from_env(500);
-  EXPECT_TRUE(tr_only.enabled);
-  ::unsetenv("STATS_TRACE");
-  Config off = Config::from_env(500);
-  EXPECT_FALSE(off.enabled);
-  EXPECT_EQ(off.epoch_cycles, 500u);
-}
-
-// ---------------------------------------------------------------------------
 // SystemSim integration
 
 sim::SimOptions sim_opts() {

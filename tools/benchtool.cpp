@@ -231,10 +231,9 @@ int cmd_record(int argc, char** argv) {
   }
 
   if (!skip_sweep) {
-    // The end-to-end datapoint: one full smoke-sized fig10 sweep with the
-    // cache bypassed so simulation work is actually measured.  Pinned to
-    // smoke scale regardless of --smoke: the flag only labels the record's
-    // comparability context.
+    // The end-to-end datapoint: one full smoke-sized fig10 sweep (every
+    // bench run simulates its sweep).  Pinned to smoke scale regardless of
+    // --smoke: the flag only labels the record's comparability context.
     const std::string bin = bin_dir + "/fig10_epi_quad";
     if (!executable_exists(bin)) {
       std::fprintf(stderr, "benchtool record: %s not found (build the "
@@ -243,7 +242,7 @@ int cmd_record(int argc, char** argv) {
     }
     double wall = 0.0;
     const int rc = run_command(
-        "ECCSIM_SMOKE=1 ECCSIM_SWEEP_CACHE=0 " + bin, &wall);
+        "ECCSIM_SMOKE=1 " + bin, &wall);
     if (rc != 0) {
       std::fprintf(stderr, "benchtool record: %s exited with %d\n",
                    bin.c_str(), rc);
