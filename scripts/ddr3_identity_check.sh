@@ -2,7 +2,8 @@
 # DDR3 golden check: the committed full-fidelity CSVs must reproduce.
 #
 # Usage: ./scripts/ddr3_identity_check.sh [path-to-fig10_epi_quad]
-#   default binary: build/bench/fig10_epi_quad
+#   default binary: build/bench/fig10_epi_quad; ablation_degraded and
+#   ablation_ecc_cache are taken from the same directory.
 #
 # The committed bench_results/sweep_quad.csv and fig10_epi_quad.csv are
 # goldens of the paper-faithful DDR3 model; refactors of the DRAM spec
@@ -10,9 +11,12 @@
 # bit-identical.  This script runs the full-fidelity quad sweep in a
 # scratch working directory and byte-compares both outputs with the
 # committed files -- any divergence in timing, energy, scheduling, or the
-# derived figure table fails the gate.  The tree is only read.  Runs the
-# full 16x8-cell sweep (~5 s on 4 cores; RUNNER_THREADS caps the fan-out).
-# Also registered in ctest as ddr3_identity_check.
+# derived figure table fails the gate.  The sweep never takes two paths,
+# so two ablations are checked the same way: ablation_degraded (faulty
+# banks, the Fig. 6 slow path) and ablation_ecc_cache (the dedicated
+# 8-way ECC cache).  The tree is only read.  Runs the full 16x8-cell sweep
+# (~5 s on 4 cores; RUNNER_THREADS caps the fan-out) plus ~1 s per
+# ablation.  Also registered in ctest as ddr3_identity_check.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -22,7 +26,15 @@ if [ ! -x "$bin" ]; then
   echo "usage: $0 [path-to-fig10_epi_quad]  ($bin: not an executable)" >&2
   exit 2
 fi
-bin=$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")
+bindir=$(cd "$(dirname "$bin")" && pwd)
+bin=$bindir/$(basename "$bin")
+ablations="ablation_degraded ablation_ecc_cache"
+for a in $ablations; do
+  if [ ! -x "$bindir/$a" ]; then
+    echo "$0: $bindir/$a: not an executable" >&2
+    exit 2
+  fi
+done
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -30,9 +42,15 @@ trap 'rm -rf "$work"' EXIT
 echo "[ddr3-identity] simulating the full quad sweep in $work" >&2
 (cd "$work" && env -u ECCSIM_SMOKE -u ECCSIM_QUICK -u ECCSIM_DRAM \
   "$bin" >/dev/null)
+for a in $ablations; do
+  echo "[ddr3-identity] simulating $a" >&2
+  (cd "$work" && env -u ECCSIM_SMOKE -u ECCSIM_QUICK -u ECCSIM_DRAM \
+    "$bindir/$a" >/dev/null)
+done
 
 fail=0
-for f in sweep_quad.csv fig10_epi_quad.csv; do
+for f in sweep_quad.csv fig10_epi_quad.csv ablation_degraded.csv \
+         ablation_ecc_cache.csv; do
   if ! cmp -s "$repo/bench_results/$f" "$work/bench_results/$f"; then
     echo "[ddr3-identity] FAIL: bench_results/$f differs from the golden:" >&2
     diff "$repo/bench_results/$f" "$work/bench_results/$f" | head -20 >&2 ||
@@ -45,4 +63,4 @@ if [ "$fail" -ne 0 ]; then
   echo "[ddr3-identity]  docs/DRAM_SPECS.md)" >&2
   exit 1
 fi
-echo "[ddr3-identity] OK (DDR3 sweep is bit-identical to the committed CSVs)" >&2
+echo "[ddr3-identity] OK (DDR3 sweep and ablations match the goldens)" >&2

@@ -17,102 +17,74 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   if (!std::has_single_bit(num_sets_)) {
     throw std::invalid_argument("Cache: set count must be a power of two");
   }
-  sets_.assign(num_sets_, std::vector<Line>(cfg_.ways));
+  tag_.assign(lines, 0);
+  lru_.assign(lines, 0);
+  kind_.assign(lines, LineKind::kData);
+  dirty_.assign(lines, 0);
 }
 
-std::uint32_t Cache::set_index(std::uint64_t line_addr) const {
+std::size_t Cache::set_base(std::uint64_t line_addr) const {
   // Mix upper bits into the index so that the disjoint address namespaces
   // used for ECC/XOR lines do not all collide into the same sets.
   std::uint64_t h = line_addr * 0x9e3779b97f4a7c15ULL;
   h ^= h >> 32;
-  return static_cast<std::uint32_t>(h & (num_sets_ - 1));
+  return static_cast<std::size_t>(h & (num_sets_ - 1)) * cfg_.ways;
 }
 
-Cache::Line* Cache::find(std::uint64_t line_addr) {
-  auto& set = sets_[set_index(line_addr)];
-  for (auto& line : set) {
-    if (line.valid && line.addr == line_addr) return &line;
+std::size_t Cache::find(std::size_t base, std::uint64_t line_addr) const {
+  for (std::size_t i = base, end = base + cfg_.ways; i < end; ++i) {
+    if (tag_[i] == line_addr && lru_[i] != 0) return i;
   }
-  return nullptr;
+  return kNoWay;
 }
 
-const Cache::Line* Cache::find(std::uint64_t line_addr) const {
-  const auto& set = sets_[set_index(line_addr)];
-  for (const auto& line : set) {
-    if (line.valid && line.addr == line_addr) return &line;
+AccessResult Cache::replace(std::size_t base, std::uint64_t line_addr,
+                            LineKind kind, bool dirty) {
+  std::size_t v = base;
+  for (std::size_t i = base + 1, end = base + cfg_.ways; i < end; ++i) {
+    if (lru_[i] < lru_[v]) v = i;
   }
-  return nullptr;
+  AccessResult result;
+  if (dirty_[v] != 0) {  // an empty way is never dirty
+    result.writeback = true;
+    result.victim_addr = tag_[v];
+    result.victim_kind = kind_[v];
+    ++stats_.writebacks;
+  }
+  tag_[v] = line_addr;
+  lru_[v] = tick_;
+  kind_[v] = kind;
+  dirty_[v] = dirty ? 1 : 0;
+  return result;
 }
 
 AccessResult Cache::access(std::uint64_t line_addr, bool is_write,
                            LineKind kind) {
   ++tick_;
-  AccessResult result;
-  if (Line* line = find(line_addr)) {
-    result.hit = true;
-    line->lru = tick_;
-    line->dirty = line->dirty || is_write;
-    line->kind = kind;
+  const std::size_t base = set_base(line_addr);
+  const std::size_t i = find(base, line_addr);
+  if (i != kNoWay) {
+    lru_[i] = tick_;
+    if (is_write) dirty_[i] = 1;
+    kind_[i] = kind;
     ++stats_.hits;
-    return result;
+    return AccessResult{.hit = true};
   }
   ++stats_.misses;
-
-  // Miss: allocate, evicting the LRU way.
-  auto& set = sets_[set_index(line_addr)];
-  Line* victim = &set[0];
-  for (auto& line : set) {
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.lru < victim->lru) victim = &line;
-  }
-  if (victim->valid && victim->dirty) {
-    result.writeback = true;
-    result.victim_addr = victim->addr;
-    result.victim_kind = victim->kind;
-    ++stats_.writebacks;
-  }
-  victim->addr = line_addr;
-  victim->lru = tick_;
-  victim->kind = kind;
-  victim->valid = true;
-  victim->dirty = is_write;
-  return result;
+  return replace(base, line_addr, kind, is_write);
 }
 
 AccessResult Cache::fill(std::uint64_t line_addr, LineKind kind) {
-  if (find(line_addr)) return AccessResult{.hit = true};
+  const std::size_t base = set_base(line_addr);
+  if (find(base, line_addr) != kNoWay) return AccessResult{.hit = true};
   ++tick_;
-  AccessResult result;
-  auto& set = sets_[set_index(line_addr)];
-  Line* victim = &set[0];
-  for (auto& line : set) {
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.lru < victim->lru) victim = &line;
-  }
-  if (victim->valid && victim->dirty) {
-    result.writeback = true;
-    result.victim_addr = victim->addr;
-    result.victim_kind = victim->kind;
-    ++stats_.writebacks;
-  }
-  victim->addr = line_addr;
-  // Prefetched sibling fills insert at LRU-adjacent priority: they get the
-  // current tick like demand fills (simple and adequate for this model).
-  victim->lru = tick_;
-  victim->kind = kind;
-  victim->valid = true;
-  victim->dirty = false;
-  return result;
+  // Prefetched sibling fills take the current tick like demand fills
+  // (simple and adequate for this model).
+  return replace(base, line_addr, kind, false);
 }
 
 bool Cache::contains(std::uint64_t line_addr) const {
-  return find(line_addr) != nullptr;
+  return find(set_base(line_addr), line_addr) != kNoWay;
 }
 
 void Cache::attach_stats(stats::Registry& reg, const std::string& prefix) {
@@ -127,16 +99,6 @@ void Cache::attach_stats(stats::Registry& reg, const std::string& prefix) {
   });
   reg.gauge(prefix + ".hit_rate",
             [this](std::uint64_t) { return stats_.hit_rate(); });
-}
-
-bool Cache::invalidate(std::uint64_t line_addr) {
-  if (Line* line = find(line_addr)) {
-    const bool was_dirty = line->dirty;
-    line->valid = false;
-    line->dirty = false;
-    return was_dirty;
-  }
-  return false;
 }
 
 }  // namespace eccsim::cache

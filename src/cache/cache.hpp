@@ -15,6 +15,7 @@
 // like data lines for insertion and replacement.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -46,6 +47,14 @@ struct CacheConfig {
 /// Set-associative write-back, write-allocate cache with true-LRU
 /// replacement.  Addresses are line addresses (already divided by the line
 /// size); callers namespace data/ECC/XOR addresses so they never collide.
+///
+/// Layout: four flat per-line arrays (tag, LRU tick, kind, dirty) indexed
+/// by `set * ways + way`, so one set's tags are contiguous and a lookup
+/// touches only the tag array until it matches.  `lru_ == 0` marks an
+/// empty way: every access or fill stamps a fresh tick, and ticks start at
+/// 1 and are unique.  The victim is therefore the argmin of `lru_` over the
+/// set (first way on ties): the first empty way if there is one, else the
+/// least-recently used line.
 class Cache {
  public:
   explicit Cache(const CacheConfig& cfg);
@@ -62,22 +71,6 @@ class Cache {
 
   /// True if the line is present (no LRU update, no allocation).
   bool contains(std::uint64_t line_addr) const;
-
-  /// Invalidates a line if present; returns true if it was dirty.
-  bool invalidate(std::uint64_t line_addr);
-
-  /// Flushes every dirty line, invoking `sink(addr, kind)` per writeback,
-  /// and leaves the cache empty.  Used at simulation teardown.
-  template <typename Sink>
-  void flush(Sink&& sink) {
-    for (auto& set : sets_) {
-      for (auto& line : set) {
-        if (line.valid && line.dirty) sink(line.addr, line.kind);
-        line.valid = false;
-        line.dirty = false;
-      }
-    }
-  }
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -103,21 +96,23 @@ class Cache {
   void attach_stats(stats::Registry& reg, const std::string& prefix);
 
  private:
-  struct Line {
-    std::uint64_t addr = 0;
-    std::uint64_t lru = 0;
-    LineKind kind = LineKind::kData;
-    bool valid = false;
-    bool dirty = false;
-  };
+  static constexpr std::size_t kNoWay = ~std::size_t{0};
 
-  std::uint32_t set_index(std::uint64_t line_addr) const;
-  Line* find(std::uint64_t line_addr);
-  const Line* find(std::uint64_t line_addr) const;
+  /// Index of the first slot of `line_addr`'s set.
+  std::size_t set_base(std::uint64_t line_addr) const;
+  /// Slot holding `line_addr` in the set starting at `base`, or kNoWay.
+  std::size_t find(std::size_t base, std::uint64_t line_addr) const;
+  /// Evicts the victim of the set at `base` and installs `line_addr` there,
+  /// reporting a dirty victim as a writeback.
+  AccessResult replace(std::size_t base, std::uint64_t line_addr,
+                       LineKind kind, bool dirty);
 
   CacheConfig cfg_;
   std::uint32_t num_sets_;
-  std::vector<std::vector<Line>> sets_;
+  std::vector<std::uint64_t> tag_;
+  std::vector<std::uint64_t> lru_;  ///< 0 = empty way
+  std::vector<LineKind> kind_;
+  std::vector<std::uint8_t> dirty_;
   std::uint64_t tick_ = 0;
   Stats stats_;
 };

@@ -40,7 +40,8 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
         return cfg;
       }()),
       llc_(cache::CacheConfig{}),
-      lines64_per_memline_(scheme.line_bytes / 64) {
+      lines64_per_memline_(scheme.line_bytes / 64),
+      total_data_lines_(mem_.map().geometry().total_data_lines()) {
   if (opts.dedicated_ecc_cache_bytes != 0) {
     cache::CacheConfig ecc_cfg;
     ecc_cfg.size_bytes = opts.dedicated_ecc_cache_bytes;
@@ -235,7 +236,7 @@ std::uint64_t SystemSim::ecc_cacheline_key(std::uint64_t memline) const {
 }
 
 dram::DramAddress SystemSim::ecc_line_address(std::uint64_t key) const {
-  const auto& geom = mem_.config().geometry();
+  const dram::MemGeometry& geom = mem_.map().geometry();
   if (scheme_.uses_ecc_parity) {
     // Invert the XOR key: (plane, stripe, slot-bucket) -> the primary
     // group's parity line.  (Leftover lines share the bucket's parity
@@ -249,7 +250,7 @@ dram::DramAddress SystemSim::ecc_line_address(std::uint64_t key) const {
   const std::uint64_t first_line = (key & ~kEccKeyTag) *
                                    scheme_.ecc_line_coverage;
   dram::DramAddress a = mem_.map().decode(
-      std::min<std::uint64_t>(first_line, geom.total_data_lines() - 1));
+      std::min<std::uint64_t>(first_line, total_data_lines_ - 1));
   const std::uint64_t reserved = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(
              static_cast<double>(geom.rows_per_bank) *
@@ -294,26 +295,19 @@ bool SystemSim::request_read(std::uint64_t memline, int core) {
   id_to_memline_[id] = memline;
   auto& waiters = mshr_[memline];
   if (core >= 0) waiters.push_back(core);
-  const std::uint64_t capped =
-      memline % mem_.config().geometry().total_data_lines();
-  send_or_queue(PendingReq{mem_.map().decode(capped), false,
-                           dram::LineClass::kData, id});
+  send_or_queue(PendingReq{mem_.map().decode(memline % total_data_lines_),
+                           false, dram::LineClass::kData, id});
   return true;
 }
 
-void SystemSim::process_eviction(std::uint64_t victim_addr,
-                                 cache::LineKind kind) {
-  // Iterative worklist: ECC cacheline insertions can evict further lines.
-  std::deque<std::pair<std::uint64_t, cache::LineKind>> work;
-  work.emplace_back(victim_addr, kind);
-  while (!work.empty()) {
-    const auto [addr, k] = work.front();
-    work.pop_front();
-    switch (k) {
+void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
+  // Each eviction touches at most one ECC/XOR cacheline, whose insertion
+  // can evict at most one further line: follow that chain to its end.
+  while (true) {
+    cache::AccessResult next;  // the ECC/XOR cacheline touch, if any
+    switch (kind) {
       case cache::LineKind::kData: {
-        const std::uint64_t memline = mem_line_of(addr);
-        const std::uint64_t capped =
-            memline % mem_.config().geometry().total_data_lines();
+        const std::uint64_t capped = mem_line_of(addr) % total_data_lines_;
         const dram::DramAddress daddr = mem_.map().decode(capped);
         send_or_queue(PendingReq{daddr, true, dram::LineClass::kData,
                                  next_id_++});
@@ -328,9 +322,7 @@ void SystemSim::process_eviction(std::uint64_t victim_addr,
         if (scheme_.uses_ecc_parity && bank_is_faulty(daddr)) {
           ecc_kind = cache::LineKind::kEcc;
         }
-        const std::uint64_t key = ecc_cacheline_key(capped);
-        const auto r = ecc_cache().access(key, true, ecc_kind);
-        if (r.writeback) work.emplace_back(r.victim_addr, r.victim_kind);
+        next = ecc_cache().access(ecc_cacheline_key(capped), true, ecc_kind);
         break;
       }
       case cache::LineKind::kEcc: {
@@ -350,21 +342,22 @@ void SystemSim::process_eviction(std::uint64_t victim_addr,
         break;
       }
     }
+    if (!next.writeback) return;
+    addr = next.victim_addr;
+    kind = next.victim_kind;
   }
 }
 
 bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
   Core& core = cores_[c];
   const std::uint64_t memline = mem_line_of(op.line);
-  const std::uint64_t capped =
-      memline % mem_.config().geometry().total_data_lines();
-  const dram::DramAddress daddr = mem_.map().decode(capped);
 
   if (!op.is_write) {
     // Read: an LLC miss occupies an MLP slot; refuse (and stall the core)
-    // if none is free.
-    if (!warmup_ && !llc_.contains(op.line) &&
-        core.outstanding_reads >= cpu_.mlp) {
+    // if none is free.  The slot count is tested first: it usually rules
+    // out the stall without a set scan.
+    if (!warmup_ && core.outstanding_reads >= cpu_.mlp &&
+        !llc_.contains(op.line)) {
       return false;
     }
     const auto r = llc_.access(op.line, false, cache::LineKind::kData);
@@ -374,23 +367,25 @@ bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
       request_read(memline, static_cast<int>(c));
     }
     // Step A1/B: reads to a faulty bank also need the ECC line (cached).
-    if (scheme_.uses_ecc_parity && bank_is_faulty(daddr)) {
-      const std::uint64_t key = ecc_cacheline_key(capped) | kEccKeyTag;
-      const auto er = ecc_cache().access(key, false, cache::LineKind::kEcc);
-      if (er.writeback) process_eviction(er.victim_addr, er.victim_kind);
-      if (!er.hit) {
-        send_or_queue(PendingReq{ecc_line_address(key & ~kEccKeyTag), false,
-                                 dram::LineClass::kEccCorrection,
-                                 next_id_++});
-      }
-      if (!warmup_) {
-        if (slow_path_hits_) slow_path_hits_->inc();
-        if (tracer_) {
-          tracer_->instant(
-              "eccparity", "fig6_slow_path", mem_.cycle(), ecc_trace_tid_,
-              {{"bank", static_cast<double>(faulty_key(daddr))},
-               {"ecc_cached", er.hit ? 1.0 : 0.0}});
-        }
+    // Without faulty banks there is nothing to match, so no decode.
+    if (!scheme_.uses_ecc_parity || opts_.faulty_banks.empty()) return true;
+    const std::uint64_t capped = memline % total_data_lines_;
+    const dram::DramAddress daddr = mem_.map().decode(capped);
+    if (!bank_is_faulty(daddr)) return true;
+    const std::uint64_t key = ecc_cacheline_key(capped) | kEccKeyTag;
+    const auto er = ecc_cache().access(key, false, cache::LineKind::kEcc);
+    if (er.writeback) process_eviction(er.victim_addr, er.victim_kind);
+    if (!er.hit) {
+      send_or_queue(PendingReq{ecc_line_address(key & ~kEccKeyTag), false,
+                               dram::LineClass::kEccCorrection, next_id_++});
+    }
+    if (!warmup_) {
+      if (slow_path_hits_) slow_path_hits_->inc();
+      if (tracer_) {
+        tracer_->instant(
+            "eccparity", "fig6_slow_path", mem_.cycle(), ecc_trace_tid_,
+            {{"bank", static_cast<double>(faulty_key(daddr))},
+             {"ecc_cached", er.hit ? 1.0 : 0.0}});
       }
     }
     return true;
@@ -473,10 +468,11 @@ RunResult SystemSim::run() {
     // the cache the way they will run.  The full execute_op path runs --
     // including ECC/XOR cacheline insertion and eviction -- so the LLC
     // reaches its steady-state mix of data and ECC lines; send_or_queue
-    // and request_read drop everything while warmup_ is set.
+    // and request_read drop everything while warmup_ is set.  Warm-up has
+    // no timing, so it never reads an op's gap (next_untimed).
     for (std::uint64_t i = 0; i < warm_ops_per_core; ++i) {
       for (unsigned c = 0; c < cpu_.cores; ++c) {
-        (void)execute_op(c, source_->next(c));
+        (void)execute_op(c, source_->next_untimed(c));
       }
     }
     llc_.reset_stats();
@@ -495,11 +491,9 @@ RunResult SystemSim::run() {
       // Background scrubber: sweep the data space one line per interval
       // (Sec. VI-C).  Scrub reads are tagged as ECC traffic so their
       // bandwidth cost is visible in the statistics.
-      const std::uint64_t total =
-          mem_.config().geometry().total_data_lines();
-      send_or_queue(PendingReq{mem_.map().decode(scrub_cursor % total),
-                               false, dram::LineClass::kEccOther,
-                               next_id_++});
+      send_or_queue(
+          PendingReq{mem_.map().decode(scrub_cursor % total_data_lines_),
+                     false, dram::LineClass::kEccOther, next_id_++});
       ++scrub_cursor;
     }
     for (unsigned k = 0; k < cpu_.cpu_cycles_per_mem_cycle; ++k) {

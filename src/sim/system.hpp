@@ -188,7 +188,7 @@ class SystemSim {
   /// (MLP exhausted or request queue full).
   bool execute_op(unsigned c, const trace::MemOp& op);
   /// Handles an LLC eviction (and the ECC traffic it triggers).
-  void process_eviction(std::uint64_t victim_addr, cache::LineKind kind);
+  void process_eviction(std::uint64_t addr, cache::LineKind kind);
   /// Demand read for a memory line; registers the waiting core (or none).
   bool request_read(std::uint64_t memline, int core);
   void send_or_queue(const PendingReq& req);
@@ -255,6 +255,8 @@ class SystemSim {
   std::optional<eccparity::ParityLayout> parity_layout_;
 
   std::uint32_t lines64_per_memline_;
+  /// The memory's data-line count (decode's domain), read once.
+  std::uint64_t total_data_lines_;
   bool warmup_ = false;  ///< suppresses memory traffic during LLC warmup
   std::uint64_t next_id_ = 1;
   std::deque<PendingReq> pending_;

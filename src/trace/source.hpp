@@ -25,6 +25,14 @@ class TraceSource {
   /// Next memory operation for `core` (0-based, < cores()).
   virtual MemOp next(unsigned core) = 0;
 
+  /// next() for a caller that never reads the op's gap (the simulator's
+  /// LLC warm-up, which has no timing).  It advances `core`'s stream
+  /// exactly as next() does and returns the same line and is_write, but a
+  /// source may skip computing the gap and return 0 there.  The default is
+  /// next() itself, which is what recording and replay keep: a recording
+  /// must hold the full op, and a replay has the gap already decoded.
+  virtual MemOp next_untimed(unsigned core) { return next(core); }
+
   /// The workload whose stimulus this source carries.
   virtual const WorkloadDesc& workload() const = 0;
 
@@ -44,6 +52,9 @@ class SyntheticSource final : public TraceSource {
                   std::uint64_t seed);
 
   MemOp next(unsigned core) override { return gens_[core].next(); }
+  MemOp next_untimed(unsigned core) override {
+    return gens_[core].next_untimed();
+  }
   const WorkloadDesc& workload() const override { return desc_; }
   unsigned cores() const override {
     return static_cast<unsigned>(gens_.size());

@@ -117,11 +117,21 @@ std::uint64_t CoreGenerator::random_line() {
 }
 
 MemOp CoreGenerator::next() {
-  MemOp op;
   // Geometric gap with the workload's mean: memoryless instruction counts
   // between accesses.
   const double u = rng_.next_double();
+  MemOp op = next_access();
   op.gap = static_cast<std::uint32_t>(-gap_mean_ * std::log(1.0 - u));
+  return op;
+}
+
+MemOp CoreGenerator::next_untimed() {
+  (void)rng_.next_double();  // the gap's draw, so the stream stays in step
+  return next_access();
+}
+
+MemOp CoreGenerator::next_access() {
+  MemOp op;
   if (pending_sibling_ >= 0) {
     op.line = static_cast<std::uint64_t>(pending_sibling_);
     pending_sibling_ = -1;

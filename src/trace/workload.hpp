@@ -79,10 +79,17 @@ class CoreGenerator {
   /// Next memory operation (gap first, then the access).
   MemOp next();
 
+  /// next() without the gap: the same RNG draws in the same order, so the
+  /// stream stays in step with next(), but the gap's logarithm is skipped
+  /// and `gap` is 0.
+  MemOp next_untimed();
+
   const WorkloadDesc& desc() const { return desc_; }
 
  private:
   std::uint64_t random_line();
+  /// The draws after the gap's: line and is_write (gap left 0).
+  MemOp next_access();
 
   WorkloadDesc desc_;
   Rng rng_;

@@ -1,6 +1,7 @@
 // Unit tests for the shared LLC model.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -15,6 +16,88 @@ CacheConfig tiny_cache() {
   cfg.ways = 4;              // 16 sets
   return cfg;
 }
+
+/// Streams fresh clean lines through `c` until `addr` is evicted; returns
+/// the writeback that evicted it (writeback == false if it left clean).
+AccessResult evict(Cache& c, std::uint64_t addr) {
+  for (std::uint64_t x = 1'000'000; c.contains(addr); ++x) {
+    const AccessResult r = c.access(x, false);
+    if (r.writeback && r.victim_addr == addr) return r;
+  }
+  return AccessResult{};
+}
+
+/// The nested-vector true-LRU cache the flat layout replaced, kept as the
+/// oracle: a valid/dirty flag per line and "first invalid way, else least
+/// recently used" victim selection.  Same set hash as Cache.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& cfg)
+      : sets_(cfg.size_bytes / cfg.line_bytes / cfg.ways,
+              std::vector<Line>(cfg.ways)) {}
+
+  AccessResult access(std::uint64_t addr, bool is_write, LineKind kind) {
+    ++tick_;
+    if (Line* line = find(addr)) {
+      line->lru = tick_;
+      line->dirty = line->dirty || is_write;
+      line->kind = kind;
+      ++stats.hits;
+      return AccessResult{.hit = true};
+    }
+    ++stats.misses;
+    return install(addr, kind, is_write);
+  }
+  AccessResult fill(std::uint64_t addr, LineKind kind) {
+    if (find(addr)) return AccessResult{.hit = true};
+    ++tick_;
+    return install(addr, kind, false);
+  }
+  bool contains(std::uint64_t addr) { return find(addr) != nullptr; }
+
+  Cache::Stats stats;
+
+ private:
+  struct Line {
+    std::uint64_t addr = 0, lru = 0;
+    LineKind kind = LineKind::kData;
+    bool valid = false, dirty = false;
+  };
+  std::vector<Line>& set_of(std::uint64_t addr) {
+    std::uint64_t h = addr * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
+    return sets_[h & (sets_.size() - 1)];
+  }
+  Line* find(std::uint64_t addr) {
+    for (auto& line : set_of(addr)) {
+      if (line.valid && line.addr == addr) return &line;
+    }
+    return nullptr;
+  }
+  AccessResult install(std::uint64_t addr, LineKind kind, bool dirty) {
+    auto& set = set_of(addr);
+    Line* victim = &set[0];
+    for (auto& line : set) {
+      if (!line.valid) {
+        victim = &line;
+        break;
+      }
+      if (line.lru < victim->lru) victim = &line;
+    }
+    AccessResult r;
+    if (victim->valid && victim->dirty) {
+      r.writeback = true;
+      r.victim_addr = victim->addr;
+      r.victim_kind = victim->kind;
+      ++stats.writebacks;
+    }
+    *victim = Line{addr, tick_, kind, true, dirty};
+    return r;
+  }
+
+  std::vector<std::vector<Line>> sets_;
+  std::uint64_t tick_ = 0;
+};
 
 TEST(Cache, ConfigValidation) {
   CacheConfig bad = tiny_cache();
@@ -89,15 +172,20 @@ TEST(Cache, FillDoesNotMarkDirty) {
   Cache c{tiny_cache()};
   c.fill(77);
   EXPECT_TRUE(c.contains(77));
-  EXPECT_FALSE(c.invalidate(77));  // returns dirty flag
+  EXPECT_FALSE(evict(c, 77).writeback);  // left clean
+  EXPECT_FALSE(c.contains(77));
 }
 
 TEST(Cache, FillOnPresentLineIsNoop) {
   Cache c{tiny_cache()};
-  c.access(77, true);
-  const auto r = c.fill(77);
+  c.access(77, true, LineKind::kEcc);
+  const auto r = c.fill(77, LineKind::kXor);
   EXPECT_TRUE(r.hit);
-  EXPECT_TRUE(c.invalidate(77));  // still dirty from the write
+  EXPECT_EQ(c.stats().writebacks, 0u);
+  // Still dirty from the write, and the fill did not retag its kind.
+  const AccessResult wb = evict(c, 77);
+  EXPECT_TRUE(wb.writeback);
+  EXPECT_EQ(wb.victim_kind, LineKind::kEcc);
 }
 
 TEST(Cache, KindsAreTracked) {
@@ -112,27 +200,6 @@ TEST(Cache, KindsAreTracked) {
     }
   }
   EXPECT_TRUE(saw_xor_victim);
-}
-
-TEST(Cache, FlushWritesBackAllDirty) {
-  Cache c{tiny_cache()};
-  c.access(1, true, LineKind::kData);
-  c.access(2, true, LineKind::kEcc);
-  c.access(3, false);
-  std::vector<std::pair<std::uint64_t, LineKind>> flushed;
-  c.flush([&](std::uint64_t a, LineKind k) { flushed.emplace_back(a, k); });
-  EXPECT_EQ(flushed.size(), 2u);
-  EXPECT_FALSE(c.contains(1));
-  EXPECT_FALSE(c.contains(2));
-  EXPECT_FALSE(c.contains(3));
-}
-
-TEST(Cache, InvalidateRemovesLine) {
-  Cache c{tiny_cache()};
-  c.access(9, true);
-  EXPECT_TRUE(c.invalidate(9));
-  EXPECT_FALSE(c.contains(9));
-  EXPECT_FALSE(c.invalidate(9));
 }
 
 TEST(Cache, HitRateComputation) {
@@ -154,6 +221,65 @@ TEST(Cache, WorkingSetSmallerThanCacheAlwaysHitsAfterWarmup) {
   // A 64-line cache holding a 32-line working set may still conflict-miss
   // under hashed indexing, but the steady-state miss rate must be tiny.
   EXPECT_LE(c.stats().misses - misses_before, 32u);
+}
+
+// Differential test: the flat cache and the nested-vector reference see
+// the same seeded stream of access/fill/contains -- hot-set hits, conflict
+// misses, dirty and clean lines, all three line kinds in their address
+// namespaces, and now and then a kind other than the namespace's, as when
+// a faulty bank turns an XOR key into an ECC line -- and must agree on
+// every result and counter after each call.
+void expect_matches_reference(const CacheConfig& cfg, std::uint64_t calls) {
+  Cache flat{cfg};
+  ReferenceCache ref{cfg};
+  const std::uint64_t lines = cfg.size_bytes / cfg.line_bytes;
+  std::mt19937_64 rng(lines * 31 + cfg.ways);
+  auto below = [&](std::uint64_t n) { return rng() % n; };
+  for (std::uint64_t i = 0; i < calls; ++i) {
+    // A hot set of half the cache's lines, the rest spread over 4x it.
+    std::uint64_t addr = below(4) == 0 ? below(lines / 2) : below(4 * lines);
+    auto kind = static_cast<LineKind>(below(3));
+    if (kind == LineKind::kEcc) addr |= 1ULL << 63;
+    if (kind == LineKind::kXor) addr |= 1ULL << 62;
+    if (below(8) == 0) kind = static_cast<LineKind>(below(3));
+    const std::uint64_t op = below(10);
+    AccessResult a, b;
+    if (op < 6) {
+      const bool is_write = below(3) == 0;
+      a = flat.access(addr, is_write, kind);
+      b = ref.access(addr, is_write, kind);
+    } else if (op < 9) {
+      a = flat.fill(addr, kind);
+      b = ref.fill(addr, kind);
+    } else {
+      ASSERT_EQ(flat.contains(addr), ref.contains(addr)) << "call " << i;
+    }
+    ASSERT_EQ(a.hit, b.hit) << "call " << i;
+    ASSERT_EQ(a.writeback, b.writeback) << "call " << i;
+    ASSERT_EQ(a.victim_addr, b.victim_addr) << "call " << i;
+    ASSERT_EQ(a.victim_kind, b.victim_kind) << "call " << i;
+    ASSERT_EQ(flat.stats().hits, ref.stats.hits) << "call " << i;
+    ASSERT_EQ(flat.stats().misses, ref.stats.misses) << "call " << i;
+    ASSERT_EQ(flat.stats().writebacks, ref.stats.writebacks) << "call " << i;
+  }
+  // The stream must have exercised every outcome.
+  EXPECT_GT(flat.stats().hits, calls / 20);
+  EXPECT_GT(flat.stats().writebacks, calls / 20);
+}
+
+TEST(CacheDifferential, PaperLlcMatchesReference) {
+  expect_matches_reference(CacheConfig{}, 1'000'000);  // 16-way, Table I
+}
+
+TEST(CacheDifferential, DedicatedEccCacheMatchesReference) {
+  CacheConfig cfg;  // SimOptions::dedicated_ecc_cache_bytes = 128 KB
+  cfg.size_bytes = 128 * 1024;
+  cfg.ways = 8;
+  expect_matches_reference(cfg, 200'000);
+}
+
+TEST(CacheDifferential, TinyCacheMatchesReference) {
+  expect_matches_reference(tiny_cache(), 100'000);  // 4-way
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
-// Tests for the synthetic workload generators.
+// Tests for the synthetic workload generators and the TraceSource
+// contract (next_untimed included, for every source kind).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <set>
 
 #include "trace/source.hpp"
 #include "trace/workload.hpp"
+#include "tracefile/replay.hpp"
 
 namespace eccsim::trace {
 namespace {
@@ -159,6 +164,69 @@ TEST(SyntheticSource, MatchesPerCoreGenerators) {
     ASSERT_EQ(a.gap, b.gap);
     ASSERT_EQ(a.is_write, b.is_write);
   }
+}
+
+// The LLC warm-up draws with next_untimed(): it must return next()'s line
+// and is_write with gap 0, and leave every core's stream exactly where
+// next() would, so the ops after it are unchanged.  Runs of untimed and
+// timed draws alternate with varying lengths, then an all-timed tail.
+TEST(SyntheticSource, UntimedDrawsKeepEveryStreamInStep) {
+  constexpr unsigned kCores = 8;
+  constexpr int kMixed = 10'000, kTail = 2'000;
+  for (const auto& w : paper_workloads()) {
+    const std::uint64_t seed = paper_sweep_seed(w.name);
+    SyntheticSource mixed(w, kCores, seed), timed(w, kCores, seed);
+    TraceSource& source = mixed;  // through the interface the sim uses
+    for (unsigned c = 0; c < kCores; ++c) {
+      const std::string where = w.name + " core " + std::to_string(c);
+      for (int i = 0; i < kMixed + kTail; ++i) {
+        const bool untimed = i < kMixed && (i / (1 + c % 5)) % 3 != 0;
+        const MemOp want = timed.next(c);
+        const MemOp got = untimed ? source.next_untimed(c) : source.next(c);
+        ASSERT_EQ(got.line, want.line) << where << " op " << i;
+        ASSERT_EQ(got.is_write, want.is_write) << where << " op " << i;
+        ASSERT_EQ(got.gap, untimed ? 0u : want.gap) << where << " op " << i;
+      }
+    }
+  }
+}
+
+// Recording must capture the full op and replay hands back what was
+// recorded, so both keep next_untimed() == next(), gap included.
+TEST(TraceSource, RecordingAndReplayUntimedReturnTheFullOp) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "trace_test_untimed.ecctrace")
+          .string();
+  const auto& desc = workload_by_name("lbm");
+  constexpr int kOps = 600;
+  bool saw_gap = false;
+  {
+    tracefile::RecordingSource rec(
+        std::make_unique<SyntheticSource>(desc, 2, 11), path, 11);
+    SyntheticSource reference(desc, 2, 11);
+    for (int i = 0; i < kOps; ++i) {
+      const unsigned c = static_cast<unsigned>(i % 2);
+      const MemOp got = i % 3 == 0 ? rec.next_untimed(c) : rec.next(c);
+      const MemOp want = reference.next(c);
+      ASSERT_EQ(got.line, want.line) << "op " << i;
+      ASSERT_EQ(got.is_write, want.is_write) << "op " << i;
+      ASSERT_EQ(got.gap, want.gap) << "op " << i;
+      if (i % 3 == 0 && got.gap != 0) saw_gap = true;
+    }
+    rec.writer().close();
+  }
+  EXPECT_TRUE(saw_gap) << "lbm's gaps must not all be zero";
+  tracefile::ReplaySource replay(path);
+  SyntheticSource reference(desc, 2, 11);
+  for (int i = 0; i < kOps; ++i) {
+    const unsigned c = static_cast<unsigned>(i % 2);
+    const MemOp got = i % 2 == 0 ? replay.next_untimed(c) : replay.next(c);
+    const MemOp want = reference.next(c);
+    ASSERT_EQ(got.line, want.line) << "op " << i;
+    ASSERT_EQ(got.is_write, want.is_write) << "op " << i;
+    ASSERT_EQ(got.gap, want.gap) << "op " << i;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
