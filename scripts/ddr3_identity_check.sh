@@ -2,8 +2,9 @@
 # DDR3 golden check: the committed full-fidelity CSVs must reproduce.
 #
 # Usage: ./scripts/ddr3_identity_check.sh [path-to-fig10_epi_quad]
-#   default binary: build/bench/fig10_epi_quad; ablation_degraded and
-#   ablation_ecc_cache are taken from the same directory.
+#   default binary: build/bench/fig10_epi_quad; ablation_degraded,
+#   ablation_ecc_cache and ablation_rowpolicy are taken from the same
+#   directory.
 #
 # The committed bench_results/sweep_quad.csv and fig10_epi_quad.csv are
 # goldens of the paper-faithful DDR3 model; refactors of the DRAM spec
@@ -11,12 +12,13 @@
 # bit-identical.  This script runs the full-fidelity quad sweep in a
 # scratch working directory and byte-compares both outputs with the
 # committed files -- any divergence in timing, energy, scheduling, or the
-# derived figure table fails the gate.  The sweep never takes two paths,
-# so two ablations are checked the same way: ablation_degraded (faulty
-# banks, the Fig. 6 slow path) and ablation_ecc_cache (the dedicated
-# 8-way ECC cache).  The tree is only read.  Runs the full 16x8-cell sweep
-# (~5 s on 4 cores; RUNNER_THREADS caps the fan-out) plus ~1 s per
-# ablation.  Also registered in ctest as ddr3_identity_check.
+# derived figure table fails the gate.  The sweep never takes three paths,
+# so three ablations are checked the same way: ablation_degraded (faulty
+# banks, the Fig. 6 slow path), ablation_ecc_cache (the dedicated 8-way
+# ECC cache) and ablation_rowpolicy (open-page rows: row hits, conflicts
+# and the scheduler's open-row wake-up).  The tree is only read.  Runs
+# the full 16x8-cell sweep (~5 s on 4 cores; RUNNER_THREADS caps the
+# fan-out) plus ~1 s per ablation.  Also registered in ctest as ddr3_identity_check.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -28,7 +30,7 @@ if [ ! -x "$bin" ]; then
 fi
 bindir=$(cd "$(dirname "$bin")" && pwd)
 bin=$bindir/$(basename "$bin")
-ablations="ablation_degraded ablation_ecc_cache"
+ablations="ablation_degraded ablation_ecc_cache ablation_rowpolicy"
 for a in $ablations; do
   if [ ! -x "$bindir/$a" ]; then
     echo "$0: $bindir/$a: not an executable" >&2
@@ -50,7 +52,7 @@ done
 
 fail=0
 for f in sweep_quad.csv fig10_epi_quad.csv ablation_degraded.csv \
-         ablation_ecc_cache.csv; do
+         ablation_ecc_cache.csv ablation_rowpolicy.csv; do
   if ! cmp -s "$repo/bench_results/$f" "$work/bench_results/$f"; then
     echo "[ddr3-identity] FAIL: bench_results/$f differs from the golden:" >&2
     diff "$repo/bench_results/$f" "$work/bench_results/$f" | head -20 >&2 ||

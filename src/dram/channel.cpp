@@ -47,6 +47,7 @@ Channel::Channel(const ChannelConfig& cfg) : cfg_(cfg) {
   if (cfg_.device.bank_groups == 0) {
     throw std::invalid_argument("Channel: device.bank_groups must be nonzero");
   }
+  acts_.resize(cfg_.scheduler_window);
   ranks_.resize(cfg_.ranks);
   for (auto& r : ranks_) {
     r.banks.resize(cfg_.banks);
@@ -62,7 +63,34 @@ bool Channel::enqueue(const MemRequest& req) {
     throw std::out_of_range("Channel::enqueue: rank/bank out of range");
   }
   queue_.push_back(req);
+  wake_ = 0;
   return true;
+}
+
+std::uint64_t Channel::next_event() const {
+  std::uint64_t next = queue_.empty() ? ~0ULL : wake_;
+  if (!completions_.empty()) next = std::min(next, completions_.top().finish);
+  return next;
+}
+
+std::uint64_t Channel::act_floor(const MemRequest& req) const {
+  const auto& t = cfg_.device.timing;
+  const RankState& rank = ranks_[req.addr.rank];
+  const BankState& bank = rank.banks[req.addr.bank];
+
+  std::uint64_t act = bank.next_act;
+  if (cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open) {
+    // Row conflict: precharge the open row first.
+    act = std::max(act, bank.earliest_pre + t.tRP);
+  }
+  act = std::max(act, rank.next_act_rrd_s);
+  act = std::max(act,
+                 rank.next_act_rrd_l[cfg_.device.bank_group_of(req.addr.bank)]);
+  // tFAW: a 5th ACT must wait for the oldest of the last 4 to age out.
+  if (rank.act_times.size() >= 4) {
+    act = std::max(act, rank.act_times.front() + t.tFAW);
+  }
+  return act;
 }
 
 std::uint64_t Channel::earliest_act(const MemRequest& req,
@@ -71,24 +99,14 @@ std::uint64_t Channel::earliest_act(const MemRequest& req,
   const RankState& rank = ranks_[req.addr.rank];
   const BankState& bank = rank.banks[req.addr.bank];
 
-  if (cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open &&
-      bank.open_row == req.addr.row &&
-      now <= bank.last_use + cfg_.open_row_timeout) {
+  if (holds_row(bank, req) && now <= bank.last_use + cfg_.open_row_timeout) {
     // Row hit: no ACT needed; the comparable "start" time is the CAS gate.
     return std::max(now, bank.next_cas);
   }
 
-  std::uint64_t act = std::max(now, bank.next_act);
+  std::uint64_t act = std::max(now, act_floor(req));
   if (cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open) {
-    // Row conflict: precharge the open row first.
-    act = std::max(act, std::max(now, bank.earliest_pre) + t.tRP);
-  }
-  act = std::max(act, rank.next_act_rrd_s);
-  act = std::max(act,
-                 rank.next_act_rrd_l[cfg_.device.bank_group_of(req.addr.bank)]);
-  // tFAW: a 5th ACT must wait for the oldest of the last 4 to age out.
-  if (rank.act_times.size() >= 4) {
-    act = std::max(act, rank.act_times.front() + t.tFAW);
+    act = std::max(act, now + t.tRP);  // the precharge cannot start before now
   }
   // Power-down exit: if the rank has been idle past the timeout it is in
   // precharge power-down and costs tXP to wake.
@@ -282,9 +300,7 @@ std::uint64_t Channel::issue(const MemRequest& req, std::uint64_t now) {
   const std::uint32_t group = cfg_.device.bank_group_of(req.addr.bank);
 
   // Open-page row hit: CAS straight into the open row, no ACT energy.
-  if (cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open &&
-      bank.open_row == req.addr.row &&
-      now <= bank.last_use + cfg_.open_row_timeout) {
+  if (holds_row(bank, req) && now <= bank.last_use + cfg_.open_row_timeout) {
     const unsigned cas_lat = req.is_write ? t.tCWL : t.tCL;
     std::uint64_t data_start =
         std::max(now, bank.next_cas) + cas_lat;
@@ -513,47 +529,61 @@ void Channel::tick(std::uint64_t now, std::vector<MemCompletion>& out) {
     completions_.pop();
   }
 
-  if (queue_.empty()) return;
+  if (queue_.empty() || now < wake_) return;
   STATS_SCOPE("dram.scheduler");
 
   // Scheduler: examine up to `scheduler_window` oldest transactions, pick
   // the one that can activate earliest; break ties in favor of the
   // (rank, bank, row) with the most queued requests (DRAMsim's
-  // Most-Pending policy), then age.  FCFS degenerates to a window of 1.
-  const std::size_t window = std::min<std::size_t>(
-      queue_.size(), cfg_.scheduler == SchedulerPolicy::kFcfs
-                         ? 1
-                         : cfg_.scheduler_window);
-  std::size_t best = 0;
+  // Most-Pending policy), then age.
+  const std::size_t window =
+      std::min<std::size_t>(queue_.size(), cfg_.scheduler_window);
   std::uint64_t best_act = ~0ULL;
-  std::size_t best_pending = 0;
   for (std::size_t i = 0; i < window; ++i) {
-    const MemRequest& cand = queue_[i];
-    const std::uint64_t act = earliest_act(cand, now);
-    std::size_t same_row = 0;
-    for (std::size_t j = 0; j < window; ++j) {
-      const MemRequest& o = queue_[j];
-      if (o.addr.rank == cand.addr.rank && o.addr.bank == cand.addr.bank &&
-          o.addr.row == cand.addr.row) {
-        ++same_row;
-      }
-    }
-    if (act < best_act ||
-        (act == best_act && same_row > best_pending)) {
-      best = i;
-      best_act = act;
-      best_pending = same_row;
-    }
+    acts_[i] = earliest_act(queue_[i], now);
+    best_act = std::min(best_act, acts_[i]);
   }
 
   // Issue only when the winner can start "soon": we avoid booking a
   // transaction far in the future so that later arrivals can still compete.
+  // Otherwise sleep until some candidate's floor comes within tRC; a row
+  // hit may also turn into a conflict when its row idles out, so it wakes
+  // for whichever path opens first.
   const auto& t = cfg_.device.timing;
-  if (best_act <= now + t.tRC) {
-    const MemRequest req = queue_[best];
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-    issue(req, now);
+  if (best_act > now + t.tRC) {
+    std::uint64_t floor = ~0ULL;
+    for (std::size_t i = 0; i < window; ++i) {
+      const MemRequest& req = queue_[i];
+      std::uint64_t f = act_floor(req);
+      const BankState& bank = ranks_[req.addr.rank].banks[req.addr.bank];
+      if (holds_row(bank, req)) f = std::min(f, bank.next_cas);
+      floor = std::min(floor, f);
+    }
+    wake_ = floor > t.tRC ? floor - t.tRC : 0;
+    return;
   }
+
+  // Most-Pending tie-break among the candidates tied at best_act: the first
+  // with the most same-row peers in the window.
+  std::size_t best = 0;
+  std::size_t best_pending = 0;
+  for (std::size_t i = 0; i < window; ++i) {
+    if (acts_[i] != best_act) continue;
+    const DramAddress& a = queue_[i].addr;
+    const auto same_row = static_cast<std::size_t>(std::count_if(
+        queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(window),
+        [&a](const MemRequest& o) {
+          return o.addr.rank == a.rank && o.addr.bank == a.bank &&
+                 o.addr.row == a.row;
+        }));
+    if (same_row > best_pending) {
+      best = i;
+      best_pending = same_row;
+    }
+  }
+  const MemRequest req = queue_[best];
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
+  issue(req, now);
 }
 
 void Channel::finalize(std::uint64_t end_cycle) {

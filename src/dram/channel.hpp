@@ -13,6 +13,17 @@
 // utilization without per-cycle FSM stepping, which keeps the full
 // 16-workload x 8-scheme sweep tractable on one host core.
 //
+// The scheduler also sleeps.  A transaction issues only when its earliest
+// ACT lies within tRC of now, and every earliest_act(req, now) is at least
+// a floor that does not depend on now: the bank, tRRD and tFAW gates and
+// a conflicting open row's precharge (act_floor), or for a request to the
+// open row the earlier of that and its CAS gate, since the row may idle
+// out.  A scan that issues nothing therefore sets wake_ = min floor - tRC,
+// and tick() skips scanning until then.  The skip is exact: the state the
+// scan reads changes only through enqueue(), which clears wake_, and
+// issue(), which runs only inside a scan, so every scan that would issue
+// still runs at the same cycle with the same `now`.
+//
 // Every timing/energy number comes from the ChannelConfig's DramSpec (see
 // dram/spec.hpp): generations without bank groups (DDR3) set the _S and _L
 // constraints equal, which makes the group gates degenerate to the classic
@@ -78,12 +89,6 @@ enum class RowPolicy : std::uint8_t {
   kOpenPage,
 };
 
-/// Transaction selection policy.
-enum class SchedulerPolicy : std::uint8_t {
-  kMostPending,  ///< DRAMsim's Most-Pending (ready-first, row-match tiebreak)
-  kFcfs,         ///< strict arrival order
-};
-
 /// Configuration of one channel (shared by all channels of a system).
 /// A "channel" here is one independently-scheduled command/data bus: for
 /// DDR5 each physical channel contributes device.sub_channels of these,
@@ -100,7 +105,6 @@ struct ChannelConfig {
   std::uint32_t idle_pd_timeout = 100;  ///< cycles idle before power-down
   bool powerdown_enabled = true;        ///< close-page sleep (Sec. IV-B)
   RowPolicy row_policy = RowPolicy::kClosePage;
-  SchedulerPolicy scheduler = SchedulerPolicy::kMostPending;
   std::uint32_t open_row_timeout = 200;  ///< idle-close under open-page
 };
 
@@ -118,6 +122,11 @@ class Channel {
   /// Advances to `now`, scheduling as many transactions as constraints
   /// allow and appending finished requests to `out`.
   void tick(std::uint64_t now, std::vector<MemCompletion>& out);
+
+  /// Earliest cycle at which tick() can do work: the next completion's
+  /// finish, or the scheduler's wake-up cycle while transactions are
+  /// queued; ~0 when the channel is idle.
+  std::uint64_t next_event() const;
 
   /// Number of queued-but-unscheduled transactions.
   std::size_t pending() const { return queue_.size(); }
@@ -192,6 +201,17 @@ class Channel {
   /// constraints, without mutating state.
   std::uint64_t earliest_act(const MemRequest& req, std::uint64_t now) const;
 
+  /// The terms of earliest_act() that do not depend on `now` when the
+  /// transaction needs an ACT (bank recovery, the conflicting row's
+  /// precharge, tRRD_S/tRRD_L, tFAW).
+  std::uint64_t act_floor(const MemRequest& req) const;
+
+  /// True when `req` targets the row its bank holds open (open-page).
+  bool holds_row(const BankState& bank, const MemRequest& req) const {
+    return cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open &&
+           bank.open_row == req.addr.row;
+  }
+
   /// Books a transaction: advances bank/rank/bus state, charges energy,
   /// schedules the completion.  Returns the data-finish cycle.
   std::uint64_t issue(const MemRequest& req, std::uint64_t now);
@@ -234,6 +254,10 @@ class Channel {
   ChannelConfig cfg_;
   std::vector<RankState> ranks_;
   std::deque<MemRequest> queue_;
+  // Scheduler scratch (earliest ACT per window entry) and the cycle before
+  // which no queued transaction can issue (see the header comment).
+  std::vector<std::uint64_t> acts_;
+  std::uint64_t wake_ = 0;
 
   // Shared data bus: next free cycle, and whether the last burst was a
   // write (for turnaround penalties).

@@ -1,5 +1,6 @@
 #include "dram/memory_system.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace eccsim::dram {
@@ -33,7 +34,6 @@ ChannelConfig MemorySystem::channel_config() const {
   cc.queue_depth = cfg_.queue_depth;
   cc.powerdown_enabled = cfg_.powerdown_enabled;
   cc.row_policy = cfg_.row_policy;
-  cc.scheduler = cfg_.scheduler;
   return cc;
 }
 
@@ -47,11 +47,6 @@ MemorySystem::MemorySystem(const MemSystemConfig& cfg)
   }
 }
 
-bool MemorySystem::enqueue_line(std::uint64_t line_index, bool is_write,
-                                LineClass line_class, std::uint64_t id) {
-  return enqueue_addr(map_.decode(line_index), is_write, line_class, id);
-}
-
 bool MemorySystem::enqueue_addr(const DramAddress& addr, bool is_write,
                                 LineClass line_class, std::uint64_t id) {
   if (addr.channel >= channels_.size()) {
@@ -63,21 +58,18 @@ bool MemorySystem::enqueue_addr(const DramAddress& addr, bool is_write,
   req.is_write = is_write;
   req.line_class = line_class;
   req.enqueue_cycle = cycle_;
-  return channels_[addr.channel].enqueue(req);
-}
-
-bool MemorySystem::can_accept_line(std::uint64_t line_index) const {
-  return can_accept_channel(map_.decode(line_index).channel);
-}
-
-bool MemorySystem::can_accept_channel(std::uint32_t channel) const {
-  return channels_.at(channel).can_accept();
+  if (!channels_[addr.channel].enqueue(req)) return false;
+  next_event_ = 0;
+  return true;
 }
 
 void MemorySystem::tick() {
   ++cycle_;
+  if (cycle_ < next_event_) return;
+  next_event_ = ~0ULL;
   for (auto& ch : channels_) {
     ch.tick(cycle_, completions_);
+    next_event_ = std::min(next_event_, ch.next_event());
   }
 }
 
@@ -87,11 +79,15 @@ std::size_t MemorySystem::outstanding() const {
   return n;
 }
 
-namespace {
-MemSystemStats aggregate(const std::vector<ChannelStats>& channels) {
+MemSystemStats MemorySystem::finalize() {
+  if (!finalized_) {
+    for (auto& ch : channels_) ch.finalize(cycle_);
+    finalized_ = true;
+  }
   MemSystemStats s;
   std::uint64_t lat_sum = 0;
-  for (const ChannelStats& cs : channels) {
+  for (const Channel& ch : channels_) {
+    const ChannelStats& cs = ch.stats();
     s.reads += cs.reads;
     s.writes += cs.writes;
     s.ecc_reads += cs.ecc_reads;
@@ -103,30 +99,6 @@ MemSystemStats aggregate(const std::vector<ChannelStats>& channels) {
       s.reads ? static_cast<double>(lat_sum) / static_cast<double>(s.reads)
               : 0.0;
   return s;
-}
-}  // namespace
-
-MemSystemStats MemorySystem::finalize() {
-  if (!finalized_) {
-    for (auto& ch : channels_) ch.finalize(cycle_);
-    finalized_ = true;
-  }
-  std::vector<ChannelStats> per_channel;
-  per_channel.reserve(channels_.size());
-  for (const auto& ch : channels_) per_channel.push_back(ch.stats());
-  return aggregate(per_channel);
-}
-
-MemSystemStats MemorySystem::peek_stats() const {
-  // peek_stats() on each channel folds in the background/refresh energy a
-  // finalize() at cycle_ would charge, so peeking mid-run is consistent
-  // with the end-of-run report instead of lagging by the un-integrated
-  // standby energy.  After finalize() the channels' markers have caught
-  // up, so the extra integration is zero and the two reports agree.
-  std::vector<ChannelStats> per_channel;
-  per_channel.reserve(channels_.size());
-  for (const auto& ch : channels_) per_channel.push_back(ch.peek_stats(cycle_));
-  return aggregate(per_channel);
 }
 
 void MemorySystem::set_command_observer(std::uint32_t channel,

@@ -30,7 +30,6 @@ struct MemSystemConfig {
   std::uint32_t queue_depth = 64;
   bool powerdown_enabled = true;
   RowPolicy row_policy = RowPolicy::kClosePage;
-  SchedulerPolicy scheduler = SchedulerPolicy::kMostPending;
 
   /// Logical geometry implied by this configuration: each bank holds
   /// data_chips * (chip_capacity / chip_banks) bytes, organized as 4KB
@@ -89,21 +88,15 @@ class MemorySystem {
     return static_cast<std::uint32_t>(channels_.size());
   }
 
-  /// Enqueues a request for a linear data-line index.
-  /// Returns false if the target channel's queue is full.
-  bool enqueue_line(std::uint64_t line_index, bool is_write,
-                    LineClass line_class, std::uint64_t id);
-
-  /// Enqueues a request at an explicit DRAM address (used by the ECC layers
-  /// to target reserved parity/correction rows in specific banks).
+  /// Enqueues a request at a DRAM address (a data line's comes from
+  /// map().decode(); the ECC layers target reserved parity/correction rows
+  /// in specific banks).  Returns false if the channel's queue is full.
   bool enqueue_addr(const DramAddress& addr, bool is_write,
                     LineClass line_class, std::uint64_t id);
 
-  /// True if the channel that would serve this line can accept a request.
-  bool can_accept_line(std::uint64_t line_index) const;
-  bool can_accept_channel(std::uint32_t channel) const;
-
-  /// Advances simulated time by one memory-clock cycle.
+  /// Advances simulated time by one memory-clock cycle.  Channels are
+  /// only ticked on cycles where one of them has a completion due or a
+  /// transaction that may issue (Channel::next_event()).
   void tick();
 
   std::uint64_t cycle() const { return cycle_; }
@@ -116,12 +109,6 @@ class MemorySystem {
 
   /// Stops background-energy integration and aggregates statistics.
   MemSystemStats finalize();
-
-  /// Aggregate as finalize() would report at the current cycle, without
-  /// finalizing: includes background and refresh energy integrated up to
-  /// now.  Never mutates; peek_stats() immediately before finalize()
-  /// returns identical numbers.
-  MemSystemStats peek_stats() const;
 
   /// Registers per-channel observability stats under "dram.ch<N>..." and,
   /// when `tracer` is non-null, mirrors every DRAM command as a Chrome
@@ -143,6 +130,7 @@ class MemorySystem {
   std::vector<Channel> channels_;
   std::vector<MemCompletion> completions_;
   std::uint64_t cycle_ = 0;
+  std::uint64_t next_event_ = 0;  ///< min Channel::next_event(); 0 = unknown
   bool finalized_ = false;
 };
 

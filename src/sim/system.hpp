@@ -185,7 +185,9 @@ class SystemSim {
   void cpu_cycle();
   void core_cycle(unsigned c);
   /// Runs the LLC access for one op; returns false if the core must retry
-  /// (MLP exhausted or request queue full).
+  /// (a read that misses while every MLP slot is taken).  A full DRAM
+  /// queue never refuses an op: send_or_queue parks the request in
+  /// pending_ and drain_pending retries it.
   bool execute_op(unsigned c, const trace::MemOp& op);
   /// Handles an LLC eviction (and the ECC traffic it triggers).
   void process_eviction(std::uint64_t addr, cache::LineKind kind);

@@ -208,26 +208,5 @@ TEST(OpenPage, ConflictPrechargesAndReopens) {
   EXPECT_EQ(ch.row_hits(), 0u);
 }
 
-TEST(OpenPage, FcfsSchedulerStillCorrect) {
-  ChannelConfig cc;
-  cc.device = micron_2gb(DeviceWidth::kX8);
-  cc.ranks = 2;
-  cc.chips_per_rank = 9;
-  cc.scheduler = SchedulerPolicy::kFcfs;
-  Channel ch(cc);
-  for (unsigned i = 0; i < 64; ++i) {
-    MemRequest r;
-    r.id = i;
-    r.addr = DramAddress{0, i % 2, (i / 2) % 8, i, 0};
-    ASSERT_TRUE(ch.enqueue(r));
-  }
-  std::vector<MemCompletion> out;
-  std::uint64_t now = 0;
-  while ((ch.pending() || ch.in_flight()) && now < 1000000) {
-    ch.tick(++now, out);
-  }
-  EXPECT_EQ(out.size(), 64u);
-}
-
 }  // namespace
 }  // namespace eccsim::dram
