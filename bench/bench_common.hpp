@@ -6,6 +6,9 @@
 // RUNNER_THREADS (default: all cores) and results are bit-identical at any
 // thread count because every cell owns its simulator and draws its
 // workload stimulus from a per-workload RNG substream of the root seed.
+// A first fan-out warms the LLC once per (workload, warm-up class) --
+// sim::WarmState, exact by construction -- and each cell starts from its
+// class's state (replayed or recorded sweeps warm up per cell).
 //
 // Each process simulates the sweeps it uses (once per scale, memoized in
 // memory) and writes them to sweep_<scale>.csv beside its figure CSVs.  The
@@ -113,7 +116,8 @@ std::uint64_t target_instructions();
 sim::SimOptions sim_options();
 
 /// All (workload x scheme) results at one scale, simulated on first use
-/// and memoized for the rest of the process.
+/// and memoized for the rest of the process.  Holds one warm-up state
+/// (~1.5 MB) per (workload, warm-up class) between the two fan-outs.
 const std::vector<sim::RunResult>& sweep(ecc::SystemScale scale);
 
 /// Finds one run in a sweep; throws if missing.

@@ -49,6 +49,8 @@ struct MemGeometry {
   std::uint64_t total_pages() const {
     return total_data_lines() / lines_per_row();
   }
+
+  friend bool operator==(const MemGeometry&, const MemGeometry&) = default;
 };
 
 /// Bidirectional line-index <-> DramAddress mapping.

@@ -1,6 +1,7 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -27,9 +28,46 @@ bool protocol_check_env() {
 
 }  // namespace
 
+WarmKey warm_key(const ecc::SchemeDesc& scheme, dram::Generation gen) {
+  WarmKey key;
+  key.maint = scheme.maint;
+  key.uses_ecc_parity = scheme.uses_ecc_parity;
+  if (scheme.maint == ecc::MaintTraffic::kNone) return key;
+  key.line_bytes = scheme.line_bytes;
+  if (scheme.uses_ecc_parity) {
+    key.geometry = scheme.mem_config(gen).geometry();
+  } else {
+    key.ecc_line_coverage = scheme.ecc_line_coverage;
+  }
+  return key;
+}
+
+bool shares_warm_up(const SimOptions& opts) {
+  return opts.trace_in.empty() && opts.trace_out.empty() &&
+         opts.faulty_banks.empty() && opts.dedicated_ecc_cache_bytes == 0;
+}
+
+std::vector<std::vector<std::size_t>> warm_classes(
+    const std::vector<ecc::SchemeDesc>& schemes, dram::Generation gen) {
+  std::vector<WarmKey> keys;
+  std::vector<std::vector<std::size_t>> classes;
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    const WarmKey key = warm_key(schemes[i], gen);
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    if (it == keys.end()) {
+      keys.push_back(key);
+      classes.push_back({i});
+    } else {
+      classes[static_cast<std::size_t>(it - keys.begin())].push_back(i);
+    }
+  }
+  return classes;
+}
+
 SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
                      const trace::WorkloadDesc& workload,
-                     const CpuConfig& cpu, const SimOptions& opts)
+                     const CpuConfig& cpu, const SimOptions& opts,
+                     const WarmState* warm)
     : scheme_(scheme),
       cpu_(cpu),
       opts_(opts),
@@ -39,7 +77,7 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
         cfg.row_policy = opts.row_policy;
         return cfg;
       }()),
-      llc_(cache::CacheConfig{}),
+      llc_(warm != nullptr ? warm->llc : cache::Cache(cache::CacheConfig{})),
       lines64_per_memline_(scheme.line_bytes / 64),
       total_data_lines_(mem_.map().geometry().total_data_lines()) {
   if (opts.dedicated_ecc_cache_bytes != 0) {
@@ -51,8 +89,36 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
   if (scheme.line_bytes % 64 != 0) {
     throw std::invalid_argument("SystemSim: line size must be 64B multiple");
   }
+  // Every op's memory line must lie inside the memory: then no address
+  // wraps at its end, and no two footprint lines share one.  The count
+  // includes the 128B-pair sibling (line ^ 1) one past an odd footprint.
+  const std::uint64_t copies = workload.multithreaded ? 1 : cpu_.cores;
+  std::uint64_t lines64 =
+      copies * std::max<std::uint64_t>(1, workload.footprint_bytes / 64);
+  lines64 += lines64 & 1;
+  const std::uint64_t memlines =
+      (lines64 + lines64_per_memline_ - 1) / lines64_per_memline_;
+  if (memlines > total_data_lines_) {
+    throw std::invalid_argument(
+        "SystemSim: workload '" + workload.name + "' spans " +
+        std::to_string(memlines) + " memory lines but the memory holds " +
+        std::to_string(total_data_lines_));
+  }
+  if (warm != nullptr &&
+      (!shares_warm_up(opts) || warm->key != warm_key(scheme, opts.dram_gen) ||
+       warm->workload != workload.name || warm->cores != cpu_.cores ||
+       warm->seed != opts.seed)) {
+    throw std::invalid_argument("SystemSim: warm-up state of " +
+                                warm->workload +
+                                " does not fit this run's class, workload, "
+                                "seed or core count");
+  }
   cores_.resize(cpu_.cores);
-  build_source(workload);
+  build_source(workload, warm);
+  if (warm != nullptr) {
+    next_id_ = warm->next_id;
+    warmed_ = true;
+  }
   if (scheme.uses_ecc_parity) {
     const unsigned corr_bytes = static_cast<unsigned>(
         scheme.correction_ratio * scheme.line_bytes);
@@ -62,7 +128,35 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
   attach_stats();
 }
 
-void SystemSim::build_source(const trace::WorkloadDesc& workload) {
+WarmState SystemSim::warm(const ecc::SchemeDesc& scheme,
+                          const trace::WorkloadDesc& workload,
+                          const CpuConfig& cpu, const SimOptions& opts) {
+  if (!shares_warm_up(opts)) {
+    throw std::invalid_argument(
+        "SystemSim::warm: replay, recording, faulty-bank and dedicated-ECC-"
+        "cache runs warm up per run");
+  }
+  // The instance dies here, so it must not register stats anywhere.
+  SimOptions quiet = opts;
+  quiet.stats = nullptr;
+  SystemSim sim(scheme, workload, cpu, quiet);
+  sim.warm_up();
+  auto& source = static_cast<trace::SyntheticSource&>(*sim.source_);
+  return WarmState{warm_key(scheme, opts.dram_gen),
+                   workload.name,
+                   cpu.cores,
+                   opts.seed,
+                   std::move(sim.llc_),
+                   std::move(source),
+                   sim.next_id_};
+}
+
+void SystemSim::build_source(const trace::WorkloadDesc& workload,
+                             const WarmState* warm) {
+  if (warm != nullptr) {  // shares_warm_up: no replay, no recording
+    source_ = std::make_unique<trace::SyntheticSource>(warm->source);
+    return;
+  }
   if (!opts_.trace_in.empty()) {
     auto replay = std::make_unique<tracefile::ReplaySource>(opts_.trace_in);
     // The trace must have been recorded for this exact configuration: the
@@ -285,7 +379,6 @@ void SystemSim::drain_pending() {
 }
 
 bool SystemSim::request_read(std::uint64_t memline, int core) {
-  if (warmup_) return true;
   auto it = mshr_.find(memline);
   if (it != mshr_.end()) {
     if (core >= 0) it->second.push_back(core);
@@ -295,7 +388,7 @@ bool SystemSim::request_read(std::uint64_t memline, int core) {
   id_to_memline_[id] = memline;
   auto& waiters = mshr_[memline];
   if (core >= 0) waiters.push_back(core);
-  send_or_queue(PendingReq{mem_.map().decode(memline % total_data_lines_),
+  send_or_queue(PendingReq{mem_.map().decode(cap(memline)),
                            false, dram::LineClass::kData, id});
   return true;
 }
@@ -307,8 +400,14 @@ void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
     cache::AccessResult next;  // the ECC/XOR cacheline touch, if any
     switch (kind) {
       case cache::LineKind::kData: {
-        const std::uint64_t capped = mem_line_of(addr) % total_data_lines_;
-        const dram::DramAddress daddr = mem_.map().decode(capped);
+        const std::uint64_t capped = cap(mem_line_of(addr));
+        // Warm-up drops the write, so it decodes only for the faulty-bank
+        // test below.
+        const bool faulty_test =
+            scheme_.uses_ecc_parity && !opts_.faulty_banks.empty();
+        const dram::DramAddress daddr = !warmup_ || faulty_test
+                                            ? mem_.map().decode(capped)
+                                            : dram::DramAddress{};
         send_or_queue(PendingReq{daddr, true, dram::LineClass::kData,
                                  next_id_++});
         if (scheme_.maint == ecc::MaintTraffic::kNone) break;
@@ -319,7 +418,7 @@ void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
             scheme_.maint == ecc::MaintTraffic::kWriteOnEvict
                 ? cache::LineKind::kEcc
                 : cache::LineKind::kXor;
-        if (scheme_.uses_ecc_parity && bank_is_faulty(daddr)) {
+        if (faulty_test && bank_is_faulty(daddr)) {
           ecc_kind = cache::LineKind::kEcc;
         }
         next = ecc_cache().access(ecc_cacheline_key(capped), true, ecc_kind);
@@ -327,14 +426,14 @@ void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
       }
       case cache::LineKind::kEcc: {
         // Tier-2 / materialized ECC line: one memory write (Sec. IV-C).
-        send_or_queue(PendingReq{ecc_line_address(addr), true,
+        send_or_queue(PendingReq{ecc_request_address(addr), true,
                                  dram::LineClass::kEccOther, next_id_++});
         break;
       }
       case cache::LineKind::kXor: {
         // Parity read-modify-write: read the old parity line, write the
         // updated one (Sec. IV-C).
-        const dram::DramAddress paddr = ecc_line_address(addr);
+        const dram::DramAddress paddr = ecc_request_address(addr);
         send_or_queue(PendingReq{paddr, false, dram::LineClass::kEccParity,
                                  next_id_++});
         send_or_queue(PendingReq{paddr, true, dram::LineClass::kEccParity,
@@ -350,8 +449,6 @@ void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
 
 bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
   Core& core = cores_[c];
-  const std::uint64_t memline = mem_line_of(op.line);
-
   if (!op.is_write) {
     // Read: an LLC miss occupies an MLP slot; refuse (and stall the core)
     // if none is free.  The slot count is tested first: it usually rules
@@ -364,19 +461,19 @@ bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
     if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
     if (!r.hit && !warmup_) {
       ++core.outstanding_reads;
-      request_read(memline, static_cast<int>(c));
+      request_read(mem_line_of(op.line), static_cast<int>(c));
     }
     // Step A1/B: reads to a faulty bank also need the ECC line (cached).
     // Without faulty banks there is nothing to match, so no decode.
     if (!scheme_.uses_ecc_parity || opts_.faulty_banks.empty()) return true;
-    const std::uint64_t capped = memline % total_data_lines_;
+    const std::uint64_t capped = cap(mem_line_of(op.line));
     const dram::DramAddress daddr = mem_.map().decode(capped);
     if (!bank_is_faulty(daddr)) return true;
     const std::uint64_t key = ecc_cacheline_key(capped) | kEccKeyTag;
     const auto er = ecc_cache().access(key, false, cache::LineKind::kEcc);
     if (er.writeback) process_eviction(er.victim_addr, er.victim_kind);
     if (!er.hit) {
-      send_or_queue(PendingReq{ecc_line_address(key & ~kEccKeyTag), false,
+      send_or_queue(PendingReq{ecc_request_address(key & ~kEccKeyTag), false,
                                dram::LineClass::kEccCorrection, next_id_++});
     }
     if (!warmup_) {
@@ -394,7 +491,7 @@ bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
   // Write: write-allocate; the fetch-on-write read is non-blocking.
   const auto r = llc_.access(op.line, true, cache::LineKind::kData);
   if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
-  if (!r.hit) request_read(memline, -1);
+  if (!r.hit && !warmup_) request_read(mem_line_of(op.line), -1);
   return true;
 }
 
@@ -421,6 +518,45 @@ void SystemSim::core_cycle(unsigned c) {
     --budget;
     core.waiting_op.reset();
   }
+}
+
+void SystemSim::warm_up() {
+  // Warm the LLC to steady state before measuring (the paper warms caches
+  // for a billion instructions, Sec. IV-B): stream each core's access
+  // pattern through the cache with no timing or memory side effects, so
+  // the measured phase starts with a populated cache whose evictions --
+  // and therefore ECC-maintenance traffic -- reflect steady state.
+  warmup_ = true;
+  const std::uint64_t llc_lines =
+      cache::CacheConfig{}.size_bytes / cache::CacheConfig{}.line_bytes;
+  const std::uint64_t ops = 3 * llc_lines / cpu_.cores * cpu_.cores;
+  // Interleave cores so shared-footprint (PARSEC-style) workloads warm the
+  // cache the way they will run: op k belongs to core k % cores.  The full
+  // execute_op path runs -- including ECC/XOR cacheline insertion and
+  // eviction -- so the LLC reaches its steady-state mix of data and ECC
+  // lines; send_or_queue drops every request while warmup_ is set, and
+  // demand reads are never requested.  Warm-up has no timing, so it never
+  // reads an op's gap (next_untimed).  Each op is pulled kAhead ops before
+  // it runs, in the same order, and the pull prefetches its LLC set block,
+  // so the set is in the host's cache by the time the op needs it.
+  constexpr std::uint64_t kAhead = 4;
+  std::array<trace::MemOp, kAhead> ring;
+  unsigned pull_core = 0;
+  unsigned run_core = 0;
+  for (std::uint64_t k = 0; k < ops + kAhead; ++k) {
+    trace::MemOp& slot = ring[k % kAhead];
+    if (k >= kAhead) {  // op k - kAhead
+      (void)execute_op(run_core, slot);
+      if (++run_core == cpu_.cores) run_core = 0;
+    }
+    if (k < ops) {
+      slot = source_->next_untimed(pull_core);
+      llc_.prefetch(slot.line);
+      if (++pull_core == cpu_.cores) pull_core = 0;
+    }
+  }
+  llc_.reset_stats();
+  warmup_ = false;
 }
 
 void SystemSim::cpu_cycle() {
@@ -454,30 +590,7 @@ void SystemSim::handle_completions() {
 }
 
 RunResult SystemSim::run() {
-  // Warm the LLC to steady state before measuring (the paper warms caches
-  // for a billion instructions, Sec. IV-B): stream each core's access
-  // pattern through the cache with no timing or memory side effects, so
-  // the measured phase starts with a populated cache whose evictions --
-  // and therefore ECC-maintenance traffic -- reflect steady state.
-  {
-    warmup_ = true;
-    const std::uint64_t llc_lines =
-        cache::CacheConfig{}.size_bytes / cache::CacheConfig{}.line_bytes;
-    const std::uint64_t warm_ops_per_core = 3 * llc_lines / cpu_.cores;
-    // Interleave cores so shared-footprint (PARSEC-style) workloads warm
-    // the cache the way they will run.  The full execute_op path runs --
-    // including ECC/XOR cacheline insertion and eviction -- so the LLC
-    // reaches its steady-state mix of data and ECC lines; send_or_queue
-    // and request_read drop everything while warmup_ is set.  Warm-up has
-    // no timing, so it never reads an op's gap (next_untimed).
-    for (std::uint64_t i = 0; i < warm_ops_per_core; ++i) {
-      for (unsigned c = 0; c < cpu_.cores; ++c) {
-        (void)execute_op(c, source_->next_untimed(c));
-      }
-    }
-    llc_.reset_stats();
-    warmup_ = false;
-  }
+  if (!warmed_) warm_up();
 
   std::uint64_t committed_total = 0;
   std::uint64_t scrub_cursor = 0;

@@ -132,6 +132,57 @@ struct RunResult {
   double avg_read_latency = 0;
 };
 
+/// The scheme inputs the LLC warm-up reads.  The warm-up streams the
+/// workload's ops through the LLC and, for each dirty data eviction,
+/// touches the covering ECC/XOR cacheline; nothing else about the scheme
+/// reaches the cache.  Schemes with equal keys therefore warm one workload
+/// (same seed and core count) to the same WarmState, so a sweep can warm
+/// once per (workload, key) -- a warm-up class -- and share the result.
+struct WarmKey {
+  ecc::MaintTraffic maint = ecc::MaintTraffic::kNone;
+  bool uses_ecc_parity = false;
+  /// Memory-line size: maps an evicted 64B line to the memory line whose
+  /// ECC/XOR cacheline it dirties (0 for kNone).
+  std::uint32_t line_bytes = 0;
+  /// Tiered schemes' ECC key: data lines per ECC line (0 otherwise).
+  std::uint32_t ecc_line_coverage = 0;
+  /// ECC Parity's XOR key depends on the memory geometry (default
+  /// otherwise).  Tiered keys never wrap at the memory's end, because the
+  /// SystemSim constructor rejects a footprint larger than the memory, so
+  /// they need no geometry.
+  dram::MemGeometry geometry{};
+
+  friend bool operator==(const WarmKey&, const WarmKey&) = default;
+};
+
+/// The warm-up class key of `scheme` on a `gen` memory system.
+WarmKey warm_key(const ecc::SchemeDesc& scheme, dram::Generation gen);
+
+/// True if a run with `opts` may start from a shared WarmState: synthetic
+/// stimulus, no recording, no faulty banks and no dedicated ECC cache.
+/// Those runs' warm-ups read more than the WarmKey, so they warm per cell.
+bool shares_warm_up(const SimOptions& opts);
+
+/// Groups `schemes` into warm-up classes (equal warm_key on `gen`): each
+/// class lists its members' indices into `schemes`, classes in order of
+/// their first member.
+std::vector<std::vector<std::size_t>> warm_classes(
+    const std::vector<ecc::SchemeDesc>& schemes, dram::Generation gen);
+
+/// The end state of one LLC warm-up, built by SystemSim::warm and copied
+/// into each SystemSim of its class: the LLC image (counters cleared),
+/// the stimulus source positioned after the warm-up's ops, and the next
+/// request id (warm-up evictions draw ids for the traffic they drop).
+struct WarmState {
+  WarmKey key;
+  std::string workload;  ///< trace::WorkloadDesc::name
+  unsigned cores;
+  std::uint64_t seed;    ///< SimOptions::seed
+  cache::Cache llc;
+  trace::SyntheticSource source;
+  std::uint64_t next_id;
+};
+
 /// One workload on one memory system.
 ///
 /// A SystemSim is fully self-contained -- it owns its DRAM model, caches,
@@ -139,26 +190,42 @@ struct RunResult {
 /// globals -- so independent instances may run concurrently on different
 /// threads (the runner's fan-out relies on this).  A single instance is
 /// not thread-safe and not reusable: construct, run() once, read the
-/// result.
+/// result.  A shared WarmState is only read, and only while constructing.
 class SystemSim {
  public:
   /// Builds the system: DRAM channels per `scheme`'s organization, an
   /// 8 MB LLC (plus the optional dedicated ECC cache), the stimulus source
   /// for `workload` (synthetic generators, or .ecctrace replay/recording
   /// per SimOptions), and the ECC Parity layout when the scheme uses it.
+  /// With `warm`, the LLC, the source and the request ids start from that
+  /// warm-up state instead, and run() skips its own warm-up; `warm` must
+  /// come from SystemSim::warm for this scheme's class, workload, seed and
+  /// core count, with shares_warm_up(opts) true.
   /// Throws std::invalid_argument if the scheme's memory-line size is not
-  /// a 64B multiple, tracefile::TraceError on a bad or mismatched
-  /// trace_in.
+  /// a 64B multiple, if the workload's footprint (all cores' private
+  /// copies, or the one shared PARSEC footprint) holds more memory lines
+  /// than the memory, or if `warm` does not fit this run;
+  /// tracefile::TraceError on a bad or mismatched trace_in.
   SystemSim(const ecc::SchemeDesc& scheme, const trace::WorkloadDesc& workload,
             const CpuConfig& cpu = CpuConfig{},
-            const SimOptions& opts = SimOptions{});
+            const SimOptions& opts = SimOptions{},
+            const WarmState* warm = nullptr);
+
+  /// Runs only the LLC warm-up of (scheme, workload, cpu, opts) and
+  /// returns its end state, which every scheme of the same warm-up class
+  /// shares.  The one warm-up implementation: run() calls the same code.
+  /// Throws std::invalid_argument unless shares_warm_up(opts).
+  static WarmState warm(const ecc::SchemeDesc& scheme,
+                        const trace::WorkloadDesc& workload,
+                        const CpuConfig& cpu, const SimOptions& opts);
 
   /// Runs to completion and returns the metrics: warms the LLC to steady
-  /// state (no timing side effects), simulates until
-  /// SimOptions::target_instructions commit or max_mem_cycles elapse, then
-  /// drains outstanding traffic so energy accounting is complete.
-  /// Deterministic: equal configuration and seed give bit-identical
-  /// results on every run and thread.
+  /// state (no timing side effects) unless constructed from a WarmState,
+  /// simulates until SimOptions::target_instructions commit or
+  /// max_mem_cycles elapse, then drains outstanding traffic so energy
+  /// accounting is complete.  Deterministic: equal configuration and seed
+  /// give bit-identical results on every run and thread, with or without
+  /// a shared WarmState.
   RunResult run();
 
  private:
@@ -181,7 +248,19 @@ class SystemSim {
   std::uint64_t mem_line_of(std::uint64_t line64) const {
     return line64 / lines64_per_memline_;
   }
+  /// A memory line wrapped into decode's domain.  The constructor's
+  /// footprint check keeps synthetic lines inside it, so the modulo only
+  /// runs for a replayed trace that strays outside.
+  std::uint64_t cap(std::uint64_t memline) const {
+    return memline < total_data_lines_ ? memline
+                                       : memline % total_data_lines_;
+  }
 
+  /// Streams 3 LLC-sizes of ops, round-robin over cores, through
+  /// execute_op with memory traffic suppressed, then clears the LLC
+  /// counters.  Ops are pulled a few ahead of execution so their LLC set
+  /// blocks can be prefetched.
+  void warm_up();
   void cpu_cycle();
   void core_cycle(unsigned c);
   /// Runs the LLC access for one op; returns false if the core must retry
@@ -192,6 +271,7 @@ class SystemSim {
   /// Handles an LLC eviction (and the ECC traffic it triggers).
   void process_eviction(std::uint64_t addr, cache::LineKind kind);
   /// Demand read for a memory line; registers the waiting core (or none).
+  /// Never called during warm-up.
   bool request_read(std::uint64_t memline, int core);
   void send_or_queue(const PendingReq& req);
   void drain_pending();
@@ -202,6 +282,11 @@ class SystemSim {
   std::uint64_t ecc_cacheline_key(std::uint64_t memline) const;
   /// The memory address of the ECC/parity line behind an ECC cacheline key.
   dram::DramAddress ecc_line_address(std::uint64_t key) const;
+  /// ecc_line_address for a request send_or_queue is about to see: during
+  /// warm-up, which drops the request, a placeholder that costs nothing.
+  dram::DramAddress ecc_request_address(std::uint64_t key) const {
+    return warmup_ ? dram::DramAddress{} : ecc_line_address(key);
+  }
   bool bank_is_faulty(const dram::DramAddress& a) const;
 
   /// The cache holding ECC/XOR lines: the LLC itself, or the optional
@@ -223,11 +308,13 @@ class SystemSim {
   /// SimOptions::protocol_check or ECCSIM_CHECK asks for them.
   void attach_protocol_checkers();
 
-  /// Builds the stimulus source per SimOptions: synthetic generators or
+  /// Builds the stimulus source per SimOptions: a copy of `warm`'s
+  /// post-warm-up source when given, else synthetic generators or
   /// .ecctrace replay, optionally tee'd through a pre-LLC recorder, plus
   /// the post-LLC writer when asked for.  Throws tracefile::TraceError on
   /// a bad/mismatched trace_in.
-  void build_source(const trace::WorkloadDesc& workload);
+  void build_source(const trace::WorkloadDesc& workload,
+                    const WarmState* warm);
   /// Flushes footers on any open trace writers; throws TraceError on I/O
   /// failure so a truncated recording cannot pass silently.
   void close_trace_outputs();
@@ -260,6 +347,7 @@ class SystemSim {
   /// The memory's data-line count (decode's domain), read once.
   std::uint64_t total_data_lines_;
   bool warmup_ = false;  ///< suppresses memory traffic during LLC warmup
+  bool warmed_ = false;  ///< started from a WarmState: run() skips warm_up
   std::uint64_t next_id_ = 1;
   std::deque<PendingReq> pending_;
   // In-flight demand reads: memline -> cores waiting on it.

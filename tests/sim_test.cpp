@@ -212,5 +212,27 @@ TEST(SystemSim, FasterSpeedBinCostsEnergyBuysLatency) {
   EXPECT_LT(rf.epi_pj, rb.epi_pj * 1.12);
 }
 
+TEST(SystemSim, RejectsFootprintLargerThanMemory) {
+  const ecc::SchemeDesc scheme = ecc::make_scheme(
+      ecc::SchemeId::kChipkill36, ecc::SystemScale::kDualEquivalent);
+  const std::uint64_t memory =
+      scheme.mem_config().geometry().total_data_bytes();
+  const CpuConfig cpu;
+  trace::WorkloadDesc w = trace::workload_by_name("mcf");
+  ASSERT_FALSE(w.multithreaded);
+  // Multiprogrammed: every core has a private copy of the footprint.
+  w.footprint_bytes = memory / cpu.cores;
+  EXPECT_NO_THROW(SystemSim(scheme, w, cpu));
+  w.footprint_bytes = memory / cpu.cores + 4096;
+  EXPECT_THROW(SystemSim(scheme, w, cpu), std::invalid_argument);
+  // PARSEC: the cores share one copy.
+  w.multithreaded = true;
+  EXPECT_NO_THROW(SystemSim(scheme, w, cpu));
+  w.footprint_bytes = memory;
+  EXPECT_NO_THROW(SystemSim(scheme, w, cpu));
+  w.footprint_bytes = memory + 4096;
+  EXPECT_THROW(SystemSim(scheme, w, cpu), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace eccsim::sim
