@@ -3,11 +3,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -76,11 +80,30 @@ std::string scale_name(ecc::SystemScale scale) {
   std::exit(2);
 }
 
-/// `v` as an unsigned number, or `fallback` when it is not one.
-std::uint64_t parse_u64(const std::string& v, std::uint64_t fallback) {
+/// `v` as an unsigned decimal number no larger than `max`; any other
+/// value (empty, signed, trailing characters, out of range) is a usage
+/// error naming `source`.
+std::uint64_t parse_u64(const std::string& v, const std::string& source,
+                        std::uint64_t max = UINT64_MAX) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  return !v.empty() && *end == '\0' ? n : fallback;
+  if (v.empty() || std::isdigit(static_cast<unsigned char>(v[0])) == 0 ||
+      *end != '\0' || errno == ERANGE || n > max) {
+    usage_error(source + " must be a non-negative integer, got '" + v + "'");
+  }
+  return n;
+}
+
+/// `v` as a finite non-negative number; any other value is a usage error
+/// naming `source`.
+double parse_double(const std::string& v, const std::string& source) {
+  char* end = nullptr;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0' || !std::isfinite(x) || x < 0) {
+    usage_error(source + " must be a non-negative number, got '" + v + "'");
+  }
+  return x;
 }
 
 /// Applies one setting, named by its environment variable, to `cfg`.
@@ -91,13 +114,13 @@ void apply(RunConfig& cfg, const std::string& var, const std::string& v,
   if (var == "ECCSIM_STATS") {
     cfg.stats.enabled = on;
   } else if (var == "STATS_EPOCH") {
-    cfg.stats.epoch_cycles = parse_u64(v, 0);
+    cfg.stats.epoch_cycles = parse_u64(v, source);
     if (source == "--stats-epoch") cfg.stats.enabled = true;
   } else if (var == "STATS_TRACE") {
     cfg.stats.trace_dir = v;
     if (!v.empty()) cfg.stats.enabled = true;  // tracing implies stats
   } else if (var == "STATS_TRACE_LIMIT") {
-    cfg.stats.trace_limit = parse_u64(v, cfg.stats.trace_limit);
+    cfg.stats.trace_limit = parse_u64(v, source);
   } else if (var == "ECCSIM_QUICK") {
     if (on) cfg.fidelity = RunConfig::Fidelity::kQuick;
   } else if (var == "ECCSIM_SMOKE") {
@@ -109,11 +132,11 @@ void apply(RunConfig& cfg, const std::string& var, const std::string& v,
     }
     cfg.dram = *gen;
   } else if (var == "ECCSIM_MC_SYSTEMS") {
-    cfg.mc_systems = static_cast<unsigned>(parse_u64(v, 0));
+    cfg.mc_systems = static_cast<unsigned>(parse_u64(v, source, UINT_MAX));
   } else if (var == "ECCSIM_MC_CHUNK") {
-    cfg.mc.chunk_size = static_cast<unsigned>(parse_u64(v, 0));
+    cfg.mc.chunk_size = static_cast<unsigned>(parse_u64(v, source, UINT_MAX));
   } else if (var == "ECCSIM_MC_TARGET_REL_CI") {
-    cfg.mc.target_rel_ci = std::strtod(v.c_str(), nullptr);
+    cfg.mc.target_rel_ci = parse_double(v, source);
   } else if (var == "ECCSIM_MC_CHECKPOINT") {
     cfg.mc.checkpoint_path = v;
   } else if (var == "ECCSIM_TRACE_IN") {
@@ -133,7 +156,7 @@ void apply(RunConfig& cfg, const std::string& var, const std::string& v,
   } else if (var == "ECCSIM_PROGRESS") {
     cfg.heartbeat.stderr_line = on;
   } else if (var == "ECCSIM_STATUS_INTERVAL_MS") {
-    cfg.heartbeat.min_interval_ms = parse_u64(v, cfg.heartbeat.min_interval_ms);
+    cfg.heartbeat.min_interval_ms = parse_u64(v, source);
   }
 }
 
@@ -167,9 +190,9 @@ constexpr Flag kFlags[] = {
     {"--mc-checkpoint", "ECCSIM_MC_CHECKPOINT", "FILE",
      "append completed MC chunks to FILE and skip them on rerun"},
     {"--trace-in", "ECCSIM_TRACE_IN", "DIR",
-     "replay sweep stimulus from DIR/<workload>[_<scheme>].ecctrace"},
+     "replay sweep stimulus from DIR/<workload>[_<scheme>_<scale>].ecctrace"},
     {"--trace-out", "ECCSIM_TRACE_OUT", "DIR",
-     "record each sweep cell's stimulus to DIR/<workload>_<scheme>.ecctrace"},
+     "record each sweep cell to DIR/<workload>_<scheme>_<scale>.ecctrace"},
     {"--trace-point", "ECCSIM_TRACE_POINT", "P",
      "--trace-out capture point: pre (replayable, default) or post"},
     {"--status", "ECCSIM_STATUS", "FILE",
@@ -232,16 +255,26 @@ std::vector<std::pair<std::string, std::string>> config_fields() {
   };
 }
 
+/// Base name of one cell's per-cell files (--trace, --trace-out, the
+/// per-cell --trace-in fallback): <workload>_<scheme>, plus _<scale> for a
+/// sweep cell, so the two scales of one process never share a file.
+std::string cell_file_name(const std::string& workload,
+                           const std::string& scheme,
+                           const std::string& scale) {
+  return workload + "_" + scheme + (scale.empty() ? "" : "_" + scale);
+}
+
 /// Resolves the replay file for one sweep cell: a shared per-workload
-/// trace first (pre-LLC stimulus is scheme-independent), then a per-cell
-/// one.  Runs on the main thread before the fan-out so a missing file is
-/// one clear error instead of a worker-thread exception.
+/// trace first (pre-LLC stimulus is scheme- and scale-independent), then a
+/// per-cell one.  Runs on the main thread before the fan-out so a missing
+/// file is one clear error instead of a worker-thread exception.
 std::string resolve_trace_in(const std::string& workload,
-                             const std::string& scheme) {
+                             const std::string& scheme,
+                             const std::string& scale) {
   const std::string& dir = g_config.trace_in;
   const std::string shared = dir + "/" + workload + ".ecctrace";
   const std::string per_cell =
-      dir + "/" + workload + "_" + scheme + ".ecctrace";
+      dir + "/" + cell_file_name(workload, scheme, scale) + ".ecctrace";
   for (const auto& p : {shared, per_cell}) {
     if (std::ifstream(p).good()) return p;
   }
@@ -271,33 +304,45 @@ runner::RunMetadata metadata() {
       g_config.fidelity == RunConfig::Fidelity::kQuick, smoke_mode());
 }
 
-void write_stats_dump(
-    const std::string& scale_label, const stats::Config& cfg,
-    const std::vector<std::unique_ptr<stats::Collector>>& collectors);
-extern std::vector<std::unique_ptr<stats::Collector>> g_adhoc_collectors;
+/// One stats collector of this process with the scale of its sweep ("" for
+/// a collector from new_collector()).
+struct CellStats {
+  std::unique_ptr<stats::Collector> collector;
+  std::string scale;
+};
 
-/// Process-wide accumulation of every merged registry this run produced
-/// (sweep + ad-hoc collectors), exported as results/<bench>.prom by the
-/// atexit report.  Function-local static, touched from init() so it
-/// outlives the atexit handler.
-stats::Registry& prom_registry() {
-  static stats::Registry reg;
-  return reg;
+/// Every collector this process handed out, sweep cells and new_collector()
+/// alike; the atexit report dumps them all into one stats document.
+std::vector<CellStats> g_collectors;
+
+/// Creates a collector labeled (workload, scheme), with its trace file
+/// when --trace is on.  Main thread only, before any fan-out.
+stats::Collector* add_collector(const std::string& workload,
+                                const std::string& scheme,
+                                const std::string& scale) {
+  const stats::Config& cfg = g_config.stats;
+  g_collectors.push_back({std::make_unique<stats::Collector>(cfg), scale});
+  stats::Collector* col = g_collectors.back().collector.get();
+  col->set_label(workload, scheme);
+  if (!cfg.trace_dir.empty()) {
+    col->open_trace(cfg.trace_dir + "/" +
+                    cell_file_name(workload, scheme, scale) + ".trace.json");
+  }
+  return col;
 }
 
 std::string manifest_path() {
   return out_dir("results") + "/" + g_bench_name + ".manifest.json";
 }
 
+void write_stats_dump();
+
 /// End-of-run report, registered via std::atexit by init().  The first
 /// line always prints (scripts/run_all.sh parses it for its summary); the
 /// per-scope profile only exists when --stats enabled the profiler.
 void profile_report() {
-  // Flush any collectors from direct-SystemSim benches (ablations) first:
-  // their stats dump is part of the run's output, not just the profile.
-  if (!g_adhoc_collectors.empty()) {
-    write_stats_dump("custom", g_config.stats, g_adhoc_collectors);
-  }
+  // The stats dump is part of the run's output, not just the profile.
+  if (!g_collectors.empty()) write_stats_dump();
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - kProcessStart)
                           .count();
@@ -315,13 +360,6 @@ void profile_report() {
   if (m.status == "running") m.status = "completed";
   obs::write_manifest(manifest_path(), m);
 
-  if (g_config.stats.enabled && prom_registry().size() > 0) {
-    obs::write_openmetrics(
-        out_dir("results") + "/" + g_bench_name + ".prom", prom_registry(),
-        {{"bench", g_bench_name},
-         {"dram", dram::to_string(g_config.dram)},
-         {"fidelity", fidelity_name()}});
-  }
   if (!stats::Profiler::enabled()) return;
 
   const auto snapshot = stats::Profiler::snapshot();
@@ -340,51 +378,50 @@ void profile_report() {
                      doc);
 }
 
-/// Collectors handed out by new_collector() for benches that build
-/// SystemSims directly; dumped by the atexit report.
-std::vector<std::unique_ptr<stats::Collector>> g_adhoc_collectors;
-
 /// Writes results/<bench>.stats.json (merged registry + per-cell epoch
-/// series + trace-file index), flushes the per-cell trace files, and
-/// prints the human-readable summary table.
-void write_stats_dump(
-    const std::string& scale_label, const stats::Config& cfg,
-    const std::vector<std::unique_ptr<stats::Collector>>& collectors) {
+/// series + trace-file index) and the OpenMetrics results/<bench>.prom,
+/// flushes the per-cell trace files, and prints the human-readable
+/// summary table.  Covers every collector of the process, once.
+void write_stats_dump() {
   stats::Registry merged;
-  for (const auto& c : collectors) merged.merge(c->registry());
-  // Feed the process-wide OpenMetrics registry too: a bench may dump both
-  // a sweep and ad-hoc collectors, and the .prom file reflects their sum.
-  prom_registry().merge(merged);
+  for (const auto& c : g_collectors) merged.merge(c.collector->registry());
 
   runner::Json doc = runner::Json::object();
   doc.set("bench", g_bench_name);
-  doc.set("scale", scale_label);
-  doc.set("epoch_cycles", cfg.epoch_cycles);
+  doc.set("epoch_cycles", g_config.stats.epoch_cycles);
   doc.set("metadata", runner::to_json(metadata()));
   doc.set("merged", runner::to_json(merged));
   runner::Json cells = runner::Json::array();
-  for (const auto& c : collectors) {
+  for (const auto& [col, scale] : g_collectors) {
     runner::Json jc = runner::Json::object();
-    jc.set("workload", c->workload());
-    jc.set("scheme", c->scheme());
-    if (stats::Tracer* t = c->tracer()) {
+    jc.set("workload", col->workload());
+    jc.set("scheme", col->scheme());
+    if (!scale.empty()) jc.set("scale", scale);
+    if (stats::Tracer* t = col->tracer()) {
       t->write();
       jc.set("trace_file", t->path());
       jc.set("trace_events", t->recorded());
       jc.set("trace_dropped", t->dropped());
     }
-    jc.set("stats", runner::to_json(c->registry()));
+    jc.set("stats", runner::to_json(col->registry()));
     cells.push_back(std::move(jc));
   }
   doc.set("cells", cells);
   const std::string path =
       out_dir("results") + "/" + g_bench_name + ".stats.json";
   runner::write_json(path, doc);
+  if (merged.size() > 0) {
+    obs::write_openmetrics(
+        out_dir("results") + "/" + g_bench_name + ".prom", merged,
+        {{"bench", g_bench_name},
+         {"dram", dram::to_string(g_config.dram)},
+         {"fidelity", fidelity_name()}});
+  }
 
   // Human-readable summary of the merged push stats (per-bank counters are
   // elided: 32+ rows of detail that belong in the JSON, not on a terminal).
   std::printf("\n-- stats summary: %zu cells merged -> %s --\n",
-              collectors.size(), path.c_str());
+              g_collectors.size(), path.c_str());
   std::printf("%-44s %s\n", "stat", "value");
   for (const auto& e : merged.view()) {
     if (e.path->find(".bank") != std::string::npos) continue;
@@ -429,10 +466,9 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
   // cell builds its own SimOptions with the workload's substream seed, so
   // schemes stay paired per workload and nothing depends on execution
   // order.  With --stats every cell additionally owns one Collector
-  // (single-threaded registries; merged on this thread after the fan-out,
-  // so the bit-identical-at-any-thread-count guarantee is untouched).
-  const stats::Config& stats_cfg = g_config.stats;
-  std::vector<std::unique_ptr<stats::Collector>> collectors;
+  // (single-threaded registries; merged on the main thread at exit, so the
+  // bit-identical-at-any-thread-count guarantee is untouched).
+  const std::string scale_label = scale_name(scale);
   std::vector<ecc::SchemeDesc> schemes;
   for (const auto id : ecc::all_schemes()) {
     schemes.push_back(ecc::make_scheme(id, scale));
@@ -479,7 +515,7 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
         warm_cells.push_back(std::move(cell));
       }
     }
-    run_cells("warm-up " + scale_name(scale), warm_cells);
+    run_cells("warm-up " + scale_label, warm_cells);
   }
 
   std::vector<runner::Cell> cells;
@@ -491,24 +527,21 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
       cell.scheme = schemes[si].name;
       cell.workload = workloads[wi].name;
       // Trace paths resolve on this thread (clear errors); recordings get
-      // per-cell names so concurrent cells never share a file.
+      // per-cell names so no two cells of the process share a file.
       sim::SimOptions opts = base;
       opts.seed = seed;
       if (!base.trace_in.empty()) {
-        opts.trace_in = resolve_trace_in(cell.workload, cell.scheme);
+        opts.trace_in =
+            resolve_trace_in(cell.workload, cell.scheme, scale_label);
       }
       if (!base.trace_out.empty()) {
-        opts.trace_out = base.trace_out + "/" + cell.workload + "_" +
-                         cell.scheme + ".ecctrace";
+        opts.trace_out = base.trace_out + "/" +
+                         cell_file_name(cell.workload, cell.scheme,
+                                        scale_label) +
+                         ".ecctrace";
       }
-      if (stats_cfg.enabled) {
-        collectors.push_back(std::make_unique<stats::Collector>(stats_cfg));
-        opts.stats = collectors.back().get();
-        opts.stats->set_label(cell.workload, cell.scheme);
-        if (!stats_cfg.trace_dir.empty()) {
-          opts.stats->open_trace(stats_cfg.trace_dir + "/" + cell.workload +
-                                 "_" + cell.scheme + ".trace.json");
-        }
+      if (g_config.stats.enabled) {
+        opts.stats = add_collector(cell.workload, cell.scheme, scale_label);
       }
       cell.work = [scheme = schemes[si], &workload = workloads[wi], opts,
                    &state = warm[wi * schemes.size() + si]] {
@@ -536,22 +569,18 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
     }
   }
 
-  const runner::Report report =
-      run_cells("sweep " + scale_name(scale), cells);
-  if (stats_cfg.enabled) {
-    write_stats_dump(scale_name(scale), stats_cfg, collectors);
-  }
+  const runner::Report report = run_cells("sweep " + scale_label, cells);
 
   // Persist the per-cell metrics + fan-out timings (this is where the
   // realized speedup is recorded).
   runner::Json doc = runner::Json::object();
-  doc.set("bench", "sweep_" + scale_name(scale));
-  doc.set("scale", scale_name(scale));
+  doc.set("bench", "sweep_" + scale_label);
+  doc.set("scale", scale_label);
   doc.set("target_instructions", target_instructions());
   doc.set("metadata", runner::to_json(metadata()));
   doc.set("run", runner::to_json(report));
-  runner::write_json(
-      out_dir("results") + "/sweep_" + scale_name(scale) + ".json", doc);
+  runner::write_json(out_dir("results") + "/sweep_" + scale_label + ".json",
+                     doc);
 
   std::vector<sim::RunResult> rows;
   rows.reserve(report.cells.size());
@@ -665,12 +694,11 @@ void init(int argc, char** argv) {
         out_dir("results") + "/" + g_bench_name + ".kernels.json", kdoc);
   }
 
-  // Touch the profiler's (and exporter's) function-local statics now so
+  // Touch the profiler's function-local statics now so
   // they are constructed before the atexit handler registers -- C++ tears
   // static storage down in reverse order, so this guarantees they outlive
   // it.
   (void)stats::Profiler::snapshot();
-  (void)prom_registry();
   std::atexit(&profile_report);
 }
 
@@ -682,16 +710,8 @@ dram::Generation dram_generation() { return g_config.dram; }
 
 stats::Collector* new_collector(const std::string& workload,
                                 const std::string& scheme) {
-  const stats::Config& cfg = g_config.stats;
-  if (!cfg.enabled) return nullptr;
-  g_adhoc_collectors.push_back(std::make_unique<stats::Collector>(cfg));
-  stats::Collector* col = g_adhoc_collectors.back().get();
-  col->set_label(workload, scheme);
-  if (!cfg.trace_dir.empty()) {
-    col->open_trace(cfg.trace_dir + "/" + workload + "_" + scheme +
-                    ".trace.json");
-  }
-  return col;
+  if (!g_config.stats.enabled) return nullptr;
+  return add_collector(workload, scheme, "");
 }
 
 std::uint64_t target_instructions() {
@@ -765,31 +785,13 @@ runner::Report run_cells(const std::string& label,
   return report;
 }
 
-const std::vector<sim::RunResult>& sweep(ecc::SystemScale scale) {
-  static std::map<int, std::vector<sim::RunResult>> memo;
-  const int key = static_cast<int>(scale);
-  auto it = memo.find(key);
-  if (it != memo.end()) return it->second;
-
+std::vector<sim::RunResult> sweep(ecc::SystemScale scale) {
   auto rows = run_sweep(scale);
   std::ostringstream os;
   for (const auto& r : rows) os << serialize(r) << '\n';
   write_file(out_dir("bench_results") + "/sweep_" + scale_name(scale) + ".csv",
              os.str());
-  return memo.emplace(key, std::move(rows)).first->second;
-}
-
-const sim::RunResult& find(const std::vector<sim::RunResult>& rows,
-                           const std::string& scheme,
-                           const std::string& workload) {
-  for (const auto& r : rows) {
-    if (r.scheme == scheme && r.workload == workload) return r;
-  }
-  throw std::out_of_range("no result for " + scheme + "/" + workload);
-}
-
-int bin_of(const std::string& workload) {
-  return trace::workload_by_name(workload).bin;
+  return rows;
 }
 
 double reduction_pct(double baseline, double ours) {
@@ -820,16 +822,6 @@ void emit(const std::string& name, const Table& table) {
   tbl.set("rows", rows);
   doc.set("table", tbl);
   runner::write_json(out_dir("results") + "/" + name + ".json", doc);
-}
-
-std::vector<std::string> workload_order() {
-  std::vector<std::string> names;
-  for (int bin : {1, 2}) {
-    for (const auto& w : trace::paper_workloads()) {
-      if (w.bin == bin) names.push_back(w.name);
-    }
-  }
-  return names;
 }
 
 }  // namespace eccsim::bench

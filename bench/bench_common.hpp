@@ -1,8 +1,9 @@
 // Shared infrastructure for the figure/table reproducers.
 //
 // Figures 9-17 all consume the same sweep: every workload x every scheme at
-// one system scale.  The sweep's cells are independent, so they fan out
-// over the work-stealing runner (src/runner) -- thread count comes from
+// one system scale (bench/sweep_figures.cpp builds all of them, one sweep
+// per scale).  The sweep's cells are independent, so they fan out over the
+// work-stealing runner (src/runner) -- thread count comes from
 // RUNNER_THREADS (default: all cores) and results are bit-identical at any
 // thread count because every cell owns its simulator and draws its
 // workload stimulus from a per-workload RNG substream of the root seed.
@@ -10,8 +11,7 @@
 // sim::WarmState, exact by construction -- and each cell starts from its
 // class's state (replayed or recorded sweeps warm up per cell).
 //
-// Each process simulates the sweeps it uses (once per scale, memoized in
-// memory) and writes them to sweep_<scale>.csv beside its figure CSVs.  The
+// Each sweep writes sweep_<scale>.csv beside its figure CSVs.  The
 // committed bench_results/*.csv are goldens to compare against, never
 // inputs.  Full-fidelity DDR3 runs write to bench_results/ and results/;
 // every other run writes to bench_results/[ddr4/|ddr5/][quick/|smoke/]
@@ -22,7 +22,8 @@
 // sweep writes results/sweep_<scale>.json with per-cell metrics, timings,
 // and the realized parallel speedup.  Every run additionally writes
 // results/<bench>.manifest.json (git SHA, the whole RunConfig, host,
-// timings, exit status; docs/OBSERVABILITY.md) and, with --stats, an
+// timings, exit status; docs/OBSERVABILITY.md) and, with --stats, one
+// results/<bench>.stats.json covering every cell of the process and an
 // OpenMetrics results/<bench>.prom export.
 #pragma once
 
@@ -102,9 +103,10 @@ dram::Generation dram_generation();
 /// Per-run stats collector for benches that build SystemSims directly
 /// (the standard sweep() wires its own): nullptr when stats are off, so
 /// callers can assign the result to SimOptions::stats unconditionally.
-/// Owned by bench_common; everything handed out here is merged into
-/// results/<bench>.stats.json (and its trace flushed) when the process
-/// exits.  `workload`/`scheme` label the cell and name its trace file.
+/// Owned by bench_common; it and every sweep cell's collector are merged
+/// into results/<bench>.stats.json (and their traces flushed) when the
+/// process exits.  `workload`/`scheme` label the cell and name its trace
+/// file.
 stats::Collector* new_collector(const std::string& workload,
                                 const std::string& scheme);
 
@@ -115,18 +117,13 @@ std::uint64_t target_instructions();
 /// benches that build SystemSims directly start from these.
 sim::SimOptions sim_options();
 
-/// All (workload x scheme) results at one scale, simulated on first use
-/// and memoized for the rest of the process.  Holds one warm-up state
-/// (~1.5 MB) per (workload, warm-up class) between the two fan-outs.
-const std::vector<sim::RunResult>& sweep(ecc::SystemScale scale);
-
-/// Finds one run in a sweep; throws if missing.
-const sim::RunResult& find(const std::vector<sim::RunResult>& rows,
-                           const std::string& scheme,
-                           const std::string& workload);
-
-/// Bin (1 or 2) of a workload, per Fig. 9's classification.
-int bin_of(const std::string& workload);
+/// Simulates all (workload x scheme) cells at one scale, writes
+/// sweep_<scale>.csv and results/sweep_<scale>.json, and returns the rows
+/// in (workload, scheme) order.  Holds one warm-up state (~1.5 MB) per
+/// (workload, warm-up class) between its two fan-outs and frees them all
+/// before it returns.  Per-cell files (--trace, --trace-out) and the
+/// per-cell --trace-in fallback are named <workload>_<scheme>_<scale>.
+std::vector<sim::RunResult> sweep(ecc::SystemScale scale);
 
 /// Percent reduction of `ours` relative to `baseline` ((1 - ours/base)*100).
 double reduction_pct(double baseline, double ours);
@@ -135,9 +132,6 @@ double reduction_pct(double baseline, double ours);
 /// JSON (table cells + run metadata + elapsed wall-clock) under
 /// results/<name>.json, both in the run's output subdirectory.
 void emit(const std::string& name, const Table& table);
-
-/// Workload names in presentation order (Bin1 first, then Bin2).
-std::vector<std::string> workload_order();
 
 /// Fans custom cells out over the runner with the standard stderr progress
 /// (a per-cell line on a terminal, else only the summary).  For ablations

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace eccsim {
@@ -25,16 +24,9 @@ void RunningStat::merge(const RunningStat& other) {
   max_ = std::max(max_, other.max_);
 }
 
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
 namespace {
 
-/// Shared nearest-rank lookup: smallest value with at least p% of samples
+/// Nearest-rank lookup: smallest value with at least p% of samples
 /// at or below it.  p = 0 maps to the minimum, p = 100 to the maximum.
 double nearest_rank(const std::vector<double>& sorted, double p) {
   p = std::clamp(p, 0.0, 100.0);
@@ -46,32 +38,6 @@ double nearest_rank(const std::vector<double>& sorted, double p) {
 }
 
 }  // namespace
-
-double SampleSet::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_valid_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-  return nearest_rank(sorted_, p);
-}
-
-double SampleSet::min() const {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double SampleSet::max() const {
-  if (samples_.empty()) return 0.0;
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-void SampleSet::merge(const SampleSet& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_valid_ = false;
-}
 
 QuantileReservoir::QuantileReservoir(std::size_t cap) : cap_(cap) {
   if (cap == 0) {
@@ -116,45 +82,6 @@ double relative_ci95(const RunningStat& s) {
   const double half_width =
       1.959963985 * s.stddev() / std::sqrt(static_cast<double>(s.count()));
   return half_width / std::fabs(s.mean());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must be > lo");
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(
-      frac * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::ostringstream os;
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        counts_[i] * width / peak;
-    os.setf(std::ios::fixed);
-    os.precision(3);
-    os << "[" << bin_low(i) << ", " << bin_high(i) << ") ";
-    for (std::size_t b = 0; b < bar; ++b) os << '#';
-    os << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
 }
 
 double geomean(const std::vector<double>& values) {

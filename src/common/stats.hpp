@@ -1,14 +1,15 @@
-// Streaming statistics used throughout the simulator and the benchmark
-// harness: single-pass mean/variance (Welford), percentile estimation over
-// retained samples, histograms, and the geometric mean used by the paper's
-// cross-workload averages.
+// Streaming statistics for the fault Monte Carlo and the benchmark
+// harness: single-pass mean/variance (Welford), a bounded deterministic
+// percentile sketch, the relative confidence interval that stops Monte
+// Carlo runs early, and the means used by the paper's cross-workload
+// averages.  The simulator's run-time stats (counters, distributions,
+// histograms, epoch series) live in src/stats.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace eccsim {
@@ -44,39 +45,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Retains all samples; supports exact percentiles.  Used for the Monte
-/// Carlo experiments that report 99.9th-percentile outcomes (Fig. 8).
-///
-/// Contract: the set is add-only (no removal or mutation of recorded
-/// samples).  percentile() caches a sorted copy; add() and merge()
-/// invalidate that cache explicitly, so interleaving adds and percentile
-/// queries is always correct -- just O(n log n) per query after a
-/// mutation.
-class SampleSet {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_valid_ = false;
-  }
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  std::size_t count() const { return samples_.size(); }
-
-  double mean() const;
-  /// Exact percentile by nearest-rank; p in [0, 100] (clamped).
-  /// p = 0 returns the minimum, p = 100 the maximum.
-  double percentile(double p) const;
-  double min() const;
-  double max() const;
-
-  const std::vector<double>& samples() const { return samples_; }
-  void merge(const SampleSet& other);
-
- private:
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;  // lazily (re)built by percentile()
-  mutable bool sorted_valid_ = false;
 };
 
 /// Bounded-memory percentile sketch for Monte Carlo populations too large
@@ -123,28 +91,6 @@ class QuantileReservoir {
   std::vector<Item> heap_;  // max-heap on (key, value): front = largest kept
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range samples clamp
-/// into the edge bins so mass is never silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
-  /// Renders a compact ASCII bar chart (for example programs).
-  std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Half-width of the normal-approximation 95% confidence interval of the

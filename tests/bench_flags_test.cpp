@@ -103,6 +103,56 @@ TEST(BenchFlagsDeathTest, BadEnvDramGenerationRejected) {
               "ECCSIM_DRAM must be ddr3, ddr4, or ddr5, got 'lpddr4'");
 }
 
+TEST(BenchFlagsDeathTest, MalformedNumericFlagsRejected) {
+  // A value that does not fully parse is a usage error, never a silent
+  // fallback to the default.
+  EXPECT_EXIT(run_init({}, {"--mc-systems=abc"}),
+              ::testing::ExitedWithCode(2),
+              "--mc-systems must be a non-negative integer, got 'abc'");
+  EXPECT_EXIT(run_init({}, {"--mc-systems", "-5"}),
+              ::testing::ExitedWithCode(2), "--mc-systems must be");
+  EXPECT_EXIT(run_init({}, {"--mc-systems=99999999999"}),
+              ::testing::ExitedWithCode(2), "--mc-systems must be");
+  EXPECT_EXIT(run_init({}, {"--mc-chunk=16k"}), ::testing::ExitedWithCode(2),
+              "--mc-chunk must be a non-negative integer, got '16k'");
+  EXPECT_EXIT(run_init({}, {"--stats-epoch=12x"}),
+              ::testing::ExitedWithCode(2),
+              "--stats-epoch must be a non-negative integer, got '12x'");
+  EXPECT_EXIT(run_init({}, {"--stats-epoch="}), ::testing::ExitedWithCode(2),
+              "--stats-epoch must be");
+  EXPECT_EXIT(run_init({}, {"--mc-target-rel-ci=foo"}),
+              ::testing::ExitedWithCode(2),
+              "--mc-target-rel-ci must be a non-negative number, got 'foo'");
+  EXPECT_EXIT(run_init({}, {"--mc-target-rel-ci", "0.05x"}),
+              ::testing::ExitedWithCode(2), "--mc-target-rel-ci must be");
+}
+
+TEST(BenchFlagsDeathTest, MalformedNumericEnvironmentRejected) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"ECCSIM_MC_SYSTEMS", "abc"},      {"ECCSIM_MC_CHUNK", " 8"},
+      {"STATS_EPOCH", "12x"},            {"ECCSIM_MC_TARGET_REL_CI", "foo"},
+      {"STATS_TRACE_LIMIT", "1e6"},      {"ECCSIM_STATUS_INTERVAL_MS", "-1"},
+  };
+  for (const auto& [var, value] : bad) {
+    EXPECT_EXIT(run_init({{var, value}}, {}), ::testing::ExitedWithCode(2),
+                std::string(var) + " must be a non-negative .*, got '" +
+                    value + "'")
+        << var << "=" << value;
+  }
+}
+
+TEST(BenchFlagsDeathTest, WellFormedNumbersAccepted) {
+  expect_config({{"STATS_TRACE_LIMIT", "0"}},
+                {"--mc-systems=0", "--mc-chunk", "7", "--stats-epoch=3",
+                 "--mc-target-rel-ci=1e-2"},
+                [](const RunConfig& c) {
+                  return c.mc_systems == 0 && c.mc.chunk_size == 7 &&
+                         c.stats.epoch_cycles == 3 &&
+                         c.mc.target_rel_ci == 0.01 &&
+                         c.stats.trace_limit == 0;
+                });
+}
+
 TEST(BenchFlagsDeathTest, DramGenerationsAccepted) {
   expect_config({}, {}, [](const RunConfig& c) {
     return c.dram == dram::Generation::kDdr3 &&

@@ -1,5 +1,5 @@
 // Tests for the common utilities: RNG determinism and distributions,
-// streaming statistics, histograms, and table rendering.
+// streaming statistics, and table rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -107,48 +107,49 @@ TEST(RunningStat, MergeEqualsCombined) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
 }
 
-TEST(SampleSet, ExactPercentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(s.percentile(99), 99.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
+// Nearest-rank edge cases of QuantileReservoir while it is exact (every
+// offered sample retained).  Keys only choose what a full reservoir keeps,
+// so any distinct keys will do here.
+
+TEST(QuantileReservoir, ExactPercentilesByNearestRank) {
+  QuantileReservoir r(1000);
+  for (int i = 1; i <= 100; ++i) r.add(i, static_cast<std::uint64_t>(i));
+  ASSERT_TRUE(r.exact());
+  EXPECT_DOUBLE_EQ(r.percentile(0), 1.0);  // p = 0 is the minimum
+  EXPECT_DOUBLE_EQ(r.percentile(50), 50.0);
+  EXPECT_DOUBLE_EQ(r.percentile(99), 99.0);
+  EXPECT_DOUBLE_EQ(r.percentile(100), 100.0);  // p = 100 is the maximum
+  EXPECT_DOUBLE_EQ(r.percentile(-5), 1.0);     // p is clamped to [0, 100]
+  EXPECT_DOUBLE_EQ(r.percentile(250), 100.0);
 }
 
-TEST(SampleSet, PercentileAfterMoreSamples) {
-  SampleSet s;
-  s.add(5);
-  EXPECT_DOUBLE_EQ(s.percentile(99.9), 5.0);
-  s.add(50);
-  s.add(500);
-  EXPECT_DOUBLE_EQ(s.percentile(99.9), 500.0);  // sorted cache invalidated
+TEST(QuantileReservoir, SingleSampleIsEveryPercentile) {
+  QuantileReservoir r(8);
+  r.add(7.5, 42);
+  EXPECT_DOUBLE_EQ(r.percentile(0), 7.5);
+  EXPECT_DOUBLE_EQ(r.percentile(50), 7.5);
+  EXPECT_DOUBLE_EQ(r.percentile(99.9), 7.5);
+  EXPECT_DOUBLE_EQ(r.percentile(100), 7.5);
 }
 
-TEST(SampleSet, SingleSampleIsEveryPercentile) {
-  SampleSet s;
-  s.add(7.5);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 7.5);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 7.5);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 7.5);
-}
-
-TEST(SampleSet, CacheInvalidatesOnEveryInterleavedAdd) {
-  // The add-only contract: percentile() may cache the sorted view, but
-  // any add() must invalidate it -- even when the new sample lands below
-  // the current minimum.
-  SampleSet s;
-  s.add(10);
-  s.add(20);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 10.0);
-  s.add(1);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 20.0);
-  s.add(30);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 30.0);
+TEST(QuantileReservoir, CacheInvalidatesOnEveryInterleavedAdd) {
+  // percentile() caches the sorted view, but any add() must invalidate
+  // it -- even when the new sample lands below the current minimum.
+  QuantileReservoir r(16);
+  r.add(5, 1);
+  EXPECT_DOUBLE_EQ(r.percentile(99.9), 5.0);
+  r.add(50, 2);
+  r.add(500, 3);
+  EXPECT_DOUBLE_EQ(r.percentile(99.9), 500.0);
+  r.add(10, 4);
+  r.add(20, 5);
+  EXPECT_DOUBLE_EQ(r.percentile(0), 5.0);
+  r.add(1, 6);
+  EXPECT_DOUBLE_EQ(r.percentile(0), 1.0);
+  EXPECT_DOUBLE_EQ(r.percentile(100), 500.0);
+  r.add(800, 7);
+  EXPECT_DOUBLE_EQ(r.percentile(100), 800.0);
+  EXPECT_TRUE(r.exact());
 }
 
 TEST(QuantileReservoir, ExactWhileUnderCapacity) {
@@ -199,25 +200,6 @@ TEST(RelativeCi95, ShrinksWithSamplesAndGuardsDegenerateInputs) {
   for (int i = 0; i < 9900; ++i) large.add(1.0 + rng.next_double());
   EXPECT_LT(relative_ci95(large), relative_ci95(small));
   EXPECT_GT(relative_ci95(large), 0.0);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(-3);    // clamps to bin 0
-  h.add(42);    // clamps to bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_low(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(3), 4.0);
-  EXPECT_FALSE(h.ascii().empty());
-}
-
-TEST(Histogram, RejectsBadConfig) {
-  EXPECT_THROW(Histogram(0, 1, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1, 1, 4), std::invalid_argument);
 }
 
 TEST(Stats, GeomeanAndMean) {

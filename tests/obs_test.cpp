@@ -200,7 +200,7 @@ TEST(Heartbeat, ConcurrentReaderNeverSeesTornSnapshot) {
 
 TEST(Manifest, JsonRoundTripPreservesEveryField) {
   Manifest m;
-  m.tool = "fig10_epi_quad";
+  m.tool = "sweep_figures";
   m.args = {"--smoke", "--status", "s.json"};
   m.git_sha = "0123456789abcdef0123456789abcdef01234567";
   m.dram = "ddr4";

@@ -3,9 +3,10 @@
 //   benchtool record [--smoke] [--bin DIR] [--history DIR]
 //                    [--skip-micro] [--skip-sweep]
 //       Runs the library microbenchmarks (microbench_codecs,
-//       microbench_tracefile via their google-benchmark JSON output) and a
-//       pinned smoke-sized fig10 sweep, and appends one timing record per
-//       benchmark -- stamped with git SHA, host, and thread count -- to
+//       microbench_tracefile via their google-benchmark JSON output) and
+//       one pinned smoke-sized sweep_figures process (the quad and dual
+//       sweeps), and appends one timing record per benchmark -- stamped
+//       with git SHA, host, and thread count -- to
 //       results/history/BENCH_<name>.json.
 //   benchtool compare [--history DIR] [--threshold X] [--window N]
 //       Compares each history file's newest record against the median of
@@ -48,7 +49,7 @@ int usage(FILE* out, int code) {
                "usage: benchtool <command> [options]\n"
                "  record [--smoke] [--bin DIR] [--history DIR]\n"
                "         [--skip-micro] [--skip-sweep]\n"
-               "      run the microbenchmarks and a pinned smoke sweep,\n"
+               "      run the microbenchmarks and the pinned smoke sweeps,\n"
                "      appending one timing record per benchmark to\n"
                "      HISTORY/BENCH_<name>.json (default results/history)\n"
                "      --bin DIR  directory holding the bench binaries\n"
@@ -231,10 +232,12 @@ int cmd_record(int argc, char** argv) {
   }
 
   if (!skip_sweep) {
-    // The end-to-end datapoint: one full smoke-sized fig10 sweep (every
-    // bench run simulates its sweep).  Pinned to smoke scale regardless of
-    // --smoke: the flag only labels the record's comparability context.
-    const std::string bin = bin_dir + "/fig10_epi_quad";
+    // The end-to-end datapoint: one smoke-sized sweep_figures process,
+    // which simulates the quad and the dual sweep.  Pinned to smoke scale
+    // regardless of --smoke: the flag only labels the record's
+    // comparability context.  Its series, smoke_sweeps, started with this
+    // binary: the older smoke_sweep series timed the quad sweep alone.
+    const std::string bin = bin_dir + "/sweep_figures";
     if (!executable_exists(bin)) {
       std::fprintf(stderr, "benchtool record: %s not found (build the "
                    "bench targets first, or pass --bin)\n", bin.c_str());
@@ -250,9 +253,9 @@ int cmd_record(int argc, char** argv) {
     }
     obs::perf::Record rec = base_record(smoke);
     rec.metrics.emplace_back("wall_seconds", wall);
-    const std::string hist = history_dir + "/BENCH_smoke_sweep.json";
-    obs::perf::append_record(hist, "smoke_sweep", rec);
-    std::printf("recorded %-22s %.2fs -> %s\n", "smoke_sweep", wall,
+    const std::string hist = history_dir + "/BENCH_smoke_sweeps.json";
+    obs::perf::append_record(hist, "smoke_sweeps", rec);
+    std::printf("recorded %-22s %.2fs -> %s\n", "smoke_sweeps", wall,
                 hist.c_str());
   }
   return finish(0);

@@ -13,7 +13,8 @@
 // Records are generator-direct (no simulation), so recording all 16
 // workloads at the default 60000 ops/core takes well under a second.  The
 // default seed is the workload's canonical paper-sweep seed, which is what
-// makes the file replay bit-identically under `fig10_* --trace-in`; the
+// makes the file replay bit-identically under `sweep_figures --trace-in`
+// (at either scale: pre-LLC stimulus does not depend on it); the
 // default depth covers SystemSim's LLC warmup (49152 ops/core) plus the
 // measured phase at full fidelity with headroom.
 #include <cinttypes>
