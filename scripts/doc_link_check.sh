@@ -7,7 +7,8 @@
 # [text](path) form, excluding http(s): and mailto: -- and fails if any
 # target does not exist relative to the linking file.  Anchors (#...) are
 # stripped before the existence check; anchor validity is not verified.
-# Runs in CI so a doc rename or move cannot silently strand references.
+# Registered in ctest as doc_link_check, so a doc rename or move cannot
+# silently strand references.
 set -e
 
 cd "$(dirname "$0")/.."

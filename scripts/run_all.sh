@@ -41,21 +41,6 @@ if [ "$build" = 1 ]; then
   ctest --test-dir build --output-on-failure -j "$(nproc)"
 fi
 
-# Smoke runs double as the cheap determinism gate: the committed golden
-# traces must re-record byte-identically (seed/generator/format drift
-# check, ~a second).  The full record->replay sweep identity check is a
-# separate CI job (scripts/trace_replay_check.sh).
-if [ "${ECCSIM_SMOKE:-0}" != 0 ] && [ -x build/tools/tracetool ]; then
-  ./scripts/golden_trace_check.sh build/tools/tracetool
-fi
-
-# Smoke preflight #2: the static-analysis gate.  Runs before the bench
-# sweep so a layering or determinism violation fails in seconds, not
-# after minutes of simulation.
-if [ "${ECCSIM_SMOKE:-0}" != 0 ]; then
-  ./scripts/ecclint_check.sh build/tools/ecclint/ecclint
-fi
-
 total=0
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] && total=$((total + 1))

@@ -53,7 +53,7 @@ std::unordered_map<std::uint64_t, std::vector<double>> load_checkpoint(
 }
 
 /// Test hook: per-chunk sleep so kill-and-resume checks can reliably
-/// interrupt an otherwise fast smoke run (scripts/mc_resume_check.sh).
+/// interrupt an otherwise fast smoke run (identity.mc_resume_* ctests).
 long chunk_delay_ms() {
   static const long delay = [] {
     const char* v = std::getenv("ECCSIM_MC_CHUNK_DELAY_MS");

@@ -388,7 +388,7 @@ bool SystemSim::request_read(std::uint64_t memline, int core) {
   id_to_memline_[id] = memline;
   auto& waiters = mshr_[memline];
   if (core >= 0) waiters.push_back(core);
-  send_or_queue(PendingReq{mem_.map().decode(cap(memline)),
+  send_or_queue(PendingReq{mem_.map().decode(in_memory(memline)),
                            false, dram::LineClass::kData, id});
   return true;
 }
@@ -400,13 +400,13 @@ void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
     cache::AccessResult next;  // the ECC/XOR cacheline touch, if any
     switch (kind) {
       case cache::LineKind::kData: {
-        const std::uint64_t capped = cap(mem_line_of(addr));
+        const std::uint64_t memline = in_memory(mem_line_of(addr));
         // Warm-up drops the write, so it decodes only for the faulty-bank
         // test below.
         const bool faulty_test =
             scheme_.uses_ecc_parity && !opts_.faulty_banks.empty();
         const dram::DramAddress daddr = !warmup_ || faulty_test
-                                            ? mem_.map().decode(capped)
+                                            ? mem_.map().decode(memline)
                                             : dram::DramAddress{};
         send_or_queue(PendingReq{daddr, true, dram::LineClass::kData,
                                  next_id_++});
@@ -421,7 +421,7 @@ void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
         if (faulty_test && bank_is_faulty(daddr)) {
           ecc_kind = cache::LineKind::kEcc;
         }
-        next = ecc_cache().access(ecc_cacheline_key(capped), true, ecc_kind);
+        next = ecc_cache().access(ecc_cacheline_key(memline), true, ecc_kind);
         break;
       }
       case cache::LineKind::kEcc: {
@@ -466,10 +466,10 @@ bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
     // Step A1/B: reads to a faulty bank also need the ECC line (cached).
     // Without faulty banks there is nothing to match, so no decode.
     if (!scheme_.uses_ecc_parity || opts_.faulty_banks.empty()) return true;
-    const std::uint64_t capped = cap(mem_line_of(op.line));
-    const dram::DramAddress daddr = mem_.map().decode(capped);
+    const std::uint64_t memline = in_memory(mem_line_of(op.line));
+    const dram::DramAddress daddr = mem_.map().decode(memline);
     if (!bank_is_faulty(daddr)) return true;
-    const std::uint64_t key = ecc_cacheline_key(capped) | kEccKeyTag;
+    const std::uint64_t key = ecc_cacheline_key(memline) | kEccKeyTag;
     const auto er = ecc_cache().access(key, false, cache::LineKind::kEcc);
     if (er.writeback) process_eviction(er.victim_addr, er.victim_kind);
     if (!er.hit) {
@@ -622,10 +622,19 @@ RunResult SystemSim::run() {
     }
   }
   const std::uint64_t run_cycles = mem_.cycle();
+  std::uint64_t instructions = 0;
+  for (const auto& c : cores_) instructions += c.committed;
+  if (instructions < opts_.target_instructions) {
+    fail("max_mem_cycles reached with " + std::to_string(instructions) +
+         " of " + std::to_string(opts_.target_instructions) +
+         " instructions committed");
+  }
 
   // Drain outstanding traffic so energy accounting is complete.
+  constexpr std::uint64_t kDrainGuard = 200'000;
   std::uint64_t guard = 0;
-  while ((mem_.outstanding() > 0 || !pending_.empty()) && guard < 200'000) {
+  while ((mem_.outstanding() > 0 || !pending_.empty()) &&
+         guard < kDrainGuard) {
     mem_.tick();
     handle_completions();
     drain_pending();
@@ -635,11 +644,17 @@ RunResult SystemSim::run() {
     }
     ++guard;
   }
+  if (mem_.outstanding() > 0 || !pending_.empty()) {
+    fail("drain still has " +
+         std::to_string(mem_.outstanding() + pending_.size()) +
+         " requests outstanding after " + std::to_string(kDrainGuard) +
+         " cycles");
+  }
 
   RunResult result;
   result.scheme = scheme_.name;
   result.workload = source_->workload().name;
-  for (const auto& c : cores_) result.instructions += c.committed;
+  result.instructions = instructions;
   result.mem_cycles = run_cycles;
   result.mem = mem_.finalize();
   // finalize() has emitted the residual refresh commands, so the checkers
@@ -683,6 +698,18 @@ RunResult SystemSim::run() {
   close_trace_outputs();
   finalize_stats();
   return result;
+}
+
+void SystemSim::fail_beyond_memory(std::uint64_t memline) const {
+  fail("memory line " + std::to_string(memline) +
+       " lies beyond the memory's " + std::to_string(total_data_lines_) +
+       " data lines");
+}
+
+void SystemSim::fail(const std::string& what) const {
+  throw std::runtime_error("SystemSim: " + source_->workload().name + " on " +
+                           scheme_.name + " at memory cycle " +
+                           std::to_string(mem_.cycle()) + ": " + what);
 }
 
 RunResult run_experiment(ecc::SchemeId scheme, ecc::SystemScale scale,

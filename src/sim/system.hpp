@@ -54,7 +54,7 @@ struct CpuConfig {
 /// Run-control knobs.
 struct SimOptions {
   std::uint64_t target_instructions = 2'000'000;  ///< total across cores
-  std::uint64_t max_mem_cycles = 20'000'000;      ///< safety stop
+  std::uint64_t max_mem_cycles = 20'000'000;      ///< throws if hit first
   std::uint64_t seed = 1;
   /// Banks recorded as faulty, for degraded-mode studies (steps B/D of
   /// Fig. 6).  Keys: (channel << 16) | (rank << 8) | bank.
@@ -221,11 +221,13 @@ class SystemSim {
 
   /// Runs to completion and returns the metrics: warms the LLC to steady
   /// state (no timing side effects) unless constructed from a WarmState,
-  /// simulates until SimOptions::target_instructions commit or
-  /// max_mem_cycles elapse, then drains outstanding traffic so energy
-  /// accounting is complete.  Deterministic: equal configuration and seed
-  /// give bit-identical results on every run and thread, with or without
-  /// a shared WarmState.
+  /// simulates until SimOptions::target_instructions commit, then drains
+  /// outstanding traffic so energy accounting is complete.  Deterministic:
+  /// equal configuration and seed give bit-identical results on every run
+  /// and thread, with or without a shared WarmState.  Throws
+  /// std::runtime_error rather than return a truncated or aliased run:
+  /// when max_mem_cycles elapse first, when the drain does not finish
+  /// within its guard, or when a replayed op lies beyond the memory.
   RunResult run();
 
  private:
@@ -248,13 +250,18 @@ class SystemSim {
   std::uint64_t mem_line_of(std::uint64_t line64) const {
     return line64 / lines64_per_memline_;
   }
-  /// A memory line wrapped into decode's domain.  The constructor's
-  /// footprint check keeps synthetic lines inside it, so the modulo only
-  /// runs for a replayed trace that strays outside.
-  std::uint64_t cap(std::uint64_t memline) const {
-    return memline < total_data_lines_ ? memline
-                                       : memline % total_data_lines_;
+  /// `memline`, checked to lie in decode's domain.  The constructor's
+  /// footprint check keeps synthetic lines inside it; a replayed line
+  /// beyond it would alias another line, so it throws instead.
+  std::uint64_t in_memory(std::uint64_t memline) const {
+    if (memline >= total_data_lines_) fail_beyond_memory(memline);
+    return memline;
   }
+  /// The cold halves of the run's fatal checks: each throws
+  /// std::runtime_error naming the workload, scheme and memory cycle.
+  [[noreturn, gnu::cold]] void fail_beyond_memory(
+      std::uint64_t memline) const;
+  [[noreturn, gnu::cold]] void fail(const std::string& what) const;
 
   /// Streams 3 LLC-sizes of ops, round-robin over cores, through
   /// execute_op with memory traffic suppressed, then clears the LLC

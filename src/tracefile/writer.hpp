@@ -3,8 +3,8 @@
 // Buffers records and flushes them as independently CRC-protected chunks
 // (format.hpp), so memory stays bounded at ops_per_chunk regardless of
 // trace length.  Output is byte-deterministic: the header carries no
-// timestamps and the codec no floats, which is what lets CI pin golden
-// traces by SHA-256 (scripts/golden_trace_check.sh).
+// timestamps and the codec no floats, which is what lets the golden
+// traces be pinned by SHA-256 (the identity.golden_traces ctest).
 //
 // close() appends the footer; a file missing it is detected as truncated
 // by every reader.  The destructor closes implicitly but swallows I/O

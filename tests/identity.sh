@@ -1,0 +1,211 @@
+#!/bin/sh
+# Identity harness.  Every row of the table in tests/CMakeLists.txt is one
+# ctest, labelled "identity", that reruns a result with one thing changed
+# and byte-compares it with a baseline.  Run them with `ctest -L identity`,
+# or one with `ctest -R identity.<row>`.
+#
+# Usage: sh tests/identity.sh ROW BUILD_DIR [NAME=value ...] [ARG ...]
+#   Runs in ROW's own directory, <build>/tests/identity/ROW, and writes
+#   nothing outside it.  NAME=value pairs are exported for the variant;
+#   the ARGs go to its command line.
+#
+# A row without a case below is a sweep row: `sweep_figures --smoke ARG...`
+# must leave bench_results/ and stdout byte-identical to those of the
+# `smoke` row, a ctest fixture that runs once per ctest invocation.  The
+# cases below add a setup step to a sweep row, or give a row its own
+# baseline.  Exit 77 (ctest's skip) means only that a kernel row names a
+# kernel this host cannot run.
+set -e
+
+row=$1 build=$2
+shift 2
+repo=$(cd "$(dirname "$0")/.." && pwd)
+case $PWD in
+  */identity/"$row") rm -rf ./* ;;
+  *) echo "identity.sh: run in <build>/tests/identity/$row" >&2; exit 2 ;;
+esac
+
+# The one place output-affecting variables are cleared, so that a row
+# differs from its baseline only by what its table entry sets.
+# ECCSIM_CHECK passes through: checked ctest runs set it on purpose.
+unset ECCSIM_SMOKE ECCSIM_QUICK ECCSIM_DRAM ECCSIM_KERNEL ECCSIM_TRACE_IN \
+  ECCSIM_TRACE_OUT ECCSIM_TRACE_POINT ECCSIM_STATS ECCSIM_STATUS \
+  ECCSIM_PROGRESS
+for v in $(env | sed -n 's/^\(ECCSIM_MC_[A-Z_]*\)=.*/\1/p'); do unset "$v"; done
+while [ $# -gt 0 ]; do
+  case $1 in *=*) export "$1"; shift ;; *) break ;; esac
+done
+
+sweep=$build/bench/sweep_figures
+tracetool=$build/tools/tracetool
+fleetd=$build/tools/fleetd/fleetd
+spec=$repo/examples/fleet_demo.json
+base=../smoke
+
+fail() { echo "identity.$row: FAIL: $*" >&2; exit 1; }
+same() {  # $2 must be byte-identical to $1, a file or a whole tree
+  diff -r "$1" "$2" >diff.txt 2>&1 ||
+    { head -40 diff.txt >&2; fail "$2 differs from $1"; }
+}
+
+case $row in
+  smoke)
+    "$sweep" --smoke >stdout.txt
+    n=$(ls bench_results/smoke/*.csv | wc -l)
+    [ "$n" -eq 12 ] || fail "expected 12 CSVs, got $n"
+    n=$(cat bench_results/smoke/sweep_*.csv | wc -l)
+    [ "$n" -eq 256 ] || fail "expected 2 x 128 sweep cells, got $n"
+    exit 0 ;;
+  kernel_*)
+    # Force only what the baseline's provenance lists as runnable here:
+    # forcing simd on a host without SSSE3 is a deliberate exit 2.  The
+    # scalar oracle is always listed, so a list without it is a failure.
+    k=$base/results/smoke/sweep_figures.kernels.json
+    avail=$(sed -n '/"available"/,/]/p' "$k")
+    case $avail in *'"scalar"'*) ;; *) fail "no kernel list in $k" ;; esac
+    case $avail in
+      *"\"$ECCSIM_KERNEL\""*) ;;
+      *) echo "identity.$row: $ECCSIM_KERNEL unavailable: skipped" >&2
+         exit 77 ;;
+    esac ;;
+  replay)
+    # One recording per workload serves every scheme and both scales;
+    # 60000 ops per core cover the warm-up and the smoke measured phase.
+    "$tracetool" record --all --out traces --ops-per-core 60000 >/dev/null
+    set -- --trace-in traces "$@" ;;
+  sweep_csv_not_read)
+    # A well-formed but wrong sweep per scale -- the committed keys with
+    # made-up numbers, so every figure built from it would read 0.0% --
+    # where a smoke run writes its sweep and at the old cache path.
+    mkdir -p bench_results/smoke
+    for s in quad dual; do
+      awk -F, -v OFS=, '{ for (i = 3; i <= NF; i++) $i = i; print }' \
+        "$repo/bench_results/sweep_$s.csv" >"bench_results/smoke/sweep_$s.csv"
+      cp "bench_results/smoke/sweep_$s.csv" "bench_results/sweep_${s}_smoke.csv"
+      n=$(wc -l <"bench_results/smoke/sweep_$s.csv")
+      [ "$n" -eq 128 ] || fail "expected a 128-row $s sweep, got $n rows"
+    done ;;
+  goldens)
+    # Full-fidelity DDR3 must reproduce the committed CSVs: both sweeps,
+    # Figs. 9-17 and ablation_xor_cache, plus the three ablations for
+    # paths the sweep never takes (faulty banks, the dedicated ECC cache,
+    # open-page rows).
+    "$sweep" >/dev/null
+    for a in ablation_degraded ablation_ecc_cache ablation_rowpolicy; do
+      "$build/bench/$a" >/dev/null
+    done
+    n=0
+    for f in bench_results/*.csv; do
+      same "$repo/$f" "$f"
+      n=$((n + 1))
+    done
+    [ "$n" -eq 15 ] || fail "expected 15 CSVs, compared $n"
+    exit 0 ;;
+  golden_traces*)
+    # The committed traces must validate, match SHA256SUMS, and re-record
+    # byte for byte from the generators (docs/TRACES.md).
+    golden=$repo/traces/golden
+    (cd "$golden" && sha256sum -c SHA256SUMS) >&2 ||
+      fail "traces/golden does not match its SHA256SUMS"
+    for f in "$golden"/*.ecctrace; do
+      "$tracetool" validate "$f" >/dev/null
+      "$tracetool" record --workload "$(basename "$f" .ecctrace)" \
+        --cores 2 --ops-per-core 512 --out traces/ >/dev/null
+      same "$f" "traces/$(basename "$f")"
+    done
+    exit 0 ;;
+  mc_resume_*)
+    # Baseline: an uninterrupted run.  Variant: a run slowed per chunk,
+    # SIGKILLed once a chunk is checkpointed, then resumed.
+    bin=$build/bench/$1
+    mkdir ref run
+    (cd ref && "$bin" --smoke >../ref.out 2>/dev/null)
+    (cd run && exec env ECCSIM_MC_CHUNK_DELAY_MS=200 "$bin" --smoke \
+      --mc-checkpoint ../ck.txt >/dev/null 2>&1) &
+    pid=$! i=0
+    until grep -q '^mcchunk1 ' ck.txt 2>/dev/null || [ $i -ge 300 ]; do
+      sleep 0.1
+      i=$((i + 1))
+    done
+    kill -9 $pid 2>/dev/null || true
+    wait $pid 2>/dev/null || true
+    grep -q '^mcchunk1 ' ck.txt || fail "no chunk checkpointed before the kill"
+    (cd run &&
+      "$bin" --smoke --mc-checkpoint ../ck.txt >../res.out 2>../res.err)
+    grep -q resuming res.err || { cat res.err >&2; fail "nothing resumed"; }
+    same ref.out res.out
+    same ref/bench_results run/bench_results
+    m=run/results/smoke/$1.manifest.json
+    grep -q '"resumed": true' "$m" || fail "$m lacks \"resumed\": true"
+    grep -q '"status": "completed"' "$m" || fail "$m is not completed"
+    exit 0 ;;
+  fleet_*)
+    # Baseline: the smoke-scaled demo fleet, one shard, one thread.
+    "$fleetd" run --spec "$spec" --scale 50 --shards 1 --threads 1 \
+      --out s1.json >/dev/null ;;
+esac
+
+case $row in
+  fleet_shards)
+    for s in 2 8; do
+      "$fleetd" run --spec "$spec" --scale 50 --shards $s \
+        --out s$s.json >/dev/null
+      same s1.json s$s.json
+    done
+    "$fleetd" run --spec "$spec" --scale 50 --shards 4 --mode worker \
+      --work-dir units --out w4.json >/dev/null
+    same s1.json w4.json
+    exit 0 ;;
+  fleet_daemon)
+    # A served daemon simulates the first submit into its cache, byte-
+    # identical to the direct run, and answers the second from the cache.
+    # It takes a spec file: the demo with every pool's nodes divided by
+    # 50, floor 1, as --scale 50 does.
+    awk 'match($0, /"nodes": [0-9]+/) {
+      n = int(substr($0, RSTART + 9, RLENGTH - 9) / 50)
+      $0 = substr($0, 1, RSTART + 8) (n < 1 ? 1 : n) \
+        substr($0, RSTART + RLENGTH)
+    } { print }' "$spec" >spec.json
+    hash=$("$fleetd" hash --spec spec.json)
+    "$fleetd" serve --socket d.sock --results fleet &
+    daemon=$! i=0
+    trap 'kill $daemon 2>/dev/null' EXIT
+    until "$fleetd" ping --socket d.sock >/dev/null 2>&1; do
+      [ $i -lt 100 ] || fail "the daemon did not come up"
+      sleep 0.1
+      i=$((i + 1))
+    done
+    "$fleetd" submit --socket d.sock --spec spec.json --wait >sub1.out
+    grep -q '"cache_hit": false' sub1.out || fail "submit 1 did not simulate"
+    same s1.json "fleet/cache/$hash.json"
+    "$fleetd" submit --socket d.sock --spec spec.json >sub2.out
+    grep -q '"cache_hit": true' sub2.out &&
+      grep -q '"state": "cached"' sub2.out ||
+      fail "submit 2 was not answered from the cache"
+    grep -q '"cache_hit": "false"' fleet/manifests/req-1.json &&
+      grep -q '"cache_hit": "true"' fleet/manifests/req-2.json ||
+      fail "the request manifests do not record the cache hit"
+    "$fleetd" results --socket d.sock --hash "$hash" >/dev/null
+    "$fleetd" shutdown --socket d.sock >/dev/null
+    wait $daemon
+    trap - EXIT
+    exit 0 ;;
+esac
+
+# A sweep row.
+"$sweep" --smoke "$@" >stdout.txt
+case $row in
+  sweep_csv_not_read) same $base/bench_results/smoke bench_results/smoke ;;
+  *) same $base/bench_results bench_results ;;
+esac
+case $row in
+  telemetry_on)
+    # --stats appends its summary to stdout, so only the CSVs compare.
+    # The telemetry itself must have materialized.
+    grep -q '"schema": "eccsim.heartbeat/1"' status.json &&
+      grep -q '"final": true' status.json || fail "no final heartbeat snapshot"
+    grep -q '"status": "completed"' results/smoke/sweep_figures.manifest.json ||
+      fail "the manifest is not completed"
+    [ -s results/smoke/sweep_figures.prom ] || fail "the .prom file is empty" ;;
+  *) same $base/stdout.txt stdout.txt ;;
+esac

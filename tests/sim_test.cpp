@@ -234,5 +234,25 @@ TEST(SystemSim, RejectsFootprintLargerThanMemory) {
   EXPECT_THROW(SystemSim(scheme, w, cpu), std::invalid_argument);
 }
 
+TEST(SystemSim, ThrowsWhenMaxMemCyclesStopsTheRunEarly) {
+  SimOptions opts = quick();
+  opts.max_mem_cycles = 2'000;  // far short of 400k instructions
+  const std::string scheme =
+      ecc::make_scheme(ecc::SchemeId::kChipkill18,
+                       ecc::SystemScale::kQuadEquivalent)
+          .name;
+  try {
+    run(ecc::SchemeId::kChipkill18, "lbm",
+        ecc::SystemScale::kQuadEquivalent, opts);
+    FAIL() << "a truncated run returned results";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("lbm"), std::string::npos) << what;
+    EXPECT_NE(what.find(scheme), std::string::npos) << what;
+    EXPECT_NE(what.find("cycle 2000"), std::string::npos) << what;
+    EXPECT_NE(what.find("max_mem_cycles"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace eccsim::sim

@@ -150,5 +150,52 @@ TEST(TraceReplaySim, MismatchedTraceRejected) {
   std::remove(path.c_str());
 }
 
+// A replayed op one line past the end of the memory would alias line 0
+// if wrapped; the run must refuse it instead.  One core, so the op right
+// after the 3-LLC-sizes warm-up is the measured phase's first: a demand
+// read of the line beyond the memory.
+TEST(TraceReplaySim, LineBeyondMemoryIsFatal) {
+  const std::string path = temp_path("beyond_memory.ecctrace");
+  const ecc::SchemeDesc scheme = ecc::make_scheme(
+      ecc::SchemeId::kChipkill36, ecc::SystemScale::kQuadEquivalent);
+  const std::uint64_t memlines =
+      scheme.mem_config().geometry().total_data_lines();
+  const std::uint64_t beyond = memlines * (scheme.line_bytes / 64);
+  const cache::CacheConfig llc;
+  const std::uint64_t warm_ops = 3 * llc.size_bytes / llc.line_bytes;
+  tracefile::TraceMeta meta;
+  meta.cores = 1;
+  meta.workload = "mcf";
+  {
+    tracefile::TraceWriter writer(path, meta);
+    for (std::uint64_t i = 0; i < warm_ops; ++i) {
+      writer.append(trace::MemOp{i % 64, false, 0}, 0);
+    }
+    writer.append(trace::MemOp{beyond, false, 0}, 0);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      writer.append(trace::MemOp{i, false, 0}, 0);
+    }
+    writer.close();
+  }
+  CpuConfig cpu;
+  cpu.cores = 1;
+  SimOptions opts = base_opts(1);
+  opts.trace_in = path;
+  SystemSim sim(scheme, trace::workload_by_name("mcf"), cpu, opts);
+  try {
+    sim.run();
+    FAIL() << "a line beyond the memory was replayed";
+  } catch (const tracefile::TraceError& e) {
+    FAIL() << "the trace ran out first: " << e.what();
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("memory line " + std::to_string(memlines)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("beyond the memory"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace eccsim::sim

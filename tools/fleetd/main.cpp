@@ -12,7 +12,7 @@
 // The run/serve paths share the sharding Coordinator, so `fleetd run
 // --shards 8 --mode worker` and a daemon-served submit produce the same
 // bytes as a single-shard in-process run -- the property
-// scripts/fleet_identity_check.sh gates in CI.
+// the identity.fleet_shards and identity.fleet_daemon ctests gate.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
