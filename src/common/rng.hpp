@@ -51,6 +51,8 @@ class Rng {
 
   result_type operator()() { return next(); }
 
+  friend bool operator==(const Rng&, const Rng&) = default;
+
   std::uint64_t next() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
     const std::uint64_t t = s_[1] << 17;
@@ -66,16 +68,18 @@ class Rng {
   /// Uniform in [0, bound) without modulo bias (Lemire's method).
   std::uint64_t next_below(std::uint64_t bound) {
     if (bound <= 1) return 0;
-    // 128-bit multiply-shift; rejection loop removes the final sliver of
-    // bias.  For simulation bounds (<< 2^64) a single iteration dominates.
-    const std::uint64_t threshold = (-bound) % bound;
-    for (;;) {
-      const std::uint64_t x = next();
-      const unsigned __int128 m = static_cast<unsigned __int128>(x) * bound;
-      if (static_cast<std::uint64_t>(m) >= threshold) {
-        return static_cast<std::uint64_t>(m >> 64);
+    // 128-bit multiply-shift; draws whose low word is below the threshold
+    // (-bound) % bound are rejected, removing the final sliver of bias.
+    // The threshold is below `bound`, so the division is needed only when
+    // the low word is: for simulation bounds (<< 2^64) almost never.
+    unsigned __int128 m = static_cast<unsigned __int128>(next()) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) {
+      const std::uint64_t threshold = (-bound) % bound;
+      while (static_cast<std::uint64_t>(m) < threshold) {
+        m = static_cast<unsigned __int128>(next()) * bound;
       }
     }
+    return static_cast<std::uint64_t>(m >> 64);
   }
 
   /// Uniform double in [0, 1) with 53 bits of randomness.

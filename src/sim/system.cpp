@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace eccsim::sim {
 
@@ -231,6 +230,7 @@ void SystemSim::attach_stats() {
     for (const auto& c : cores_) total += c.committed;
     return static_cast<double>(total);
   });
+  stalled_core_cycles_ = reg.counter("cpu.stalled_core_cycles");
   if (scheme_.uses_ecc_parity) {
     slow_path_hits_ = reg.counter("eccparity.fig6_slow_path_hits");
   }
@@ -458,6 +458,7 @@ bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
       return false;
     }
     const auto r = llc_.access(op.line, false, cache::LineKind::kData);
+    if (!r.hit) wake_on_insert(op.line);
     if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
     if (!r.hit && !warmup_) {
       ++core.outstanding_reads;
@@ -490,6 +491,7 @@ bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
 
   // Write: write-allocate; the fetch-on-write read is non-blocking.
   const auto r = llc_.access(op.line, true, cache::LineKind::kData);
+  if (!r.hit) wake_on_insert(op.line);
   if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
   if (!r.hit && !warmup_) request_read(mem_line_of(op.line), -1);
   return true;
@@ -497,6 +499,7 @@ bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
 
 void SystemSim::core_cycle(unsigned c) {
   Core& core = cores_[c];
+  if (core.asleep) return;  // its retry would be refused again
   unsigned budget = cpu_.width;
   while (budget > 0) {
     if (!core.waiting_op) {
@@ -513,7 +516,13 @@ void SystemSim::core_cycle(unsigned c) {
       continue;
     }
     // The memory op is due.
-    if (!execute_op(c, *core.waiting_op)) return;  // stall; retry next cycle
+    if (!execute_op(c, *core.waiting_op)) {  // stall: sleep until a wake
+      if (core.stalled_since == kNotStalled) core.stalled_since = cpu_cycle_;
+      core.asleep = true;
+      ++asleep_cores_;
+      return;
+    }
+    if (core.stalled_since != kNotStalled) end_stall(core);
     ++core.committed;  // the memory instruction itself
     --budget;
     core.waiting_op.reset();
@@ -561,6 +570,16 @@ void SystemSim::warm_up() {
 
 void SystemSim::cpu_cycle() {
   for (unsigned c = 0; c < cpu_.cores; ++c) core_cycle(c);
+  ++cpu_cycle_;
+}
+
+void SystemSim::end_stall(Core& core) {
+  // Every cycle since the first refusal was refused, or slept through
+  // because its retry would have been.
+  if (stalled_core_cycles_) {
+    stalled_core_cycles_->inc(cpu_cycle_ - core.stalled_since);
+  }
+  core.stalled_since = kNotStalled;
 }
 
 void SystemSim::handle_completions() {
@@ -573,14 +592,18 @@ void SystemSim::handle_completions() {
     id_to_memline_.erase(it);
     // Fill all 64B siblings of the memory line (128B-line prefetch effect).
     for (std::uint32_t i = 0; i < lines64_per_memline_; ++i) {
-      const auto r = llc_.fill(memline * lines64_per_memline_ + i);
+      const std::uint64_t line = memline * lines64_per_memline_ + i;
+      const auto r = llc_.fill(line);
+      wake_on_insert(line);
       if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
     }
     const auto w = mshr_.find(memline);
     if (w != mshr_.end()) {
-      for (int c : w->second) {
-        if (c >= 0 && cores_[static_cast<unsigned>(c)].outstanding_reads > 0) {
-          --cores_[static_cast<unsigned>(c)].outstanding_reads;
+      for (const int c : w->second) {  // request_read lists cores only
+        Core& core = cores_[static_cast<unsigned>(c)];
+        if (core.outstanding_reads > 0) {
+          --core.outstanding_reads;
+          wake(core);
         }
       }
       mshr_.erase(w);
@@ -620,6 +643,9 @@ RunResult SystemSim::run() {
       committed_total = 0;
       for (const auto& c : cores_) committed_total += c.committed;
     }
+  }
+  for (Core& core : cores_) {
+    if (core.stalled_since != kNotStalled) end_stall(core);
   }
   const std::uint64_t run_cycles = mem_.cycle();
   std::uint64_t instructions = 0;

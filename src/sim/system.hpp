@@ -9,7 +9,13 @@
 //     `width` instructions, issuing its next memory operation when its
 //     instruction gap elapses.  Reads that miss the LLC occupy one of the
 //     core's MLP slots; a core with all slots full stalls -- this is the
-//     latency feedback that turns DRAM contention into IPC loss.
+//     latency feedback that turns DRAM contention into IPC loss.  A
+//     stalled core sleeps until one of the two events that can end the
+//     stall: a completion frees one of its MLP slots, or its read's line
+//     enters the LLC (a demand miss or write-allocate of any core, or a
+//     completion fill).  Then it retries, in the same CPU cycle if a
+//     lower-numbered core's insert woke it, so the read issues on the
+//     first cycle on which a retry would succeed.
 //   3. LLC evictions expand into ECC-maintenance traffic per the scheme's
 //     model (Sec. IV-C): dirty data -> memory write (+ an ECC/XOR
 //     cacheline touch for tiered/parity schemes); dirty ECC line -> one
@@ -231,11 +237,24 @@ class SystemSim {
   RunResult run();
 
  private:
+  static constexpr std::uint64_t kNotStalled = ~std::uint64_t{0};
+
+  /// One core.  A due read refused for a full MLP window puts the core to
+  /// sleep: core_cycle returns at once, with no LLC probe, until wake()
+  /// runs.  Only handle_completions lowering `outstanding_reads` and
+  /// wake_on_insert of `waiting_op->line` wake it; every other event
+  /// leaves the refusal standing.  A wake means "retry": the op may be
+  /// refused again, and the core sleeps again.
   struct Core {
     std::uint64_t committed = 0;
     std::uint32_t gap_remaining = 0;
-    std::optional<trace::MemOp> waiting_op;  ///< op blocked on MLP/queue
+    std::optional<trace::MemOp> waiting_op;  ///< next op, issued once due
     unsigned outstanding_reads = 0;
+    bool asleep = false;
+    /// CPU cycle of the stall's first refusal; kNotStalled when the core
+    /// is not stalled.  The stall is counted when the op issues or the
+    /// measured phase ends, so sleeping cycles cost nothing.
+    std::uint64_t stalled_since = kNotStalled;
   };
 
   // Memory request plumbing -------------------------------------------------
@@ -271,10 +290,28 @@ class SystemSim {
   void cpu_cycle();
   void core_cycle(unsigned c);
   /// Runs the LLC access for one op; returns false if the core must retry
-  /// (a read that misses while every MLP slot is taken).  A full DRAM
-  /// queue never refuses an op: send_or_queue parks the request in
-  /// pending_ and drain_pending retries it.
+  /// (a read that misses while every MLP slot is taken).  A refusal has
+  /// no side effects.  A full DRAM queue never refuses an op:
+  /// send_or_queue parks the request in pending_ and drain_pending
+  /// retries it.
   bool execute_op(unsigned c, const trace::MemOp& op);
+  void wake(Core& core) {
+    if (!core.asleep) return;
+    core.asleep = false;
+    --asleep_cores_;
+  }
+  /// Wakes every sleeping core whose refused read is for `line`; called
+  /// wherever a data line may enter the LLC.  ECC and XOR keys carry tag
+  /// bits no data line has, so their inserts never wake a core.
+  void wake_on_insert(std::uint64_t line) {
+    if (asleep_cores_ == 0) return;
+    for (Core& core : cores_) {
+      if (core.asleep && core.waiting_op->line == line) wake(core);
+    }
+  }
+  /// Adds a finished (or, at the end of the measured phase, unfinished)
+  /// stall's refused cycles to cpu.stalled_core_cycles.
+  void end_stall(Core& core);
   /// Handles an LLC eviction (and the ECC traffic it triggers).
   void process_eviction(std::uint64_t addr, cache::LineKind kind);
   /// Demand read for a memory line; registers the waiting core (or none).
@@ -337,6 +374,8 @@ class SystemSim {
   cache::Cache llc_;
   std::unique_ptr<cache::Cache> dedicated_ecc_cache_;
   std::vector<Core> cores_;
+  unsigned asleep_cores_ = 0;
+  std::uint64_t cpu_cycle_ = 0;  ///< measured-phase CPU cycles run
   /// Stimulus: one MemOp stream per core (synthetic, replay, or recording
   /// tee).  Owned here; never null after construction.
   std::unique_ptr<trace::TraceSource> source_;
@@ -360,13 +399,12 @@ class SystemSim {
   // In-flight demand reads: memline -> cores waiting on it.
   std::unordered_map<std::uint64_t, std::vector<int>> mshr_;
   std::unordered_map<std::uint64_t, std::uint64_t> id_to_memline_;
-  std::unordered_map<std::uint64_t, std::uint64_t> ecc_key_to_index_;
-  std::vector<std::uint64_t> ecc_index_to_key_;
 
   // Observability state: all null/zero when SimOptions::stats is unset.
   stats::Registry* streg_ = nullptr;
   stats::Tracer* tracer_ = nullptr;
   stats::Counter* slow_path_hits_ = nullptr;
+  stats::Counter* stalled_core_cycles_ = nullptr;
   std::uint32_t ecc_trace_tid_ = 0;
   std::uint64_t epoch_cycles_ = 0;
   std::uint64_t next_epoch_ = 0;

@@ -101,17 +101,17 @@ CoreGenerator::CoreGenerator(const WorkloadDesc& desc, unsigned core,
     region_base_ = static_cast<std::uint64_t>(core) * total_lines;
   }
   if (region_lines_ == 0) region_lines_ = 1;
+  // Hot-set reuse: a fraction of the footprint receives most of the random
+  // traffic, which is what gives the LLC something to hold on to.
+  hot_lines_ = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(static_cast<double>(region_lines_) *
+                                    desc.hot_fraction));
   gap_mean_ = 1000.0 / desc.apki;
 }
 
 std::uint64_t CoreGenerator::random_line() {
-  // Hot-set reuse: a fraction of the footprint receives most of the random
-  // traffic, which is what gives the LLC something to hold on to.
-  const std::uint64_t hot_lines = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             static_cast<double>(region_lines_) * desc_.hot_fraction));
   if (rng_.next_double() < desc_.hot_access_prob) {
-    return region_base_ + rng_.next_below(hot_lines);
+    return region_base_ + rng_.next_below(hot_lines_);
   }
   return region_base_ + rng_.next_below(region_lines_);
 }
@@ -137,7 +137,7 @@ MemOp CoreGenerator::next_access() {
     pending_sibling_ = -1;
   } else if (rng_.next_double() < desc_.stream_fraction) {
     op.line = region_base_ + stream_pos_;
-    stream_pos_ = (stream_pos_ + 1) % region_lines_;
+    if (++stream_pos_ == region_lines_) stream_pos_ = 0;
   } else {
     op.line = random_line();
     if (rng_.next_double() < desc_.sibling_locality) {

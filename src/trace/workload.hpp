@@ -95,7 +95,8 @@ class CoreGenerator {
   Rng rng_;
   std::uint64_t region_base_;   ///< first 64B line of this core's region
   std::uint64_t region_lines_;
-  std::uint64_t stream_pos_ = 0;
+  std::uint64_t hot_lines_;     ///< hot-set size, a prefix of the region
+  std::uint64_t stream_pos_ = 0;  ///< below region_lines_
   double gap_mean_;
   std::int64_t pending_sibling_ = -1;  ///< queued 128B-pair follow-up
 };

@@ -48,6 +48,40 @@ TEST(Rng, NextBelowEdgeCases) {
   EXPECT_EQ(rng.next_below(1), 0u);
 }
 
+/// The rejection loop next_below replaced: it computes the threshold on
+/// every call.  Counts the draws it rejects.
+std::uint64_t reference_next_below(Rng& rng, std::uint64_t bound,
+                                   std::uint64_t& rejections) {
+  if (bound <= 1) return 0;
+  const std::uint64_t threshold = (-bound) % bound;
+  for (;;) {
+    const unsigned __int128 m =
+        static_cast<unsigned __int128>(rng.next()) * bound;
+    if (static_cast<std::uint64_t>(m) >= threshold) {
+      return static_cast<std::uint64_t>(m >> 64);
+    }
+    ++rejections;
+  }
+}
+
+TEST(Rng, NextBelowDrawsAsTheReferenceLoop) {
+  std::uint64_t rejections = 0;
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        (std::uint64_t{1} << 32) + 1, (std::uint64_t{1} << 63) + 1,
+        ~std::uint64_t{0}}) {
+    SCOPED_TRACE(bound);
+    Rng fast(13), reference(13);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(fast.next_below(bound),
+                reference_next_below(reference, bound, rejections));
+    }
+    EXPECT_TRUE(fast == reference);
+  }
+  // 2^63 + 1 rejects nearly half its draws.
+  EXPECT_GT(rejections, 1000u);
+}
+
 TEST(Rng, DoubleInUnitInterval) {
   Rng rng(9);
   double sum = 0;

@@ -3,6 +3,10 @@
 // the bench binaries reproduce the full figures.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "sim/system.hpp"
 
 namespace eccsim::sim {
@@ -251,6 +255,127 @@ TEST(SystemSim, ThrowsWhenMaxMemCyclesStopsTheRunEarly) {
     EXPECT_NE(what.find(scheme), std::string::npos) << what;
     EXPECT_NE(what.find("cycle 2000"), std::string::npos) << what;
     EXPECT_NE(what.find("max_mem_cycles"), std::string::npos) << what;
+  }
+}
+
+// Stall exactness: a core refused for a full MLP window sleeps until an
+// MLP slot frees or its line enters the LLC.  Each case pins every
+// RunResult field to a digest recorded from the simulator that retried a
+// refused op on every CPU cycle, so a wake that comes one cycle late (or
+// never) changes a digest.  The cases cover each wake: another core's
+// insert on a shared footprint (canneal), completions at MLP 1 and 4,
+// sibling fills of 128B memory lines, the faulty-bank slow path, and ECC
+// lines in a dedicated cache.
+
+/// Every RunResult field, %.17g, in declaration order.
+std::string result_fields(const RunResult& r) {
+  const double fields[] = {
+      static_cast<double>(r.instructions),
+      static_cast<double>(r.mem_cycles),
+      r.ipc,
+      static_cast<double>(r.mem.reads),
+      static_cast<double>(r.mem.writes),
+      static_cast<double>(r.mem.ecc_reads),
+      static_cast<double>(r.mem.ecc_writes),
+      r.mem.avg_read_latency,
+      r.mem.energy.activate_pj,
+      r.mem.energy.read_pj,
+      r.mem.energy.write_pj,
+      r.mem.energy.refresh_pj,
+      r.mem.energy.background_pj,
+      static_cast<double>(r.llc.hits),
+      static_cast<double>(r.llc.misses),
+      static_cast<double>(r.llc.writebacks),
+      r.epi_pj,
+      r.dynamic_epi_pj,
+      r.background_epi_pj,
+      r.mapi,
+      r.bandwidth_utilization,
+      r.avg_read_latency,
+  };
+  std::string out = r.scheme + "," + r.workload;
+  for (const double f : fields) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, ",%.17g", f);
+    out += buf;
+  }
+  return out;
+}
+
+/// 64-bit FNV-1a of `s`.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char ch : s) {
+    h ^= ch;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct StallCase {
+  const char* label;
+  ecc::SchemeId scheme;
+  const char* workload;
+  std::uint64_t digest;  ///< fnv1a(result_fields) of the retrying cores
+  std::uint64_t instructions = 400'000;
+  unsigned mlp = 4;
+  /// Shared-footprint variant: a footprint just over the LLC at a high
+  /// access rate, so cores often miss on the same lines (0: as described).
+  double footprint_mb = 0;
+  double apki = 0;
+  bool faulty_channel0 = false;  ///< every bank of channel 0 faulty
+  std::uint64_t ecc_cache_bytes = 0;  ///< dedicated ECC cache (0: the LLC)
+};
+
+TEST(SystemSim, StalledCoresWakeExactly) {
+  using ecc::SchemeId;
+  const StallCase cases[] = {
+      {.label = "canneal", .scheme = SchemeId::kLotEcc5Parity,
+       .workload = "canneal", .digest = 0xd4943d400b52aadeULL,
+       .instructions = 2'000'000},
+      {.label = "canneal 12 MB", .scheme = SchemeId::kLotEcc5Parity,
+       .workload = "canneal", .digest = 0xf0376bb804154b18ULL,
+       .instructions = 1'000'000,
+       .mlp = 1, .footprint_mb = 12, .apki = 200},
+      {.label = "mcf mlp 1", .scheme = SchemeId::kChipkill18,
+       .workload = "mcf", .digest = 0x6f4cbf83243eb01fULL, .mlp = 1},
+      {.label = "mcf mlp 4", .scheme = SchemeId::kChipkill18,
+       .workload = "mcf", .digest = 0x7c2f5754d7fd506fULL},
+      {.label = "128B lines", .scheme = SchemeId::kChipkill36,
+       .workload = "lbm", .digest = 0x263351f87da1a73cULL},
+      {.label = "raim+parity faulty banks", .scheme = SchemeId::kRaimParity,
+       .workload = "mcf", .digest = 0x77278a6a5a5147d5ULL,
+       .faulty_channel0 = true},
+      {.label = "dedicated ECC cache", .scheme = SchemeId::kLotEcc5Parity,
+       .workload = "milc", .digest = 0x1901f339067e0945ULL,
+       .ecc_cache_bytes = 128 * 1024},
+  };
+  for (const StallCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    trace::WorkloadDesc workload = trace::workload_by_name(c.workload);
+    if (c.footprint_mb != 0) {
+      workload.footprint_bytes =
+          static_cast<std::uint64_t>(c.footprint_mb * 1024 * 1024);
+    }
+    if (c.apki != 0) workload.apki = c.apki;
+    SimOptions opts = quick();
+    opts.target_instructions = c.instructions;
+    opts.dedicated_ecc_cache_bytes = c.ecc_cache_bytes;
+    if (c.faulty_channel0) {
+      for (std::uint32_t rank = 0; rank < 4; ++rank) {
+        for (std::uint32_t bank = 0; bank < 8; ++bank) {
+          opts.faulty_banks.push_back((rank << 8) | bank);
+        }
+      }
+    }
+    CpuConfig cpu;
+    cpu.mlp = c.mlp;
+    SystemSim sim(ecc::make_scheme(c.scheme,
+                                   ecc::SystemScale::kQuadEquivalent),
+                  workload, cpu, opts);
+    const std::string fields = result_fields(sim.run());
+    EXPECT_EQ(fnv1a(fields), c.digest)
+        << std::hex << "0x" << fnv1a(fields) << " for " << fields;
   }
 }
 
