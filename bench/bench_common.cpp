@@ -19,7 +19,6 @@
 #include "gf/kernels.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/manifest.hpp"
-#include "obs/openmetrics.hpp"
 #include "obs/run_info.hpp"
 #include "runner/stats_json.hpp"
 #include "runner/thread_pool.hpp"
@@ -299,9 +298,19 @@ void print_workloads() {
   }
 }
 
-runner::RunMetadata metadata() {
-  return runner::collect_metadata(
-      g_config.fidelity == RunConfig::Fidelity::kQuick, smoke_mode());
+/// Set while the exit report runs: exit() may not be called again from
+/// an atexit handler, so the report ends a failed process itself.
+bool g_exiting = false;
+
+/// Every output file of a run passes its writer's result through here.  A
+/// lost output is never silent: the path goes to stderr, the manifest is
+/// marked failed, and the process exits 1.
+void checked(bool written, const std::string& path) {
+  if (written) return;
+  std::fprintf(stderr, "%s: could not write %s\n", g_bench_name.c_str(),
+               path.c_str());
+  obs::note_exit_code(1);
+  if (!g_exiting) std::exit(1);
 }
 
 /// One stats collector of this process with the scale of its sweep ("" for
@@ -335,53 +344,11 @@ std::string manifest_path() {
   return out_dir("results") + "/" + g_bench_name + ".manifest.json";
 }
 
-void write_stats_dump();
-
-/// End-of-run report, registered via std::atexit by init().  The first
-/// line always prints (scripts/run_all.sh parses it for its summary); the
-/// per-scope profile only exists when --stats enabled the profiler.
-void profile_report() {
-  // The stats dump is part of the run's output, not just the profile.
-  if (!g_collectors.empty()) write_stats_dump();
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - kProcessStart)
-                          .count();
-  const double rss_mb =
-      static_cast<double>(stats::process_peak_rss_bytes()) / (1024.0 * 1024.0);
-  std::fprintf(stderr, "[eccsim-profile] bench=%s wall_seconds=%.3f "
-               "peak_rss_mb=%.1f\n",
-               g_bench_name.c_str(), wall, rss_mb);
-
-  // Finalize the run manifest (status was "running" since init()).
-  obs::Manifest& m = obs::manifest();
-  m.finished_utc = obs::utc_timestamp();
-  m.wall_seconds = wall;
-  m.peak_rss_bytes = stats::process_peak_rss_bytes();
-  if (m.status == "running") m.status = "completed";
-  obs::write_manifest(manifest_path(), m);
-
-  if (!stats::Profiler::enabled()) return;
-
-  const auto snapshot = stats::Profiler::snapshot();
-  for (const auto& [scope, totals] : snapshot) {
-    std::fprintf(stderr, "[eccsim-profile] scope=%s calls=%llu seconds=%.3f\n",
-                 scope.c_str(),
-                 static_cast<unsigned long long>(totals.calls),
-                 totals.seconds);
-  }
-  runner::Json doc = runner::Json::object();
-  doc.set("bench", g_bench_name);
-  doc.set("wall_seconds", wall);
-  doc.set("peak_rss_bytes", stats::process_peak_rss_bytes());
-  doc.set("scopes", runner::profile_to_json(snapshot));
-  runner::write_json(out_dir("results") + "/" + g_bench_name + ".profile.json",
-                     doc);
-}
-
-/// Writes results/<bench>.stats.json (merged registry + per-cell epoch
-/// series + trace-file index) and the OpenMetrics results/<bench>.prom,
-/// flushes the per-cell trace files, and prints the human-readable
-/// summary table.  Covers every collector of the process, once.
+/// Writes results/<bench>.stats.json (run manifest, scope profile, merged
+/// registry, per-cell epoch series and trace-file index), flushes the
+/// per-cell trace files, and prints the human-readable summary table.
+/// Covers every collector of the process, once; a --stats run writes it
+/// even when it built no collector, for the profile.
 void write_stats_dump() {
   stats::Registry merged;
   for (const auto& c : g_collectors) merged.merge(c.collector->registry());
@@ -389,7 +356,8 @@ void write_stats_dump() {
   runner::Json doc = runner::Json::object();
   doc.set("bench", g_bench_name);
   doc.set("epoch_cycles", g_config.stats.epoch_cycles);
-  doc.set("metadata", runner::to_json(metadata()));
+  doc.set("metadata", obs::to_json(obs::manifest()));
+  doc.set("profile", runner::profile_to_json(stats::Profiler::snapshot()));
   doc.set("merged", runner::to_json(merged));
   runner::Json cells = runner::Json::array();
   for (const auto& [col, scale] : g_collectors) {
@@ -398,7 +366,7 @@ void write_stats_dump() {
     jc.set("scheme", col->scheme());
     if (!scale.empty()) jc.set("scale", scale);
     if (stats::Tracer* t = col->tracer()) {
-      t->write();
+      checked(t->write(), t->path());
       jc.set("trace_file", t->path());
       jc.set("trace_events", t->recorded());
       jc.set("trace_dropped", t->dropped());
@@ -409,14 +377,7 @@ void write_stats_dump() {
   doc.set("cells", cells);
   const std::string path =
       out_dir("results") + "/" + g_bench_name + ".stats.json";
-  runner::write_json(path, doc);
-  if (merged.size() > 0) {
-    obs::write_openmetrics(
-        out_dir("results") + "/" + g_bench_name + ".prom", merged,
-        {{"bench", g_bench_name},
-         {"dram", dram::to_string(g_config.dram)},
-         {"fidelity", fidelity_name()}});
-  }
+  checked(runner::write_json(path, doc), path);
 
   // Human-readable summary of the merged push stats (per-bank counters are
   // elided: 32+ rows of detail that belong in the JSON, not on a terminal).
@@ -447,6 +408,42 @@ void write_stats_dump() {
     }
   }
   std::printf("\n");
+}
+
+/// End-of-run report, registered via std::atexit by init().  The first
+/// line always prints (scripts/run_all.sh parses it for its summary); the
+/// stats dump and the per-scope lines exist only under --stats.  The
+/// manifest is finalized before the stats dump embeds it and written
+/// last, so it also records a stats write that failed.
+void exit_report() {
+  g_exiting = true;
+  obs::Manifest& m = obs::manifest();
+  const bool failed_before = m.exit_code != 0;
+  m.finished_utc = obs::utc_timestamp();
+  m.wall_seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - kProcessStart)
+                       .count();
+  m.peak_rss_bytes = stats::process_peak_rss_bytes();
+  if (m.status == "running") m.status = "completed";
+
+  if (g_config.stats.enabled) write_stats_dump();
+  std::fprintf(stderr, "[eccsim-profile] bench=%s wall_seconds=%.3f "
+               "peak_rss_mb=%.1f\n",
+               g_bench_name.c_str(), m.wall_seconds,
+               static_cast<double>(m.peak_rss_bytes) / (1024.0 * 1024.0));
+  for (const auto& [scope, totals] : stats::Profiler::snapshot()) {
+    std::fprintf(stderr, "[eccsim-profile] scope=%s calls=%llu seconds=%.3f\n",
+                 scope.c_str(),
+                 static_cast<unsigned long long>(totals.calls),
+                 totals.seconds);
+  }
+  checked(obs::write_manifest(manifest_path(), m), manifest_path());
+  // The process is already exiting with the code it chose; an output
+  // this report lost overrides a success.
+  if (!failed_before && m.exit_code != 0) {
+    std::fflush(nullptr);
+    std::_Exit(m.exit_code);
+  }
 }
 
 std::string serialize(const sim::RunResult& r) {
@@ -574,13 +571,10 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
   // Persist the per-cell metrics + fan-out timings (this is where the
   // realized speedup is recorded).
   runner::Json doc = runner::Json::object();
-  doc.set("bench", "sweep_" + scale_label);
   doc.set("scale", scale_label);
   doc.set("target_instructions", target_instructions());
-  doc.set("metadata", runner::to_json(metadata()));
   doc.set("run", runner::to_json(report));
-  runner::write_json(out_dir("results") + "/sweep_" + scale_label + ".json",
-                     doc);
+  emit_json("sweep_" + scale_label, doc);
 
   std::vector<sim::RunResult> rows;
   rows.reserve(report.cells.size());
@@ -666,40 +660,31 @@ void init(int argc, char** argv) {
   m.extra = config_fields();
   // Resolving the GF kernel here makes a bad ECCSIM_KERNEL fail fast at
   // startup (exit 2, like any malformed flag) instead of mid-sweep, and
-  // stamps the manifest so every result names the kernel that computed it.
+  // stamps the manifest so every result names the kernel that computed
+  // it, whether it was forced, and what the CPU offered.  Results are
+  // kernel-invariant by the oracle guarantee (docs/KERNELS.md).
   const gf::Kernel kern = gf::active_kernel();
   m.extra.emplace_back("kernel", gf::kernel_name(kern));
-  obs::write_manifest(manifest_path(), m);
-
-  // Companion kernel-provenance document (schema eccsim.kernels/1, see
-  // docs/OBSERVABILITY.md): which kernel ran, whether it was forced, and
-  // what the CPU offered.  Observation-only; results are kernel-invariant
-  // by the oracle guarantee (docs/KERNELS.md).
-  {
-    runner::Json kdoc = runner::Json::object();
-    kdoc.set("schema", "eccsim.kernels/1");
-    kdoc.set("bench", g_bench_name);
-    kdoc.set("active", gf::kernel_name(kern));
-    const char* forced = std::getenv("ECCSIM_KERNEL");
-    kdoc.set("override", forced != nullptr ? runner::Json(forced)
-                                           : runner::Json(nullptr));
-    runner::Json avail = runner::Json::array();
-    for (gf::Kernel k : {gf::Kernel::kScalar, gf::Kernel::kSlice8,
-                         gf::Kernel::kSimd}) {
-      if (gf::kernel_available(k)) avail.push_back(gf::kernel_name(k));
-    }
-    kdoc.set("available", std::move(avail));
-    kdoc.set("simd_avx2", gf::kernel_simd_uses_avx2());
-    runner::write_json(
-        out_dir("results") + "/" + g_bench_name + ".kernels.json", kdoc);
+  const char* forced = std::getenv("ECCSIM_KERNEL");
+  m.extra.emplace_back("kernel_override", forced != nullptr ? forced : "");
+  std::string available;
+  for (gf::Kernel k :
+       {gf::Kernel::kScalar, gf::Kernel::kSlice8, gf::Kernel::kSimd}) {
+    if (!gf::kernel_available(k)) continue;
+    if (!available.empty()) available += ',';
+    available += gf::kernel_name(k);
   }
+  m.extra.emplace_back("kernels_available", available);
+  m.extra.emplace_back("kernel_simd_avx2",
+                       gf::kernel_simd_uses_avx2() ? "1" : "0");
+  checked(obs::write_manifest(manifest_path(), m), manifest_path());
 
   // Touch the profiler's function-local statics now so
   // they are constructed before the atexit handler registers -- C++ tears
   // static storage down in reverse order, so this guarantees they outlive
   // it.
   (void)stats::Profiler::snapshot();
-  std::atexit(&profile_report);
+  std::atexit(&exit_report);
 }
 
 const RunConfig& run_config() { return g_config; }
@@ -789,8 +774,9 @@ std::vector<sim::RunResult> sweep(ecc::SystemScale scale) {
   auto rows = run_sweep(scale);
   std::ostringstream os;
   for (const auto& r : rows) os << serialize(r) << '\n';
-  write_file(out_dir("bench_results") + "/sweep_" + scale_name(scale) + ".csv",
-             os.str());
+  const std::string path =
+      out_dir("bench_results") + "/sweep_" + scale_name(scale) + ".csv";
+  checked(write_file(path, os.str()), path);
   return rows;
 }
 
@@ -800,11 +786,10 @@ double reduction_pct(double baseline, double ours) {
 
 void emit(const std::string& name, const Table& table) {
   std::printf("%s\n", table.str().c_str());
-  write_file(out_dir("bench_results") + "/" + name + ".csv", table.csv());
+  const std::string csv = out_dir("bench_results") + "/" + name + ".csv";
+  checked(write_file(csv, table.csv()), csv);
 
   runner::Json doc = runner::Json::object();
-  doc.set("bench", name);
-  doc.set("metadata", runner::to_json(metadata()));
   doc.set("wall_seconds",
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         kProcessStart)
@@ -821,7 +806,16 @@ void emit(const std::string& name, const Table& table) {
   }
   tbl.set("rows", rows);
   doc.set("table", tbl);
-  runner::write_json(out_dir("results") + "/" + name + ".json", doc);
+  emit_json(name, doc);
+}
+
+void emit_json(const std::string& name, const runner::Json& body) {
+  runner::Json doc = runner::Json::object();
+  doc.set("bench", name);
+  doc.set("metadata", obs::to_json(obs::manifest()));
+  for (const auto& [key, value] : body.members()) doc.set(key, value);
+  const std::string path = out_dir("results") + "/" + name + ".json";
+  checked(runner::write_json(path, doc), path);
 }
 
 }  // namespace eccsim::bench

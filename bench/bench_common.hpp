@@ -17,14 +17,16 @@
 // every other run writes to bench_results/[ddr4/|ddr5/][quick/|smoke/]
 // (same under results/), so it never clobbers a golden.
 //
-// Besides the stdout table and <name>.csv, every emit() also writes
-// machine-readable results/<name>.json (table + run metadata), and each
+// Every run writes results/<bench>.manifest.json (git SHA, the whole
+// RunConfig, the GF kernel, host, timings, exit status;
+// docs/OBSERVABILITY.md), its one provenance record: every JSON document
+// it writes carries the manifest as `metadata`.  Besides the stdout table
+// and <name>.csv, every emit() also writes results/<name>.json, and each
 // sweep writes results/sweep_<scale>.json with per-cell metrics, timings,
-// and the realized parallel speedup.  Every run additionally writes
-// results/<bench>.manifest.json (git SHA, the whole RunConfig, host,
-// timings, exit status; docs/OBSERVABILITY.md) and, with --stats, one
-// results/<bench>.stats.json covering every cell of the process and an
-// OpenMetrics results/<bench>.prom export.
+// and the realized parallel speedup.  With --stats, one
+// results/<bench>.stats.json holds every cell of the process and the
+// scope profile.  An output that cannot be written fails the run: the
+// path goes to stderr, the manifest says "failed", the exit code is 1.
 #pragma once
 
 #include <string>
@@ -129,9 +131,13 @@ std::vector<sim::RunResult> sweep(ecc::SystemScale scale);
 double reduction_pct(double baseline, double ours);
 
 /// Prints the table, saves CSV under bench_results/<name>.csv, and saves
-/// JSON (table cells + run metadata + elapsed wall-clock) under
-/// results/<name>.json, both in the run's output subdirectory.
+/// JSON (table cells + elapsed wall-clock) with emit_json, both in the
+/// run's output subdirectory.
 void emit(const std::string& name, const Table& table);
+
+/// Saves results/<name>.json in the run's output subdirectory: `bench`
+/// (= name), the run manifest as `metadata`, then every member of `body`.
+void emit_json(const std::string& name, const runner::Json& body);
 
 /// Fans custom cells out over the runner with the standard stderr progress
 /// (a per-cell line on a terminal, else only the summary).  For ablations

@@ -2,19 +2,17 @@
 // codec encode/decode, CRC-32, full-file writer/reader throughput, and
 // ReplaySource::next().  Engineering benchmarks for regression tracking,
 // not paper figures.  Besides the console table, results land in
-// results/microbench_tracefile.json (results/smoke/ under ECCSIM_SMOKE=1)
-// in google-benchmark's JSON format; items/s counts trace records
-// (requests), bytes/s counts encoded payload.
+// results/microbench_tracefile.json (results/smoke/ under --smoke) beside
+// the run manifest; items/s counts trace records (requests), bytes/s
+// counts encoded payload.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "runner/stats_json.hpp"
-#include "runner/runner.hpp"
+#include "bench_common.hpp"
 #include "trace/workload.hpp"
 #include "tracefile/codec.hpp"
 #include "tracefile/crc32.hpp"
@@ -186,22 +184,18 @@ double counter_or_zero(const benchmark::UserCounters& counters,
 }
 
 // Custom main: besides the console table, always mirror the run into
-// results/microbench_tracefile.json (results/smoke/ in smoke mode) so the
-// numbers -- requests/s and MB/s per stage -- land next to the other
-// machine-readable artifacts.
+// results/microbench_tracefile.json so the numbers -- requests/s and MB/s
+// per stage -- land next to the other machine-readable artifacts.
+// google-benchmark takes its --benchmark_* flags first; bench::init then
+// parses the rest (--smoke, ...) and rejects any it does not know.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  bench::init(argc, argv);
   CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  const char* env = std::getenv("ECCSIM_SMOKE");
-  const bool smoke = env != nullptr && std::string(env) != "0";
-  const std::string dir = smoke ? "results/smoke" : "results";
   runner::Json doc = runner::Json::object();
-  doc.set("bench", std::string("microbench_tracefile"));
-  doc.set("metadata", runner::to_json(runner::collect_metadata(false, smoke)));
   runner::Json runs = runner::Json::array();
   for (const auto& r : reporter.captured()) {
     runner::Json run = runner::Json::object();
@@ -216,6 +210,6 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
   doc.set("runs", runs);
-  runner::write_json(dir + "/microbench_tracefile.json", doc);
+  bench::emit_json("microbench_tracefile", doc);
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "obs/manifest.hpp"
 
 #include <mutex>
-#include <stdexcept>
 
 #include "obs/heartbeat.hpp"
 #include "runner/json.hpp"
@@ -41,35 +40,6 @@ runner::Json to_json(const Manifest& m) {
     doc.set("extra", extra);
   }
   return doc;
-}
-
-Manifest manifest_from_json(const runner::Json& doc) {
-  if (!doc.is_object()) throw std::runtime_error("manifest: not an object");
-  Manifest m;
-  m.tool = doc.at("tool").as_string();
-  for (const auto& a : doc.at("args").items()) m.args.push_back(a.as_string());
-  m.git_sha = doc.at("git_sha").as_string();
-  m.dram = doc.at("dram").as_string();
-  m.seed_regime = doc.at("seed_regime").as_string();
-  m.threads = static_cast<unsigned>(doc.at("threads").as_number());
-  m.host = doc.at("host").as_string();
-  m.host_cpus = static_cast<unsigned>(doc.at("host_cpus").as_number());
-  m.started_utc = doc.at("started_utc").as_string();
-  if (!doc.at("finished_utc").is_null()) {
-    m.finished_utc = doc.at("finished_utc").as_string();
-  }
-  m.wall_seconds = doc.at("wall_seconds").as_number();
-  m.peak_rss_bytes =
-      static_cast<std::uint64_t>(doc.at("peak_rss_bytes").as_number());
-  m.status = doc.at("status").as_string();
-  m.exit_code = static_cast<int>(doc.at("exit_code").as_number());
-  m.resumed = doc.at("resumed").as_bool();
-  if (doc.contains("extra")) {
-    for (const auto& [key, value] : doc.at("extra").members()) {
-      m.extra.emplace_back(key, value.as_string());
-    }
-  }
-  return m;
 }
 
 bool write_manifest(const std::string& path, const Manifest& m) {

@@ -1,7 +1,9 @@
 // Run manifest: one JSON document per run recording everything needed to
 // interpret (and re-run) the artifacts a bench or tool produced -- git
 // SHA, DRAM generation, seed regime, thread count, host identity,
-// start/end timestamps, and exit status.
+// start/end timestamps, and exit status.  It is the only provenance
+// record of a process: every result document a bench writes embeds
+// to_json(manifest()) as its `metadata`.
 //
 // The bench front-end (bench::init) writes the manifest twice: once at
 // startup with status "running" and once from its atexit hook with
@@ -46,10 +48,6 @@ struct Manifest {
 };
 
 runner::Json to_json(const Manifest& m);
-
-/// Parses a manifest document previously produced by to_json; throws
-/// std::runtime_error on malformed input.
-Manifest manifest_from_json(const runner::Json& doc);
 
 /// Atomically writes `m` to `path` (creating parent directories).
 bool write_manifest(const std::string& path, const Manifest& m);

@@ -50,9 +50,7 @@ std::string discover_git_sha(const std::filesystem::path& start) {
 
 }  // namespace
 
-std::string git_head_sha() {
-  return discover_git_sha(std::filesystem::current_path());
-}
+std::string git_head_sha() { return discover_git_sha(ECCSIM_SOURCE_DIR); }
 
 std::string hostname() {
   char buf[256] = {};

@@ -1,6 +1,6 @@
-// Process/run identity helpers shared by the run manifest, the
-// perf-history records, and the runner's JSON metadata: git HEAD
-// discovery, host identity, and timestamps.
+// Process/run identity helpers shared by the run manifest and the
+// perf-history records: git HEAD discovery, host identity, and
+// timestamps.
 //
 // Lives at the bottom of the observability stack (std + POSIX only) so
 // layers below the runner -- the Monte Carlo engine, the tools -- can
@@ -11,8 +11,10 @@
 
 namespace eccsim::obs {
 
-/// HEAD commit of the enclosing git repository, found by walking up from
-/// the working directory (never shells out); "unknown" outside a repo.
+/// HEAD commit of the git repository holding the sources this library was
+/// built from, found by walking up from their directory (never shells
+/// out); the working directory plays no part.  "unknown" when the source
+/// tree is not a checkout.
 std::string git_head_sha();
 
 /// Network hostname of this machine ("unknown" when unavailable).

@@ -5,7 +5,6 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "obs/run_info.hpp"
 #include "runner/thread_pool.hpp"
 #include "stats/scope.hpp"
 
@@ -52,26 +51,6 @@ std::uint64_t substream_seed(std::uint64_t root_seed, std::uint64_t stream) {
   // drawing once gives well-separated, reproducible substream seeds.
   SplitMix64 sm(root_seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1)));
   return sm.next();
-}
-
-RunMetadata collect_metadata(bool quick, bool smoke) {
-  RunMetadata meta;
-  meta.git_sha = obs::git_head_sha();
-  meta.threads = ThreadPool::default_thread_count();
-  meta.timestamp = obs::utc_timestamp();
-  meta.quick = quick;
-  meta.smoke = smoke;
-  return meta;
-}
-
-Json to_json(const RunMetadata& meta) {
-  Json j = Json::object();
-  j.set("git_sha", meta.git_sha);
-  j.set("threads", static_cast<std::uint64_t>(meta.threads));
-  j.set("timestamp", meta.timestamp);
-  j.set("quick", meta.quick);
-  j.set("smoke", meta.smoke);
-  return j;
 }
 
 Json to_json(const CellResult& cell) {

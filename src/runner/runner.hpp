@@ -13,8 +13,8 @@
 // wall-clock plus the fan-out wall-clock (their ratio is the realized
 // speedup), and the `to_json` / `write_json` helpers emit the
 // machine-readable `results/<name>.json` files described in
-// docs/REPRODUCING.md, stamped with run metadata (git SHA, thread count,
-// timings).
+// docs/REPRODUCING.md (the bench front-end stamps them with the run
+// manifest).
 #pragma once
 
 #include <cstdint>
@@ -77,23 +77,8 @@ Report run_cells(const std::vector<Cell>& cells,
 /// share a stream index; unrelated cells should not.
 std::uint64_t substream_seed(std::uint64_t root_seed, std::uint64_t stream);
 
-/// Provenance stamped into every emitted JSON document.
-struct RunMetadata {
-  std::string git_sha;      ///< HEAD commit, or "unknown" outside a repo
-  unsigned threads = 1;     ///< ThreadPool::default_thread_count()
-  std::string timestamp;    ///< ISO-8601 UTC wall-clock of collection
-  bool quick = false;       ///< reduced-fidelity run
-  bool smoke = false;       ///< CI-sized run
-};
-
-/// Collects metadata for the current process (reads .git/HEAD by walking
-/// up from the working directory; never shells out).  The caller knows
-/// the run's fidelity and passes it in.
-RunMetadata collect_metadata(bool quick, bool smoke);
-
 // --- JSON encoding ---------------------------------------------------------
 
-Json to_json(const RunMetadata& meta);
 /// Full per-cell metrics: identity, performance (IPC), energy breakdown
 /// (EPI split into dynamic/background, per-component pJ), traffic (MAPI,
 /// bandwidth, data/ECC read+write counters), and wall-clock.

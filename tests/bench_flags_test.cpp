@@ -2,12 +2,13 @@
 // the environment into one RunConfig and never writes the environment
 // back.  Unknown flags and malformed values must exit with code 2 (and
 // unknown flags point at --help); --help and --list-workloads must
-// succeed.  Death tests: init() mutates process-global state and
+// succeed; an output that cannot be written fails the run.  Death tests: init() mutates process-global state and
 // terminates the process on these paths, so every case runs in a child.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -287,7 +288,7 @@ TEST(BenchFlagsDeathTest, TracePointValuesAccepted) {
 
 TEST(BenchFlagsDeathTest, ManifestStampsWholeConfig) {
   // init() writes results/quick/<bench>.manifest.json at startup; its
-  // `extra` labels must name every RunConfig field.
+  // `extra` labels must name every RunConfig field and the GF kernel.
   expect_config({{"ECCSIM_MC_CHUNK", "16"}}, {"--quick", "--trace-out=o"},
                 [](const RunConfig&) {
                   std::ifstream in(
@@ -301,13 +302,48 @@ TEST(BenchFlagsDeathTest, ManifestStampsWholeConfig) {
                         "stats_trace", "stats_trace_limit", "trace_in",
                         "trace_out", "trace_point", "mc_systems", "mc_chunk",
                         "mc_target_rel_ci", "mc_checkpoint", "status",
-                        "progress", "status_interval_ms", "kernel"}) {
+                        "progress", "status_interval_ms", "kernel",
+                        "kernel_override", "kernels_available",
+                        "kernel_simd_avx2"}) {
                     if (!extra.contains(key)) return false;
                   }
-                  return extra.at("fidelity").as_string() == "quick" &&
+                  const std::string avail =
+                      extra.at("kernels_available").as_string();
+                  return avail.rfind("scalar", 0) == 0 &&
+                         avail.find(extra.at("kernel").as_string()) !=
+                             std::string::npos &&
+                         extra.at("fidelity").as_string() == "quick" &&
                          extra.at("mc_chunk").as_string() == "16" &&
                          extra.at("trace_out").as_string() == "o";
                 });
+}
+
+TEST(BenchFlagsDeathTest, LostOutputFailsTheRun) {
+  // bench_results is an ordinary file, so no CSV can be written under it.
+  // The run must name the path and exit 1, and its manifest must say so.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "bench_flags_lost";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::ofstream(dir / "bench_results") << "not a directory\n";
+  EXPECT_EXIT(
+      {
+        fs::current_path(dir);
+        run_init({}, {"--smoke"});
+        Table t({"k", "v"});
+        t.add_row({"a", "1"});
+        emit("lost", t);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(1),
+      "could not write bench_results/smoke/lost.csv");
+  std::ifstream in(dir / "results/smoke/bench_flags_test.manifest.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  const runner::Json m = runner::Json::parse(text.str());
+  EXPECT_EQ(m.at("status").as_string(), "failed");
+  EXPECT_EQ(m.at("exit_code").as_number(), 1.0);
+  fs::remove_all(dir);
 }
 
 TEST(BenchFlagsDeathTest, ProgressLineOnlyOnTerminal) {

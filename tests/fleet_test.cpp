@@ -22,7 +22,6 @@
 #include "fleet/model.hpp"
 #include "fleet/service.hpp"
 #include "fleet/spec.hpp"
-#include "obs/manifest.hpp"
 #include "runner/json.hpp"
 
 namespace eccsim::fleet {
@@ -83,12 +82,9 @@ std::string slurp(const std::string& path) {
 
 /// Value of `key` among a manifest's extra pairs, or "" when absent.
 std::string manifest_extra(const std::string& path, const std::string& key) {
-  const obs::Manifest m =
-      obs::manifest_from_json(runner::Json::parse(slurp(path)));
-  for (const auto& [k, v] : m.extra) {
-    if (k == key) return v;
-  }
-  return "";
+  const runner::Json doc = runner::Json::parse(slurp(path));
+  if (!doc.contains("extra") || !doc.at("extra").contains(key)) return "";
+  return doc.at("extra").at(key).as_string();
 }
 
 // ---------------------------------------------------------------------------

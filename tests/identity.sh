@@ -57,14 +57,14 @@ case $row in
     [ "$n" -eq 256 ] || fail "expected 2 x 128 sweep cells, got $n"
     exit 0 ;;
   kernel_*)
-    # Force only what the baseline's provenance lists as runnable here:
+    # Force only what the baseline's manifest lists as runnable here:
     # forcing simd on a host without SSSE3 is a deliberate exit 2.  The
     # scalar oracle is always listed, so a list without it is a failure.
-    k=$base/results/smoke/sweep_figures.kernels.json
-    avail=$(sed -n '/"available"/,/]/p' "$k")
-    case $avail in *'"scalar"'*) ;; *) fail "no kernel list in $k" ;; esac
+    k=$base/results/smoke/sweep_figures.manifest.json
+    avail=,$(sed -n 's/.*"kernels_available": "\([^"]*\)".*/\1/p' "$k"),
+    case $avail in *,scalar,*) ;; *) fail "no kernel list in $k" ;; esac
     case $avail in
-      *"\"$ECCSIM_KERNEL\""*) ;;
+      *",$ECCSIM_KERNEL,"*) ;;
       *) echo "identity.$row: $ECCSIM_KERNEL unavailable: skipped" >&2
          exit 77 ;;
     esac ;;
@@ -201,11 +201,18 @@ esac
 case $row in
   telemetry_on)
     # --stats appends its summary to stdout, so only the CSVs compare.
-    # The telemetry itself must have materialized.
+    # The telemetry itself must have materialized, stats.json with a
+    # non-empty merged registry and a profile of the DRAM scheduler.
     grep -q '"schema": "eccsim.heartbeat/1"' status.json &&
       grep -q '"final": true' status.json || fail "no final heartbeat snapshot"
     grep -q '"status": "completed"' results/smoke/sweep_figures.manifest.json ||
       fail "the manifest is not completed"
-    [ -s results/smoke/sweep_figures.prom ] || fail "the .prom file is empty" ;;
+    s=results/smoke/sweep_figures.stats.json
+    python3 -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["merged"]["stats"], "empty merged registry"
+assert doc["profile"]["dram.scheduler"]["calls"] > 0, "no scheduler scope"
+' "$s" || fail "$s lacks a merged registry or a dram.scheduler profile" ;;
   *) same $base/stdout.txt stdout.txt ;;
 esac

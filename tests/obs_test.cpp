@@ -1,13 +1,15 @@
 // The observability layer: atomic status-file publishing (a reader must
 // never observe a torn document), heartbeat sequencing/throttling, run
-// manifest round-trips and the MC engine's resumed flag, the OpenMetrics
-// exporter's output format, and perf-history append/compare semantics --
-// including the >15% regression gate the CI perf job relies on.
+// manifest fields and the MC engine's resumed flag, perf-history
+// append/compare semantics -- including the >15% regression gate the CI
+// perf job relies on -- and the run identity (git HEAD of the source
+// tree, not of the working directory).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -16,7 +18,6 @@
 #include "faults/mc_engine.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/manifest.hpp"
-#include "obs/openmetrics.hpp"
 #include "obs/perf_history.hpp"
 #include "obs/run_info.hpp"
 #include "runner/json.hpp"
@@ -198,7 +199,7 @@ TEST(Heartbeat, ConcurrentReaderNeverSeesTornSnapshot) {
 // ---------------------------------------------------------------------------
 // Manifest
 
-TEST(Manifest, JsonRoundTripPreservesEveryField) {
+TEST(Manifest, JsonCarriesEveryField) {
   Manifest m;
   m.tool = "sweep_figures";
   m.args = {"--smoke", "--status", "s.json"};
@@ -215,27 +216,35 @@ TEST(Manifest, JsonRoundTripPreservesEveryField) {
   m.status = "completed";
   m.exit_code = 0;
   m.resumed = true;
-  m.extra = {{"fidelity", "smoke"}};
+  m.extra = {{"fidelity", "smoke"}, {"kernel", "simd"}};
 
-  const runner::Json doc = to_json(m);
+  // Through text, as every reader of a manifest sees it.
+  const runner::Json doc = runner::Json::parse(to_json(m).dump(2));
   EXPECT_EQ(doc.at("schema").as_string(), "eccsim.manifest/1");
-  const Manifest r = manifest_from_json(runner::Json::parse(doc.dump(2)));
-  EXPECT_EQ(r.tool, m.tool);
-  EXPECT_EQ(r.args, m.args);
-  EXPECT_EQ(r.git_sha, m.git_sha);
-  EXPECT_EQ(r.dram, m.dram);
-  EXPECT_EQ(r.seed_regime, m.seed_regime);
-  EXPECT_EQ(r.threads, m.threads);
-  EXPECT_EQ(r.host, m.host);
-  EXPECT_EQ(r.host_cpus, m.host_cpus);
-  EXPECT_EQ(r.started_utc, m.started_utc);
-  EXPECT_EQ(r.finished_utc, m.finished_utc);
-  EXPECT_DOUBLE_EQ(r.wall_seconds, m.wall_seconds);
-  EXPECT_EQ(r.peak_rss_bytes, m.peak_rss_bytes);
-  EXPECT_EQ(r.status, m.status);
-  EXPECT_EQ(r.exit_code, m.exit_code);
-  EXPECT_EQ(r.resumed, m.resumed);
-  EXPECT_EQ(r.extra, m.extra);
+  EXPECT_EQ(doc.at("tool").as_string(), m.tool);
+  ASSERT_EQ(doc.at("args").size(), m.args.size());
+  for (std::size_t i = 0; i < m.args.size(); ++i) {
+    EXPECT_EQ(doc.at("args").items()[i].as_string(), m.args[i]);
+  }
+  EXPECT_EQ(doc.at("git_sha").as_string(), m.git_sha);
+  EXPECT_EQ(doc.at("dram").as_string(), m.dram);
+  EXPECT_EQ(doc.at("seed_regime").as_string(), m.seed_regime);
+  EXPECT_EQ(doc.at("threads").as_number(), 8.0);
+  EXPECT_EQ(doc.at("host").as_string(), m.host);
+  EXPECT_EQ(doc.at("host_cpus").as_number(), 16.0);
+  EXPECT_EQ(doc.at("started_utc").as_string(), m.started_utc);
+  EXPECT_EQ(doc.at("finished_utc").as_string(), m.finished_utc);
+  EXPECT_DOUBLE_EQ(doc.at("wall_seconds").as_number(), m.wall_seconds);
+  EXPECT_EQ(doc.at("peak_rss_bytes").as_number(), 123456789.0);
+  EXPECT_EQ(doc.at("status").as_string(), m.status);
+  EXPECT_EQ(doc.at("exit_code").as_number(), 0.0);
+  EXPECT_TRUE(doc.at("resumed").as_bool());
+  const auto& extra = doc.at("extra").members();
+  ASSERT_EQ(extra.size(), m.extra.size());
+  for (std::size_t i = 0; i < m.extra.size(); ++i) {
+    EXPECT_EQ(extra[i].first, m.extra[i].first);
+    EXPECT_EQ(extra[i].second.as_string(), m.extra[i].second);
+  }
 }
 
 TEST(Manifest, RunningManifestSerializesNullFinishTime) {
@@ -244,8 +253,7 @@ TEST(Manifest, RunningManifestSerializesNullFinishTime) {
   const runner::Json doc = to_json(m);
   EXPECT_TRUE(doc.at("finished_utc").is_null());
   EXPECT_EQ(doc.at("status").as_string(), "running");
-  const Manifest r = manifest_from_json(doc);
-  EXPECT_TRUE(r.finished_utc.empty());
+  EXPECT_FALSE(doc.contains("extra"));
 }
 
 TEST(Manifest, NoteExitCodeMarksFailure) {
@@ -291,60 +299,6 @@ TEST(Manifest, McCheckpointResumeSetsResumedFlag) {
 
   manifest() = Manifest{};
   std::remove(ckpt.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// OpenMetrics exporter
-
-TEST(OpenMetrics, RendersCountersDistributionsAndHistograms) {
-  stats::Registry reg;
-  reg.counter("dram.ch0.acts")->inc(42);
-  reg.accum("energy.total_pj")->add(1.5);
-  reg.distribution("mc.chunk_seconds")->add(2.0);
-  reg.distribution("mc.chunk_seconds")->add(4.0);
-  stats::Histogram* h = reg.histogram("lat.read", 0.0, 100.0, 4);
-  h->add(10.0);
-  h->add(30.0);
-  h->add(999.0);  // clamps into the top bin
-
-  const std::string text = to_openmetrics(reg, {{"bench", "obs_test"}});
-  EXPECT_NE(text.find("# TYPE eccsim_dram_ch0_acts counter\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("eccsim_dram_ch0_acts_total{bench=\"obs_test\"} 42\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("eccsim_energy_total_pj_total{bench=\"obs_test\"} "
-                      "1.5\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("eccsim_mc_chunk_seconds_count{bench=\"obs_test\"} "
-                      "2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("eccsim_mc_chunk_seconds_sum{bench=\"obs_test\"} 6\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE eccsim_lat_read histogram\n"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("eccsim_lat_read_bucket{bench=\"obs_test\",le=\"25\"} 1\n"),
-      std::string::npos);
-  // The top bin clamps overflow, so its upper bound is +Inf and the
-  // cumulative count includes the out-of-range sample.
-  EXPECT_NE(
-      text.find("eccsim_lat_read_bucket{bench=\"obs_test\",le=\"+Inf\"} 3\n"),
-      std::string::npos);
-  EXPECT_NE(text.find("eccsim_lat_read_count{bench=\"obs_test\"} 3\n"),
-            std::string::npos);
-  // Mandatory terminator, exactly at the end.
-  ASSERT_GE(text.size(), 6u);
-  EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
-}
-
-TEST(OpenMetrics, EscapesLabelValuesAndWorksWithoutLabels) {
-  stats::Registry reg;
-  reg.counter("c")->inc();
-  const std::string text =
-      to_openmetrics(reg, {{"path", "a\"b\\c\nd"}});
-  EXPECT_NE(text.find("path=\"a\\\"b\\\\c\\nd\""), std::string::npos);
-  const std::string bare = to_openmetrics(reg);
-  EXPECT_NE(bare.find("eccsim_c_total 1\n"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -479,10 +433,32 @@ TEST(RunInfo, BasicSanity) {
   const double t0 = monotonic_seconds();
   const double t1 = monotonic_seconds();
   EXPECT_GE(t1, t0);
-  // Running from the build tree inside the repo: a real SHA, not
-  // "unknown" (40 hex chars).
+  // When the source tree is a checkout, its HEAD is a 40-hex SHA.
   const std::string sha = git_head_sha();
-  EXPECT_FALSE(sha.empty());
+  if (!std::filesystem::is_directory(ECCSIM_SOURCE_DIR "/.git")) {
+    GTEST_SKIP() << ECCSIM_SOURCE_DIR << " is not a git checkout";
+  }
+  ASSERT_EQ(sha.size(), 40u) << sha;
+  EXPECT_EQ(sha.find_first_not_of("0123456789abcdef"), std::string::npos)
+      << sha;
+}
+
+// The SHA names the commit of the sources the binary was built from: a
+// working directory inside some other repository must not change it.
+TEST(RunInfo, GitShaIgnoresTheWorkingDirectory) {
+  namespace fs = std::filesystem;
+  const std::string fake = "deadbeefdeadbeefdeadbeefdeadbeefdeadbeef";
+  const fs::path repo = fs::path(::testing::TempDir()) / "obs_other_repo";
+  fs::create_directories(repo / ".git");
+  std::ofstream(repo / ".git" / "HEAD") << fake << "\n";
+  const std::string expected = git_head_sha();
+  const fs::path cwd = fs::current_path();
+  fs::current_path(repo);
+  const std::string seen = git_head_sha();
+  fs::current_path(cwd);
+  fs::remove_all(repo);
+  EXPECT_NE(seen, fake);
+  EXPECT_EQ(seen, expected);
 }
 
 }  // namespace
