@@ -1,18 +1,24 @@
 // google-benchmark microbenchmarks: throughput of the hot computational
 // kernels -- Reed-Solomon encode/decode, the per-scheme line codecs, the
-// ECC Parity manager's read/write paths, and the DRAM channel scheduler.
-// These are engineering benchmarks for the library itself (regression
-// tracking), not paper figures.
+// ECC Parity manager's read/write paths, the DRAM channel scheduler, and
+// the LLC under the warm-up's access stream.  These are engineering
+// benchmarks for the library itself (regression tracking), not paper
+// figures.  Besides the console table, results land in
+// results/microbench_codecs.json (results/smoke/ under --smoke) beside the
+// run manifest.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "common/rng.hpp"
 #include "dram/channel.hpp"
 #include "ecc/codec.hpp"
 #include "eccparity/manager.hpp"
 #include "gf/kernels.hpp"
 #include "gf/rs.hpp"
+#include "microbench_main.hpp"
+#include "trace/source.hpp"
 
 using namespace eccsim;
 
@@ -221,6 +227,40 @@ void BM_DramChannelThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_DramChannelThroughput);
 
+// The LLC half of a warm-up op: a workload's warm-up stream (8 cores
+// interleaved, its paper sweep seed, SystemSim::warm_up's length), drawn
+// before timing, through a fresh paper LLC with each op's set block
+// prefetched 4 ops ahead as the warm-up does.  Items are LLC accesses.
+void BM_LlcWarmupStream(benchmark::State& state, const char* workload) {
+  constexpr unsigned kCores = 8;
+  constexpr std::size_t kAhead = 4;
+  const cache::CacheConfig cfg;  // Table I
+  trace::SyntheticSource source(trace::workload_by_name(workload), kCores,
+                                trace::paper_sweep_seed(workload));
+  std::vector<trace::MemOp> stream(3 * cfg.size_bytes / cfg.line_bytes);
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    stream[k] = source.next_untimed(static_cast<unsigned>(k % kCores));
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    cache::Cache llc(cfg);
+    state.ResumeTiming();
+    for (std::size_t k = 0; k < stream.size(); ++k) {
+      if (k + kAhead < stream.size()) llc.prefetch(stream[k + kAhead].line);
+      benchmark::DoNotOptimize(
+          llc.access(stream[k].line, stream[k].is_write));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(stream.size()));
+  state.SetLabel(workload);
+}
+BENCHMARK_CAPTURE(BM_LlcWarmupStream, omnetpp, "omnetpp");
+BENCHMARK_CAPTURE(BM_LlcWarmupStream, mcf, "mcf");
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return bench::microbench_main("microbench_codecs", "items_per_second", argc,
+                                argv);
+}

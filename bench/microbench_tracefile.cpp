@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "microbench_main.hpp"
 #include "trace/workload.hpp"
 #include "tracefile/codec.hpp"
 #include "tracefile/crc32.hpp"
@@ -163,53 +163,7 @@ BENCHMARK(BM_ReplaySourceNext);
 
 }  // namespace
 
-// Console reporter that additionally captures each run so main() can
-// write the machine-readable summary without --benchmark_out plumbing.
-class CapturingReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    for (const auto& r : runs) captured_.push_back(r);
-  }
-  const std::vector<Run>& captured() const { return captured_; }
-
- private:
-  std::vector<Run> captured_;
-};
-
-double counter_or_zero(const benchmark::UserCounters& counters,
-                       const char* name) {
-  const auto it = counters.find(name);
-  return it != counters.end() ? static_cast<double>(it->second) : 0.0;
-}
-
-// Custom main: besides the console table, always mirror the run into
-// results/microbench_tracefile.json so the numbers -- requests/s and MB/s
-// per stage -- land next to the other machine-readable artifacts.
-// google-benchmark takes its --benchmark_* flags first; bench::init then
-// parses the rest (--smoke, ...) and rejects any it does not know.
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bench::init(argc, argv);
-  CapturingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-
-  runner::Json doc = runner::Json::object();
-  runner::Json runs = runner::Json::array();
-  for (const auto& r : reporter.captured()) {
-    runner::Json run = runner::Json::object();
-    run.set("name", r.benchmark_name());
-    run.set("iterations", static_cast<std::uint64_t>(r.iterations));
-    run.set("real_time_s", r.real_accumulated_time);
-    run.set("requests_per_second",
-            counter_or_zero(r.counters, "items_per_second"));
-    run.set("mb_per_second",
-            counter_or_zero(r.counters, "bytes_per_second") /
-                (1024.0 * 1024.0));
-    runs.push_back(std::move(run));
-  }
-  doc.set("runs", runs);
-  bench::emit_json("microbench_tracefile", doc);
-  return 0;
+  return bench::microbench_main("microbench_tracefile", "requests_per_second",
+                                argc, argv);
 }

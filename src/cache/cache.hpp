@@ -46,25 +46,30 @@ struct CacheConfig {
 };
 
 /// Set-associative write-back, write-allocate cache with true-LRU
-/// replacement.  Addresses are line addresses (already divided by the line
-/// size); callers namespace data/ECC/XOR addresses so they never collide.
+/// replacement and at most 16 ways.  Addresses are line addresses
+/// (already divided by the line size); callers namespace data/ECC/XOR
+/// addresses so they never collide.
 ///
 /// Layout: one 64-byte-aligned block per set, so a lookup touches only its
-/// own set's host cache lines.  A block holds `ways` 64-bit tags, `ways`
-/// 16-bit LRU ticks, the set's 16-bit clock and `ways` packed kind/dirty
-/// bytes, padded to a multiple of 64 bytes (a 16-way block is 192 B,
-/// three host lines).  Tick 0 marks an empty way.  Every access, and every
-/// fill that inserts, stamps its way with the set's next clock value, so
-/// within a set the valid ways' ticks are unique and ordered by last use,
-/// and the victim is the argmin of the set's ticks (first way on ties): the
-/// first empty way if there is one, else the least-recently used line.
-/// When the clock saturates, the set is renormalized: its k valid ways get
-/// ticks 1..k in LRU order and empty ways stay 0, which keeps every future
-/// victim choice unchanged.
+/// own set's host cache lines.  A block holds 16 fingerprint bytes, the
+/// set's 64-bit recency word, `ways` packed kind/dirty bytes and `ways`
+/// 64-bit tags, padded to a multiple of 64 bytes (a 16-way block is 192 B,
+/// three host lines).
+///
+///   - A way's fingerprint is the top byte of the hash that picks the set,
+///     with bit 7 forced on; 0 marks an empty way.  A lookup compares all
+///     16 fingerprints at once and reads only the matching ways' tags.
+///   - Nibble i of the recency word names the way at recency rank i, least
+///     recent first.  The victim is the low nibble; a touched way's nibble
+///     moves to the top.  A fresh set is in way order (way 0 lowest), so
+///     empty ways always sit at the least-recent end in index order, and
+///     the victim is the first empty way if there is one, else the least
+///     recently used line.  The word is stored XOR that identity order, so
+///     zeroed storage is a set of empty ways.
 class Cache {
  public:
   explicit Cache(const CacheConfig& cfg);
-  /// Copies the whole cache: contents, clocks and counters.
+  /// Copies the whole cache: contents, recency order and counters.
   Cache(const Cache& other);
   Cache(Cache&&) noexcept = default;
 
@@ -104,8 +109,8 @@ class Cache {
   std::uint32_t sets() const { return num_sets_; }
   std::uint32_t ways() const { return cfg_.ways; }
 
-  /// Equal geometry, counters, and set blocks byte for byte (tags, ticks,
-  /// clocks, kinds and dirty bits).
+  /// Equal geometry, counters, and set blocks byte for byte (fingerprints,
+  /// recency words, kinds, dirty bits and tags).
   friend bool operator==(const Cache& a, const Cache& b);
 
   /// Registers polled gauges over this cache's counters under `prefix`
@@ -115,38 +120,33 @@ class Cache {
 
  private:
   static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
-  /// renormalize() ranks a set's ways in a scratch array of this size.
-  static constexpr std::uint32_t kMaxWays = 64;
+  /// Ways a recency word can rank, one nibble each.
+  static constexpr std::uint32_t kMaxWays = 16;
 
   /// Returns set-block storage to calloc's heap.
   struct FreeStorage {
     void operator()(std::byte* p) const { std::free(p); }
   };
 
-  /// The arrays of one set block.
+  /// One set block and the fingerprint `line_addr` has in it.
   struct Set {
-    std::uint64_t* tag;
-    std::uint16_t* lru;  ///< 0 = empty way
-    std::uint16_t* clock;
-    std::uint8_t* meta;  ///< LineKind | kDirty
+    std::uint8_t* fp;      ///< [kMaxWays]; 0 = empty way
+    std::uint64_t* order;  ///< recency word XOR identity_
+    std::uint8_t* meta;    ///< [ways] LineKind | kDirty
+    std::uint64_t* tag;    ///< [ways]
+    std::uint8_t key;      ///< `line_addr`'s fingerprint
   };
   static constexpr std::uint8_t kDirty = 0x80;
 
   /// Points blocks_ at zeroed storage for num_sets_ blocks of
   /// block_bytes_, starting on a host cache-line boundary.
   void allocate_blocks();
-  /// Byte offset of the set block `line_addr` maps to.
-  std::size_t block_offset(std::uint64_t line_addr) const;
-  Set set_of(std::uint64_t line_addr);
-  /// Way holding `line_addr` in the set with tags `tag` and ticks `lru`,
-  /// or kNoWay.
-  std::uint32_t find(const std::uint64_t* tag, const std::uint16_t* lru,
-                     std::uint64_t line_addr) const;
+  /// The set block `line_addr` maps to, and its fingerprint there.
+  Set set_of(std::uint64_t line_addr) const;
+  /// Way of `s` holding `line_addr`, or kNoWay.
+  std::uint32_t find(const Set& s, std::uint64_t line_addr) const;
   /// Marks way `w` of `s` most recently used.
   void stamp(const Set& s, std::uint32_t w);
-  /// Rewrites a saturated set's ticks and clock to the smallest values
-  /// with the same order (see the class comment).
-  void renormalize(const Set& s);
   /// Evicts the victim of `s` and installs `line_addr` there, reporting a
   /// dirty victim as a writeback.
   AccessResult replace(const Set& s, std::uint64_t line_addr, LineKind kind,
@@ -155,10 +155,12 @@ class Cache {
   CacheConfig cfg_;
   std::uint32_t num_sets_;
   std::size_t block_bytes_;
+  std::size_t tag_offset_;  ///< byte offset of tag[0] in a block
+  /// The recency word of a fresh set: nibble i = i for i < ways.
+  std::uint64_t identity_;
   /// Raw storage from calloc, whose fresh pages need no zeroing pass: a
-  /// cache built on them is faulted in by its first accesses.  The tag,
-  /// tick and kind/dirty arrays inside are accessed through their own
-  /// types.
+  /// cache built on them is faulted in by its first accesses.  The arrays
+  /// and words inside are accessed through their own types.
   std::unique_ptr<std::byte[], FreeStorage> storage_;
   std::byte* blocks_ = nullptr;  ///< first host-line boundary in storage_
   Stats stats_;

@@ -1,5 +1,6 @@
 #include "trace/workload.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -84,7 +85,10 @@ std::uint64_t paper_sweep_seed(const std::string& name) {
 
 CoreGenerator::CoreGenerator(const WorkloadDesc& desc, unsigned core,
                              unsigned cores, std::uint64_t seed)
-    : desc_(desc) {
+    : stream_fraction_(desc.stream_fraction),
+      hot_access_prob_(desc.hot_access_prob),
+      sibling_locality_(desc.sibling_locality),
+      write_fraction_(desc.write_fraction) {
   SplitMix64 sm(seed ^ (0xc2b2ae3d27d4eb4fULL * (core + 1)));
   rng_ = Rng(sm.next());
   const std::uint64_t total_lines = desc.footprint_bytes / 64;
@@ -109,42 +113,12 @@ CoreGenerator::CoreGenerator(const WorkloadDesc& desc, unsigned core,
   gap_mean_ = 1000.0 / desc.apki;
 }
 
-std::uint64_t CoreGenerator::random_line() {
-  if (rng_.next_double() < desc_.hot_access_prob) {
-    return region_base_ + rng_.next_below(hot_lines_);
-  }
-  return region_base_ + rng_.next_below(region_lines_);
-}
-
 MemOp CoreGenerator::next() {
   // Geometric gap with the workload's mean: memoryless instruction counts
   // between accesses.
   const double u = rng_.next_double();
   MemOp op = next_access();
   op.gap = static_cast<std::uint32_t>(-gap_mean_ * std::log(1.0 - u));
-  return op;
-}
-
-MemOp CoreGenerator::next_untimed() {
-  (void)rng_.next_double();  // the gap's draw, so the stream stays in step
-  return next_access();
-}
-
-MemOp CoreGenerator::next_access() {
-  MemOp op;
-  if (pending_sibling_ >= 0) {
-    op.line = static_cast<std::uint64_t>(pending_sibling_);
-    pending_sibling_ = -1;
-  } else if (rng_.next_double() < desc_.stream_fraction) {
-    op.line = region_base_ + stream_pos_;
-    if (++stream_pos_ == region_lines_) stream_pos_ = 0;
-  } else {
-    op.line = random_line();
-    if (rng_.next_double() < desc_.sibling_locality) {
-      pending_sibling_ = static_cast<std::int64_t>(op.line ^ 1);
-    }
-  }
-  op.is_write = rng_.next_double() < desc_.write_fraction;
   return op;
 }
 

@@ -81,24 +81,49 @@ class CoreGenerator {
 
   /// next() without the gap: the same RNG draws in the same order, so the
   /// stream stays in step with next(), but the gap's logarithm is skipped
-  /// and `gap` is 0.
-  MemOp next_untimed();
-
-  const WorkloadDesc& desc() const { return desc_; }
+  /// and `gap` is 0.  Inline: it is the LLC warm-up's draw.
+  MemOp next_untimed() {
+    (void)rng_.next_double();  // the gap's draw, so the stream stays in step
+    return next_access();
+  }
 
  private:
-  std::uint64_t random_line();
-  /// The draws after the gap's: line and is_write (gap left 0).
-  MemOp next_access();
+  /// The draws after the gap's: line and is_write (gap left 0).  The
+  /// branches follow the draws; selects pick everything else.
+  MemOp next_access() {
+    MemOp op;
+    if (sibling_queued_) {
+      op.line = sibling_;
+      sibling_queued_ = false;
+    } else if (rng_.next_double() < stream_fraction_) {
+      op.line = region_base_ + stream_pos_;
+      const std::uint64_t next = stream_pos_ + 1;
+      stream_pos_ = next == region_lines_ ? 0 : next;
+    } else {
+      // Random access: to the hot prefix of the region, or anywhere in it.
+      const std::uint64_t bound =
+          rng_.next_double() < hot_access_prob_ ? hot_lines_ : region_lines_;
+      op.line = region_base_ + rng_.next_below(bound);
+      sibling_queued_ = rng_.next_double() < sibling_locality_;
+      sibling_ = op.line ^ 1;
+    }
+    op.is_write = rng_.next_double() < write_fraction_;
+    return op;
+  }
 
-  WorkloadDesc desc_;
   Rng rng_;
+  // The workload's access mix (WorkloadDesc fields of the same names).
+  double stream_fraction_;
+  double hot_access_prob_;
+  double sibling_locality_;
+  double write_fraction_;
   std::uint64_t region_base_;   ///< first 64B line of this core's region
   std::uint64_t region_lines_;
   std::uint64_t hot_lines_;     ///< hot-set size, a prefix of the region
   std::uint64_t stream_pos_ = 0;  ///< below region_lines_
+  std::uint64_t sibling_ = 0;     ///< the queued 128B-pair follow-up
+  bool sibling_queued_ = false;
   double gap_mean_;
-  std::int64_t pending_sibling_ = -1;  ///< queued 128B-pair follow-up
 };
 
 }  // namespace eccsim::trace

@@ -35,6 +35,22 @@ std::uint64_t set_index(std::uint64_t sets, std::uint64_t addr) {
   return h & (sets - 1);
 }
 
+/// Cache's way fingerprint of `addr`: the hash's top byte, bit 7 forced on.
+std::uint8_t fingerprint(std::uint64_t addr) {
+  return static_cast<std::uint8_t>((addr * 0x9e3779b97f4a7c15ULL) >> 56 |
+                                   0x80);
+}
+
+/// `addr` in the address namespace of `kind` (0 data, 1 ECC, 2 XOR).
+std::uint64_t in_namespace(std::uint64_t addr, std::uint64_t kind) {
+  return kind == 1 ? addr | 1ULL << 63 : kind == 2 ? addr | 1ULL << 62 : addr;
+}
+
+/// The kind whose namespace `addr` lies in.
+LineKind kind_of(std::uint64_t addr) {
+  return static_cast<LineKind>(addr >> 63 ? 1 : addr >> 62 ? 2 : 0);
+}
+
 /// A nested-vector true-LRU cache kept as the oracle: a valid/dirty flag
 /// per line, one global 64-bit tick that never saturates, and "first
 /// invalid way, else least recently used" victim selection.  Same set hash
@@ -113,12 +129,14 @@ TEST(Cache, ConfigValidation) {
   bad = tiny_cache();
   bad.size_bytes = 64 * 60;  // 15 sets: not a power of two
   EXPECT_THROW(Cache{bad}, std::invalid_argument);
-  bad = tiny_cache();
-  bad.size_bytes = 64 * 128;
-  bad.ways = 128;  // one set, but more ways than a set may rank
-  EXPECT_THROW(Cache{bad}, std::invalid_argument);
-  bad.ways = 64;
-  bad.size_bytes = 64 * 64;
+  // One set each: a recency word ranks at most 16 ways.
+  for (const std::uint32_t ways : {17u, 64u}) {
+    bad.ways = ways;
+    bad.size_bytes = 64ULL * ways;
+    EXPECT_THROW(Cache{bad}, std::invalid_argument) << ways << " ways";
+  }
+  bad.ways = 16;
+  bad.size_bytes = 64 * 16;
   EXPECT_NO_THROW(Cache{bad});
 }
 
@@ -237,24 +255,34 @@ TEST(Cache, WorkingSetSmallerThanCacheAlwaysHitsAfterWarmup) {
   EXPECT_LE(c.stats().misses - misses_before, 32u);
 }
 
+/// Asserts that one call's results and the counters after it agree.
+void expect_same(const Cache& flat, const ReferenceCache& ref,
+                 const AccessResult& a, const AccessResult& b,
+                 std::uint64_t i) {
+  ASSERT_EQ(a.hit, b.hit) << "call " << i;
+  ASSERT_EQ(a.writeback, b.writeback) << "call " << i;
+  ASSERT_EQ(a.victim_addr, b.victim_addr) << "call " << i;
+  ASSERT_EQ(a.victim_kind, b.victim_kind) << "call " << i;
+  ASSERT_EQ(flat.stats().hits, ref.stats.hits) << "call " << i;
+  ASSERT_EQ(flat.stats().misses, ref.stats.misses) << "call " << i;
+  ASSERT_EQ(flat.stats().writebacks, ref.stats.writebacks) << "call " << i;
+}
+
 // Differential test: the flat cache and the nested-vector reference see
 // the same seeded stream of access/fill/contains -- hot-set hits, conflict
 // misses, dirty and clean lines, all three line kinds in their address
 // namespaces, and now and then a kind other than the namespace's, as when
 // a faulty bank turns an XOR key into an ECC line -- and must agree on
 // every result and counter after each call.
-void expect_matches_reference(const CacheConfig& cfg, std::uint64_t calls) {
-  Cache flat{cfg};
-  ReferenceCache ref{cfg};
+void drive(Cache& flat, ReferenceCache& ref, const CacheConfig& cfg,
+           std::mt19937_64& rng, std::uint64_t calls) {
   const std::uint64_t lines = cfg.size_bytes / cfg.line_bytes;
-  std::mt19937_64 rng(lines * 31 + cfg.ways);
   auto below = [&](std::uint64_t n) { return rng() % n; };
   for (std::uint64_t i = 0; i < calls; ++i) {
     // A hot set of half the cache's lines, the rest spread over 4x it.
     std::uint64_t addr = below(4) == 0 ? below(lines / 2) : below(4 * lines);
     auto kind = static_cast<LineKind>(below(3));
-    if (kind == LineKind::kEcc) addr |= 1ULL << 63;
-    if (kind == LineKind::kXor) addr |= 1ULL << 62;
+    addr = in_namespace(addr, static_cast<std::uint64_t>(kind));
     if (below(8) == 0) kind = static_cast<LineKind>(below(3));
     const std::uint64_t op = below(10);
     AccessResult a, b;
@@ -268,28 +296,70 @@ void expect_matches_reference(const CacheConfig& cfg, std::uint64_t calls) {
     } else {
       ASSERT_EQ(flat.contains(addr), ref.contains(addr)) << "call " << i;
     }
-    ASSERT_EQ(a.hit, b.hit) << "call " << i;
-    ASSERT_EQ(a.writeback, b.writeback) << "call " << i;
-    ASSERT_EQ(a.victim_addr, b.victim_addr) << "call " << i;
-    ASSERT_EQ(a.victim_kind, b.victim_kind) << "call " << i;
-    ASSERT_EQ(flat.stats().hits, ref.stats.hits) << "call " << i;
-    ASSERT_EQ(flat.stats().misses, ref.stats.misses) << "call " << i;
-    ASSERT_EQ(flat.stats().writebacks, ref.stats.writebacks) << "call " << i;
+    expect_same(flat, ref, a, b, i);
+    if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+void expect_matches_reference(const CacheConfig& cfg, std::uint64_t calls) {
+  Cache flat{cfg};
+  ReferenceCache ref{cfg};
+  std::mt19937_64 rng(cfg.size_bytes / cfg.line_bytes * 31 + cfg.ways);
+  drive(flat, ref, cfg, rng, calls);
   // The stream must have exercised every outcome.
   EXPECT_GT(flat.stats().hits, calls / 20);
   EXPECT_GT(flat.stats().writebacks, calls / 20);
 }
 
-/// Drives more than 65,535 touches through single sets, so each set's
-/// 16-bit clock saturates and renormalizes, and checks every result
+/// Puts 2 * ways lines that share one set and one fingerprint byte, from
+/// all three address namespaces, through a seeded stream of hits, misses,
+/// fills and lookups: every lookup then finds several candidate ways and
+/// must tell them apart by tag.
+void expect_matches_reference_on_shared_fingerprint(const CacheConfig& cfg) {
+  Cache flat{cfg};
+  ReferenceCache ref{cfg};
+  const std::uint64_t sets = cfg.size_bytes / cfg.line_bytes / cfg.ways;
+  const std::uint64_t target_set = set_index(sets, 0);
+  const std::uint8_t target_fp = fingerprint(1);
+  std::vector<std::uint64_t> pool;
+  for (std::uint64_t a = 1; pool.size() < 2u * cfg.ways; ++a) {
+    const std::uint64_t addr = in_namespace(a, pool.size() % 3);
+    if (set_index(sets, addr) == target_set &&
+        fingerprint(addr) == target_fp) {
+      pool.push_back(addr);
+    }
+  }
+  std::mt19937_64 rng(cfg.ways * 7 + 1);
+  auto below = [&](std::uint64_t n) { return rng() % n; };
+  for (std::uint64_t i = 0; i < 20'000; ++i) {
+    const std::uint64_t addr = pool[below(pool.size())];
+    AccessResult a, b;
+    if (below(4) == 0) {
+      a = flat.fill(addr, kind_of(addr));
+      b = ref.fill(addr, kind_of(addr));
+    } else {
+      const bool is_write = below(2) == 0;
+      a = flat.access(addr, is_write, kind_of(addr));
+      b = ref.access(addr, is_write, kind_of(addr));
+    }
+    expect_same(flat, ref, a, b, i);
+    const std::uint64_t probe = pool[below(pool.size())];
+    ASSERT_EQ(flat.contains(probe), ref.contains(probe)) << "call " << i;
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(flat.stats().hits, 1'000u);
+  EXPECT_GT(flat.stats().writebacks, 1'000u);
+}
+
+/// Drives more than 65,536 touches through each of two sets, long enough
+/// for any 16-bit per-set recency state to wrap, and checks every result
 /// against the reference.  Phase 1 accesses half of each set's ways
-/// round-robin, exactly 65,536 times: the last access renormalizes a set
-/// that still has empty ways, and leaves its least-recent line at rank 1.
-/// Phase 2 mixes hits, misses and fills over twice the set's ways, so its
-/// first misses must fill the empty ways and spare that line, and later
-/// renormalizations run on a full set.  Two sets share the stream so that
-/// set-local clocks, not a global one, are exercised.
+/// round-robin, exactly 65,536 times, while the other half stay empty at
+/// the least-recent end.  Phase 2 mixes hits, misses and fills over twice the
+/// set's ways, so its first misses must fill the empty ways and spare the
+/// least-recent line, and later victims come from a full set.  Two sets
+/// share the stream so that per-set recency, not a global one, is
+/// exercised.
 void expect_matches_reference_past_tick_overflow(const CacheConfig& cfg) {
   Cache flat{cfg};
   ReferenceCache ref{cfg};
@@ -302,9 +372,7 @@ void expect_matches_reference_past_tick_overflow(const CacheConfig& cfg) {
   for (std::uint64_t a = 1; pools[0].size() < 2u * cfg.ways ||
                             pools[1].size() < 2u * cfg.ways;
        ++a) {
-    const std::uint64_t addr = a % 3 == 0   ? a
-                               : a % 3 == 1 ? a | 1ULL << 63
-                                            : a | 1ULL << 62;
+    const std::uint64_t addr = in_namespace(a, a % 3);
     for (int t = 0; t < 2; ++t) {
       if (set_index(sets, addr) == targets[t] &&
           pools[t].size() < 2u * cfg.ways) {
@@ -315,9 +383,7 @@ void expect_matches_reference_past_tick_overflow(const CacheConfig& cfg) {
   std::mt19937_64 rng(cfg.ways);
   auto below = [&](std::uint64_t n) { return rng() % n; };
   auto step = [&](std::uint64_t i, std::uint64_t addr, bool fill) {
-    const auto kind = static_cast<LineKind>(addr >> 63   ? 1
-                                            : addr >> 62 ? 2
-                                                         : 0);
+    const LineKind kind = kind_of(addr);
     AccessResult a, b;
     if (fill) {
       a = flat.fill(addr, kind);
@@ -338,7 +404,7 @@ void expect_matches_reference_past_tick_overflow(const CacheConfig& cfg) {
   for (std::uint64_t n = 0; n < 65'536; ++n) {
     for (const auto& pool : pools) {
       // The 65,536th access repeats the most recent line, so the least
-      // recent one is not restamped after the renormalization.
+      // recent one keeps its rank into phase 2.
       step(i++, pool[std::min<std::uint64_t>(n, 65'534) % half], false);
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -381,6 +447,37 @@ TEST(CacheDifferential, DedicatedEccCacheMatchesReferencePastTickOverflow) {
 
 TEST(CacheDifferential, TinyCacheMatchesReferencePastTickOverflow) {
   expect_matches_reference_past_tick_overflow(tiny_cache());
+}
+
+TEST(CacheDifferential, SharedFingerprintMatchesReference) {
+  CacheConfig ecc_cache;
+  ecc_cache.size_bytes = 128 * 1024;
+  ecc_cache.ways = 8;
+  for (const CacheConfig& cfg : {CacheConfig{}, ecc_cache, tiny_cache()}) {
+    SCOPED_TRACE(::testing::Message() << cfg.ways << " ways");
+    expect_matches_reference_on_shared_fingerprint(cfg);
+  }
+}
+
+// A WarmState hands each sweep cell a copy of its warmed LLC: the copy
+// must continue exactly where the original stood, and the original must
+// not see the copy's calls.
+TEST(CacheDifferential, CopiedCacheMatchesReference) {
+  const CacheConfig cfg;  // the LLC a WarmState holds
+  Cache warm{cfg};
+  ReferenceCache ref{cfg};
+  std::mt19937_64 rng(17);
+  drive(warm, ref, cfg, rng, 300'000);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  Cache copy{warm};
+  EXPECT_TRUE(copy == warm);
+  ReferenceCache ref_copy = ref;
+  std::mt19937_64 rng_copy = rng;
+  drive(copy, ref_copy, cfg, rng_copy, 300'000);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_FALSE(copy == warm);
+  drive(warm, ref, cfg, rng, 300'000);
+  EXPECT_TRUE(copy == warm);  // the same calls reach the same bytes
 }
 
 }  // namespace

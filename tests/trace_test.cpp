@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <set>
 
@@ -188,6 +189,68 @@ TEST(SyntheticSource, UntimedDrawsKeepEveryStreamInStep) {
         ASSERT_EQ(got.gap, untimed ? 0u : want.gap) << where << " op " << i;
       }
     }
+  }
+}
+
+/// FNV-1a over each op's line (8 bytes), is_write (1 byte) and gap (4
+/// bytes), little-endian, of `ops` ops per core drawn core after core.
+template <typename Draw>
+std::uint64_t stream_digest(unsigned cores, std::uint64_t ops, Draw draw) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h = (h ^ ((v >> (8 * b)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  for (unsigned c = 0; c < cores; ++c) {
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      const MemOp op = draw(c);
+      mix(op.line, 8);
+      mix(op.is_write ? 1 : 0, 1);
+      mix(op.gap, 4);
+    }
+  }
+  return h;
+}
+
+// The committed sweeps are functions of these op streams.  Both digests
+// of every paper workload (8 cores, its paper sweep seed, 100k ops per
+// core) are pinned, so a change to the generator that alters next() and
+// next_untimed() alike -- which comparing the two cannot see -- fails.
+TEST(SyntheticSource, PaperStreamsMatchPinnedDigests) {
+  struct Pinned {
+    const char* name;
+    std::uint64_t timed, untimed;
+  };
+  static constexpr Pinned kPinned[] = {
+      {"mcf", 0xc5bb15515483c8c5ULL, 0x9db1b64a386d0c11ULL},
+      {"lbm", 0xf30ec66327d4b970ULL, 0x22fea9d3f617dd01ULL},
+      {"libquantum", 0x53bde742027cf672ULL, 0xaa35ee39ce1836c3ULL},
+      {"milc", 0xe36c61ec46057404ULL, 0xb6498773943e8e56ULL},
+      {"leslie3d", 0x0162966687a17c05ULL, 0xbf7461c8cbbfc31aULL},
+      {"GemsFDTD", 0xa09f2053fcb7dab6ULL, 0xd0d98349e2406663ULL},
+      {"canneal", 0x297110b445c92c1fULL, 0x5262c025907e23afULL},
+      {"streamcluster", 0x07ab28529ad29fadULL, 0xc9e6221d2bf32376ULL},
+      {"omnetpp", 0x34c385f26f7b52e4ULL, 0x229506b6488432bbULL},
+      {"sjeng", 0x4404636611755244ULL, 0x27e54b250d03b814ULL},
+      {"gcc", 0x9423717f07f169d6ULL, 0x419f2dd24ef6f1ddULL},
+      {"bzip2", 0x2b79a7158e993cafULL, 0xca1fb0082b74053fULL},
+      {"hmmer", 0x3bcf2d7161776121ULL, 0x65e4539b27c93976ULL},
+      {"soplex", 0xea4c7e20b5aa3e65ULL, 0x1539efa7140fb3f0ULL},
+      {"facesim", 0xa302181a7c50cd5cULL, 0x57fcd571e398dfb2ULL},
+      {"ferret", 0xe76f16d07dffdf4bULL, 0x9dd7b7d53b4d3cdeULL},
+  };
+  ASSERT_EQ(std::size(kPinned), paper_workloads().size());
+  for (const Pinned& p : kPinned) {
+    const WorkloadDesc& w = workload_by_name(p.name);
+    SyntheticSource timed(w, 8, paper_sweep_seed(w.name));
+    SyntheticSource untimed(w, 8, paper_sweep_seed(w.name));
+    const std::uint64_t t = stream_digest(
+        8, 100'000, [&](unsigned c) { return timed.next(c); });
+    const std::uint64_t u = stream_digest(
+        8, 100'000, [&](unsigned c) { return untimed.next_untimed(c); });
+    EXPECT_EQ(t, p.timed) << p.name << " next()";
+    EXPECT_EQ(u, p.untimed) << p.name << " next_untimed()";
   }
 }
 
