@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks: throughput of the hot computational
 // kernels -- Reed-Solomon encode/decode, the per-scheme line codecs, the
-// ECC Parity manager's read/write paths, the DRAM channel scheduler, and
-// the LLC under the warm-up's access stream.  These are engineering
+// ECC Parity manager's read/write paths, the DRAM channel scheduler, a
+// Bin2-like request stream through a whole memory system, and the LLC
+// under the warm-up's access stream.  These are engineering
 // benchmarks for the library itself (regression tracking), not paper
 // figures.  Besides the console table, results land in
 // results/microbench_codecs.json (results/smoke/ under --smoke) beside the
@@ -13,7 +14,9 @@
 #include "cache/cache.hpp"
 #include "common/rng.hpp"
 #include "dram/channel.hpp"
+#include "dram/memory_system.hpp"
 #include "ecc/codec.hpp"
+#include "ecc/scheme.hpp"
 #include "eccparity/manager.hpp"
 #include "gf/kernels.hpp"
 #include "gf/rs.hpp"
@@ -202,30 +205,107 @@ void BM_ParityReconstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_ParityReconstruction);
 
+// One channel under a backlog: 256 requests over both ranks and all
+// banks, fed into the 64-deep queue as it drains.  Items are completed
+// requests; a run that completes fewer than 256 fails.
 void BM_DramChannelThroughput(benchmark::State& state) {
+  constexpr unsigned kRequests = 256;
   dram::ChannelConfig cfg;
   cfg.device = dram::micron_2gb(dram::DeviceWidth::kX8);
   cfg.ranks = 2;
   cfg.chips_per_rank = 9;
-  std::uint64_t issued = 0;
+  std::uint64_t completed = 0;
+  std::vector<dram::MemCompletion> out;
+  out.reserve(kRequests);
   for (auto _ : state) {
     state.PauseTiming();
     dram::Channel ch(cfg);
+    out.clear();
     state.ResumeTiming();
-    std::vector<dram::MemCompletion> out;
     std::uint64_t now = 0;
-    for (unsigned i = 0; i < 256; ++i) {
-      dram::MemRequest req;
-      req.id = i;
-      req.addr = dram::DramAddress{0, i % 2, (i / 2) % 8, i, 0};
-      ch.enqueue(req);
+    unsigned next = 0;
+    while (next < kRequests || ch.pending() + ch.in_flight() > 0) {
+      for (; next < kRequests; ++next) {
+        dram::MemRequest req;
+        req.id = next;
+        req.addr = dram::DramAddress{0, next % 2, (next / 2) % 8, next, 0};
+        req.enqueue_cycle = now;
+        if (!ch.enqueue(req)) break;
+      }
+      ch.tick(++now, out);
     }
-    while (ch.pending() + ch.in_flight() > 0) ch.tick(++now, out);
-    issued += out.size();
+    if (out.size() != kRequests) {
+      state.SkipWithError("channel lost requests");
+      return;
+    }
+    completed += out.size();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(issued));
+  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
 }
 BENCHMARK(BM_DramChannelThroughput);
+
+// The DRAM layer of a Bin2 sweep cell: a seeded stream of data-line
+// requests, arriving in bursts of 1-4 on a quarter of the cycles, through
+// the paper-quad RAIM+Parity DDR3 memory system.  A request a full
+// channel queue rejects holds back the rest of the stream until the next
+// cycle.  The stream is drawn before timing; items are completed requests,
+// and a run that loses one fails.
+void BM_MemorySystemStream(benchmark::State& state) {
+  constexpr std::size_t kRequests = 100'000;
+  const dram::MemSystemConfig cfg =
+      ecc::make_scheme(ecc::SchemeId::kRaimParity,
+                       ecc::SystemScale::kQuadEquivalent)
+          .mem_config();
+  struct Arrival {
+    std::uint64_t cycle;
+    dram::DramAddress addr;
+    bool is_write;
+  };
+  std::vector<Arrival> stream;
+  stream.reserve(kRequests);
+  {
+    const dram::MemorySystem probe(cfg);
+    const std::uint64_t lines = probe.map().geometry().total_data_lines();
+    Rng rng(0xb1a2);
+    for (std::uint64_t cycle = 1; stream.size() < kRequests; ++cycle) {
+      if (!rng.bernoulli(0.25)) continue;
+      const std::uint64_t burst = 1 + rng.next_below(4);
+      for (std::uint64_t k = 0; k < burst; ++k) {
+        stream.push_back(Arrival{cycle,
+                                 probe.map().decode(rng.next_below(lines)),
+                                 rng.bernoulli(0.3)});
+      }
+    }
+  }
+  std::uint64_t completed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    dram::MemorySystem mem(cfg);
+    state.ResumeTiming();
+    std::size_t next = 0;
+    std::uint64_t done = 0;
+    while (next < stream.size() || mem.outstanding() > 0) {
+      for (; next < stream.size() && stream[next].cycle <= mem.cycle();
+           ++next) {
+        const Arrival& a = stream[next];
+        if (!mem.enqueue_addr(a.addr, a.is_write, dram::LineClass::kData,
+                              next)) {
+          break;  // retried on the next cycle
+        }
+      }
+      mem.tick();
+      done += mem.completions().size();
+      mem.completions().clear();
+    }
+    if (done != stream.size()) {
+      state.SkipWithError("memory system lost requests");
+      return;
+    }
+    completed += done;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
+}
+BENCHMARK(BM_MemorySystemStream);
 
 // The LLC half of a warm-up op: a workload's warm-up stream (8 cores
 // interleaved, its paper sweep seed, SystemSim::warm_up's length), drawn

@@ -1,6 +1,8 @@
 #include "dram/channel.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <stdexcept>
 
 #include "stats/scope.hpp"
@@ -44,17 +46,16 @@ Channel::Channel(const ChannelConfig& cfg) : cfg_(cfg) {
   if (cfg_.ranks == 0 || cfg_.banks == 0) {
     throw std::invalid_argument("Channel: ranks/banks must be nonzero");
   }
-  if (cfg_.device.bank_groups == 0) {
-    throw std::invalid_argument("Channel: device.bank_groups must be nonzero");
+  if (cfg_.device.bank_groups == 0 ||
+      cfg_.device.bank_groups > kMaxBankGroups) {
+    throw std::invalid_argument("Channel: device.bank_groups must be 1..8");
   }
   acts_.resize(cfg_.scheduler_window);
+  queue_.reserve(cfg_.queue_depth);
+  done_.resize(std::bit_ceil(std::max<std::size_t>(cfg_.queue_depth, 16)));
   ranks_.resize(cfg_.ranks);
-  for (auto& r : ranks_) {
-    r.banks.resize(cfg_.banks);
-    r.next_act_rrd_l.resize(cfg_.device.bank_groups, 0);
-    r.next_cas_group.resize(cfg_.device.bank_groups, 0);
-    r.next_refresh = cfg_.device.timing.tREFI;
-  }
+  for (auto& r : ranks_) r.next_refresh = cfg_.device.timing.tREFI;
+  banks_.resize(std::size_t{cfg_.ranks} * cfg_.banks);
 }
 
 bool Channel::enqueue(const MemRequest& req) {
@@ -69,14 +70,32 @@ bool Channel::enqueue(const MemRequest& req) {
 
 std::uint64_t Channel::next_event() const {
   std::uint64_t next = queue_.empty() ? ~0ULL : wake_;
-  if (!completions_.empty()) next = std::min(next, completions_.top().finish);
+  if (done_count_ != 0) next = std::min(next, done_[done_head_].finish_cycle);
   return next;
+}
+
+void Channel::push_completion(const MemCompletion& done) {
+  assert(done_count_ == 0 ||
+         done.finish_cycle >
+             done_[(done_head_ + done_count_ - 1) & (done_.size() - 1)]
+                 .finish_cycle);
+  if (done_count_ == done_.size()) {
+    // Full: unroll into a ring twice the size, oldest first.
+    std::vector<MemCompletion> grown(2 * done_.size());
+    for (std::size_t i = 0; i < done_count_; ++i) {
+      grown[i] = done_[(done_head_ + i) & (done_.size() - 1)];
+    }
+    done_.swap(grown);
+    done_head_ = 0;
+  }
+  done_[(done_head_ + done_count_) & (done_.size() - 1)] = done;
+  ++done_count_;
 }
 
 std::uint64_t Channel::act_floor(const MemRequest& req) const {
   const auto& t = cfg_.device.timing;
   const RankState& rank = ranks_[req.addr.rank];
-  const BankState& bank = rank.banks[req.addr.bank];
+  const BankState& bank = bank_of(req.addr);
 
   std::uint64_t act = bank.next_act;
   if (cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open) {
@@ -87,24 +106,24 @@ std::uint64_t Channel::act_floor(const MemRequest& req) const {
   act = std::max(act,
                  rank.next_act_rrd_l[cfg_.device.bank_group_of(req.addr.bank)]);
   // tFAW: a 5th ACT must wait for the oldest of the last 4 to age out.
-  if (rank.act_times.size() >= 4) {
-    act = std::max(act, rank.act_times.front() + t.tFAW);
+  if (rank.act_count == 4) {
+    act = std::max(act, rank.act_times[rank.act_slot] + t.tFAW);
   }
   return act;
 }
 
-std::uint64_t Channel::earliest_act(const MemRequest& req,
-                                    std::uint64_t now) const {
+std::uint64_t Channel::earliest_act(const MemRequest& req, std::uint64_t now,
+                                    std::uint64_t floor) const {
   const auto& t = cfg_.device.timing;
   const RankState& rank = ranks_[req.addr.rank];
-  const BankState& bank = rank.banks[req.addr.bank];
+  const BankState& bank = bank_of(req.addr);
 
   if (holds_row(bank, req) && now <= bank.last_use + cfg_.open_row_timeout) {
     // Row hit: no ACT needed; the comparable "start" time is the CAS gate.
     return std::max(now, bank.next_cas);
   }
 
-  std::uint64_t act = std::max(now, act_floor(req));
+  std::uint64_t act = std::max(now, floor);
   if (cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open) {
     act = std::max(act, now + t.tRP);  // the precharge cannot start before now
   }
@@ -295,7 +314,7 @@ std::uint64_t Channel::issue(const MemRequest& req, std::uint64_t now) {
   const auto& t = cfg_.device.timing;
   const auto& e = cfg_.device.energy;
   RankState& rank = ranks_[req.addr.rank];
-  BankState& bank = rank.banks[req.addr.bank];
+  BankState& bank = bank_of(req.addr);
 
   const std::uint32_t group = cfg_.device.bank_group_of(req.addr.bank);
 
@@ -343,8 +362,7 @@ std::uint64_t Channel::issue(const MemRequest& req, std::uint64_t now) {
     stats_.busy_data_cycles += t.tBurst;
     bus_free_ = data_end;
     last_was_write_ = req.is_write;
-    completions_.push(PendingCompletion{
-        data_end, MemCompletion{req.id, req.is_write, data_end}});
+    push_completion(MemCompletion{req.id, req.is_write, data_end});
     if (hooks_) {
       if (!req.is_write) {
         hooks_->read_latency->add(
@@ -383,7 +401,7 @@ std::uint64_t Channel::issue(const MemRequest& req, std::uint64_t now) {
       cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open;
   const std::uint64_t conflict_row = bank.open_row;
 
-  std::uint64_t t_act = earliest_act(req, now);
+  std::uint64_t t_act = earliest_act(req, now, act_floor(req));
   t_act = apply_refresh(rank, req.addr.rank, req.addr.bank, t_act);
 
   // CAS data placement: first data cycle respects tRCD + CAS latency and
@@ -434,8 +452,9 @@ std::uint64_t Channel::issue(const MemRequest& req, std::uint64_t now) {
   rank.next_cas_group[group] = t_cas + t.tCCD_L;
   rank.next_act_rrd_s = t_act + t.tRRD_S;
   rank.next_act_rrd_l[group] = t_act + t.tRRD_L;
-  rank.act_times.push_back(t_act);
-  while (rank.act_times.size() > 4) rank.act_times.pop_front();
+  rank.act_times[rank.act_slot] = t_act;
+  rank.act_slot = (rank.act_slot + 1) & 3;
+  rank.act_count = std::min<std::uint32_t>(rank.act_count + 1, 4);
 
   // Background accounting: charge everything up to this ACT first (the
   // rank's standby/power-down history), then extend the active window.
@@ -466,8 +485,7 @@ std::uint64_t Channel::issue(const MemRequest& req, std::uint64_t now) {
   bus_free_ = data_end;
   last_was_write_ = req.is_write;
 
-  completions_.push(PendingCompletion{
-      data_end, MemCompletion{req.id, req.is_write, data_end}});
+  push_completion(MemCompletion{req.id, req.is_write, data_end});
   if (hooks_) {
     hooks_->acts->inc();
     hooks_->bank_acts[req.addr.rank * cfg_.banks + req.addr.bank]->inc();
@@ -522,14 +540,7 @@ std::uint64_t Channel::issue(const MemRequest& req, std::uint64_t now) {
   return data_end;
 }
 
-void Channel::tick(std::uint64_t now, std::vector<MemCompletion>& out) {
-  // Deliver finished transactions.
-  while (!completions_.empty() && completions_.top().finish <= now) {
-    out.push_back(completions_.top().completion);
-    completions_.pop();
-  }
-
-  if (queue_.empty() || now < wake_) return;
+void Channel::schedule(std::uint64_t now) {
   STATS_SCOPE("dram.scheduler");
 
   // Scheduler: examine up to `scheduler_window` oldest transactions, pick
@@ -539,9 +550,16 @@ void Channel::tick(std::uint64_t now, std::vector<MemCompletion>& out) {
   const std::size_t window =
       std::min<std::size_t>(queue_.size(), cfg_.scheduler_window);
   std::uint64_t best_act = ~0ULL;
+  std::uint64_t floor = ~0ULL;
   for (std::size_t i = 0; i < window; ++i) {
-    acts_[i] = earliest_act(queue_[i], now);
+    const MemRequest& req = queue_[i];
+    const std::uint64_t f = act_floor(req);
+    acts_[i] = earliest_act(req, now, f);
     best_act = std::min(best_act, acts_[i]);
+    // A request to its bank's open row may also start at its CAS gate.
+    const BankState& bank = bank_of(req.addr);
+    floor = std::min(floor, holds_row(bank, req) ? std::min(f, bank.next_cas)
+                                                 : f);
   }
 
   // Issue only when the winner can start "soon": we avoid booking a
@@ -551,14 +569,6 @@ void Channel::tick(std::uint64_t now, std::vector<MemCompletion>& out) {
   // for whichever path opens first.
   const auto& t = cfg_.device.timing;
   if (best_act > now + t.tRC) {
-    std::uint64_t floor = ~0ULL;
-    for (std::size_t i = 0; i < window; ++i) {
-      const MemRequest& req = queue_[i];
-      std::uint64_t f = act_floor(req);
-      const BankState& bank = ranks_[req.addr.rank].banks[req.addr.bank];
-      if (holds_row(bank, req)) f = std::min(f, bank.next_cas);
-      floor = std::min(floor, f);
-    }
     wake_ = floor > t.tRC ? floor - t.tRC : 0;
     return;
   }

@@ -8,10 +8,14 @@
 // tCCD_S/tCCD_L command spacing, power-down exit tXP, refresh blackout,
 // shared data bus with read/write turnaround) and books the command's
 // effects (bank recovery point, bus occupancy, activate energy, rank active
-// window) into the future.  Completions are delivered from a min-heap when
-// simulated time reaches them.  This reproduces DDR service times and
-// utilization without per-cycle FSM stepping, which keeps the full
-// 16-workload x 8-scheme sweep tractable on one host core.
+// window) into the future.  Completions are delivered in issue order, from
+// a FIFO, when simulated time reaches them: every booking places its data
+// burst at or after the bus's previous finish (data_start >= bus_free_)
+// and then moves bus_free_ to its own finish, on the row-hit and the ACT
+// path alike, so within one channel finish cycles strictly increase in
+// issue order.  This reproduces DDR service times and utilization without
+// per-cycle FSM stepping, which keeps the full 16-workload x 8-scheme
+// sweep tractable on one host core.
 //
 // The scheduler also sleeps.  A transaction issues only when its earliest
 // ACT lies within tRC of now, and every earliest_act(req, now) is at least
@@ -31,10 +35,9 @@
 // commands through bank sets and only blacks out the targeted set.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -119,9 +122,17 @@ class Channel {
   /// Enqueues a transaction; returns false if the queue is full.
   bool enqueue(const MemRequest& req);
 
-  /// Advances to `now`, scheduling as many transactions as constraints
-  /// allow and appending finished requests to `out`.
-  void tick(std::uint64_t now, std::vector<MemCompletion>& out);
+  /// Advances to `now`: appends the completions finished by `now` to
+  /// `out`, then issues at most one queued transaction if one can start
+  /// soon.
+  void tick(std::uint64_t now, std::vector<MemCompletion>& out) {
+    while (done_count_ != 0 && done_[done_head_].finish_cycle <= now) {
+      out.push_back(done_[done_head_]);
+      done_head_ = (done_head_ + 1) & (done_.size() - 1);
+      --done_count_;
+    }
+    if (!queue_.empty() && now >= wake_) schedule(now);
+  }
 
   /// Earliest cycle at which tick() can do work: the next completion's
   /// finish, or the scheduler's wake-up cycle while transactions are
@@ -132,7 +143,7 @@ class Channel {
   std::size_t pending() const { return queue_.size(); }
   /// Number of scheduled transactions whose completion has not been
   /// delivered yet.
-  std::size_t in_flight() const { return completions_.size(); }
+  std::size_t in_flight() const { return done_count_; }
 
   /// Finalizes background-energy integration up to `end_cycle`.  Call once
   /// when the simulation stops; tick() must not be called afterwards.
@@ -183,12 +194,19 @@ class Channel {
     std::uint64_t last_use = 0;      ///< for the idle-close timeout
   };
 
+  /// Bank groups a rank's fixed-size gate arrays hold (DDR5 has 8).
+  static constexpr std::uint32_t kMaxBankGroups = 8;
+
   struct RankState {
-    std::vector<BankState> banks;
     std::uint64_t next_act_rrd_s = 0;  ///< tRRD_S gate (any bank group)
-    std::vector<std::uint64_t> next_act_rrd_l;  ///< tRRD_L gate, per group
-    std::vector<std::uint64_t> next_cas_group;  ///< tCCD_L gate, per group
-    std::deque<std::uint64_t> act_times;  ///< last ACTs for tFAW
+    /// tRRD_L gate and tCCD_L gate, per bank group.
+    std::array<std::uint64_t, kMaxBankGroups> next_act_rrd_l{};
+    std::array<std::uint64_t, kMaxBankGroups> next_cas_group{};
+    // The last 4 ACT times for tFAW, as a ring: act_times[act_slot] is
+    // the oldest once act_count reaches 4.
+    std::array<std::uint64_t, 4> act_times{};
+    std::uint32_t act_slot = 0;   ///< where the next ACT time goes
+    std::uint32_t act_count = 0;  ///< ACTs recorded, saturating at 4
     std::uint64_t active_until = 0;     ///< last cycle any bank is active
     std::uint64_t next_refresh = 0;
     std::uint64_t refs_issued = 0;  ///< REFs so far (drives REFsb rotation)
@@ -198,13 +216,22 @@ class Channel {
   };
 
   /// Computes the earliest ACT cycle for a transaction, given all
-  /// constraints, without mutating state.
-  std::uint64_t earliest_act(const MemRequest& req, std::uint64_t now) const;
+  /// constraints and its act_floor(), without mutating state.
+  std::uint64_t earliest_act(const MemRequest& req, std::uint64_t now,
+                             std::uint64_t floor) const;
 
   /// The terms of earliest_act() that do not depend on `now` when the
   /// transaction needs an ACT (bank recovery, the conflicting row's
   /// precharge, tRRD_S/tRRD_L, tFAW).
   std::uint64_t act_floor(const MemRequest& req) const;
+
+  /// The bank a transaction targets.
+  BankState& bank_of(const DramAddress& a) {
+    return banks_[a.rank * cfg_.banks + a.bank];
+  }
+  const BankState& bank_of(const DramAddress& a) const {
+    return banks_[a.rank * cfg_.banks + a.bank];
+  }
 
   /// True when `req` targets the row its bank holds open (open-page).
   bool holds_row(const BankState& bank, const MemRequest& req) const {
@@ -251,9 +278,17 @@ class Channel {
   void emit_refresh(std::uint32_t rank_idx, std::uint64_t cycle,
                     std::uint32_t bank_set);
 
+  /// Appends a booked transaction's completion to the FIFO.
+  void push_completion(const MemCompletion& done);
+
+  /// The scheduler half of tick(): picks and issues at most one queued
+  /// transaction, or sets wake_ when none can start soon.
+  void schedule(std::uint64_t now);
+
   ChannelConfig cfg_;
   std::vector<RankState> ranks_;
-  std::deque<MemRequest> queue_;
+  std::vector<BankState> banks_;  ///< rank-major: rank * banks + bank
+  std::vector<MemRequest> queue_;  ///< oldest first; holds queue_depth
   // Scheduler scratch (earliest ACT per window entry) and the cycle before
   // which no queued transaction can issue (see the header comment).
   std::vector<std::uint64_t> acts_;
@@ -268,16 +303,11 @@ class Channel {
   // the burst length and the bus booking already spaces CAS commands.
   std::uint64_t next_cas_any_ = 0;
 
-  struct PendingCompletion {
-    std::uint64_t finish;
-    MemCompletion completion;
-    bool operator>(const PendingCompletion& o) const {
-      return finish > o.finish;
-    }
-  };
-  std::priority_queue<PendingCompletion, std::vector<PendingCompletion>,
-                      std::greater<>>
-      completions_;
+  // Booked transactions not yet delivered, in issue (= finish) order: a
+  // ring of power-of-two size whose oldest entry is done_[done_head_].
+  std::vector<MemCompletion> done_;
+  std::size_t done_head_ = 0;
+  std::size_t done_count_ = 0;
 
   ChannelStats stats_;
   std::uint64_t row_hits_ = 0;

@@ -45,6 +45,7 @@ MemorySystem::MemorySystem(const MemSystemConfig& cfg)
   for (std::uint32_t c = 0; c < n; ++c) {
     channels_.emplace_back(cc);
   }
+  due_.assign(n, 0);
 }
 
 bool MemorySystem::enqueue_addr(const DramAddress& addr, bool is_write,
@@ -59,6 +60,7 @@ bool MemorySystem::enqueue_addr(const DramAddress& addr, bool is_write,
   req.line_class = line_class;
   req.enqueue_cycle = cycle_;
   if (!channels_[addr.channel].enqueue(req)) return false;
+  due_[addr.channel] = 0;
   next_event_ = 0;
   return true;
 }
@@ -66,11 +68,15 @@ bool MemorySystem::enqueue_addr(const DramAddress& addr, bool is_write,
 void MemorySystem::tick() {
   ++cycle_;
   if (cycle_ < next_event_) return;
-  next_event_ = ~0ULL;
-  for (auto& ch : channels_) {
-    ch.tick(cycle_, completions_);
-    next_event_ = std::min(next_event_, ch.next_event());
+  std::uint64_t next = ~0ULL;
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    if (due_[c] <= cycle_) {
+      channels_[c].tick(cycle_, completions_);
+      due_[c] = channels_[c].next_event();
+    }
+    next = std::min(next, due_[c]);
   }
+  next_event_ = next;
 }
 
 std::size_t MemorySystem::outstanding() const {

@@ -94,9 +94,13 @@ class MemorySystem {
   bool enqueue_addr(const DramAddress& addr, bool is_write,
                     LineClass line_class, std::uint64_t id);
 
-  /// Advances simulated time by one memory-clock cycle.  Channels are
-  /// only ticked on cycles where one of them has a completion due or a
-  /// transaction that may issue (Channel::next_event()).
+  /// Advances simulated time by one memory-clock cycle.  Only the
+  /// channels that are due are ticked: those whose Channel::next_event()
+  /// (a completion due, or a transaction that may issue) is at or before
+  /// the new cycle.  A channel that is not due would do nothing in its
+  /// tick, and the due ones still run in index order, so the completion
+  /// order is the same as ticking every channel.  enqueue_addr() makes its
+  /// channel due at once.
   void tick();
 
   std::uint64_t cycle() const { return cycle_; }
@@ -128,9 +132,12 @@ class MemorySystem {
   MemSystemConfig cfg_;
   AddressMap map_;
   std::vector<Channel> channels_;
+  /// Per channel, the cycle its next tick can do work (its next_event()
+  /// when last ticked; 0 = due now).
+  std::vector<std::uint64_t> due_;
   std::vector<MemCompletion> completions_;
   std::uint64_t cycle_ = 0;
-  std::uint64_t next_event_ = 0;  ///< min Channel::next_event(); 0 = unknown
+  std::uint64_t next_event_ = 0;  ///< min of due_
   bool finalized_ = false;
 };
 

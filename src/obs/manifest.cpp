@@ -3,7 +3,9 @@
 #include <mutex>
 
 #include "obs/heartbeat.hpp"
+#include "obs/run_info.hpp"
 #include "runner/json.hpp"
+#include "stats/stats.hpp"
 
 namespace eccsim::obs {
 
@@ -61,6 +63,33 @@ void note_exit_code(int code) {
   Manifest& m = manifest();
   m.exit_code = code;
   if (code != 0) m.status = "failed";
+}
+
+ToolManifest::ToolManifest(const char* tool, int argc, char** argv,
+                           std::string path, std::string seed_regime,
+                           unsigned threads)
+    : path_(std::move(path)), start_(monotonic_seconds()) {
+  Manifest& m = manifest();
+  m.tool = tool;
+  for (int i = 1; i < argc; ++i) m.args.emplace_back(argv[i]);
+  m.git_sha = git_head_sha();
+  m.seed_regime = std::move(seed_regime);
+  m.threads = threads;
+  m.host = hostname();
+  m.host_cpus = cpu_count();
+  m.started_utc = utc_timestamp();
+  write_manifest(path_, m);
+}
+
+int ToolManifest::finish(int rc) {
+  note_exit_code(rc);
+  Manifest& m = manifest();
+  m.finished_utc = utc_timestamp();
+  m.wall_seconds = monotonic_seconds() - start_;
+  m.peak_rss_bytes = stats::process_peak_rss_bytes();
+  if (m.status == "running") m.status = "completed";
+  write_manifest(path_, m);
+  return rc;
 }
 
 }  // namespace eccsim::obs

@@ -65,4 +65,23 @@ void note_resumed();
 /// reports "failed" with this code.  Safe to call from worker threads.
 void note_exit_code(int code);
 
+/// The manifest of a tool that runs without bench::init (benchtool,
+/// tracetool, fleetd).  Construction fills manifest() -- tool, args, git
+/// SHA, seed regime, threads, host, CPU count, start time -- and writes
+/// it to `path` with status "running"; finish() closes it.
+class ToolManifest {
+ public:
+  ToolManifest(const char* tool, int argc, char** argv, std::string path,
+               std::string seed_regime, unsigned threads);
+
+  /// Stamps exit code `rc`, end time, wall-clock and peak RSS, writes the
+  /// manifest again ("completed", or "failed" for a non-zero code) and
+  /// returns `rc`.
+  int finish(int rc);
+
+ private:
+  std::string path_;
+  double start_;
+};
+
 }  // namespace eccsim::obs

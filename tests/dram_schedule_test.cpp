@@ -3,8 +3,9 @@
 // configuration and compared with digests recorded from the tick-every-
 // cycle scheduler.  Any change to when or what the scheduler issues --
 // including skipping a cycle on which it would have issued -- changes a
-// digest.  Every stream is also audited by the protocol checker, and two
-// targeted cases pin the wake-up rules directly.
+// digest.  Every stream is also audited by the protocol checker, two
+// targeted cases pin the wake-up rules directly, and one checks that each
+// channel delivers its completions in strictly increasing finish order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -82,25 +83,37 @@ struct ScheduleCase {
   RowPolicy policy;
   bool powerdown;
   std::uint64_t digest;  ///< recorded from the tick-every-cycle scheduler
+  std::uint32_t channels = 2;
+  std::uint32_t ranks = 2;
+  double hot_share = 0.7;  ///< chance a request goes to the burst's channel
 };
 
 MemSystemConfig case_config(const ScheduleCase& c) {
   MemSystemConfig cfg;
-  cfg.channels = 2;
-  cfg.ranks_per_channel = 2;
+  cfg.channels = c.channels;
+  cfg.ranks_per_channel = c.ranks;
   cfg.device = spec_for(c.gen, DeviceWidth::kX4);
   cfg.powerdown_enabled = c.powerdown;
   cfg.row_policy = c.policy;
   return cfg;
 }
 
-/// Drives a seeded stream through one memory system and returns its digest.
+/// What one seeded stream produced.
+struct StreamResult {
+  std::uint64_t digest = 0;
+  std::uint64_t completions = 0;
+  /// Completions whose finish_cycle did not exceed the previous one
+  /// delivered by the same channel.
+  std::uint64_t out_of_order = 0;
+};
+
+/// Drives a seeded stream through one memory system and digests it.
 /// Bursts pile several requests per cycle onto a hot channel (so its queue
 /// fills and rejects), and the gaps between bursts range from short to
 /// longer than the power-down timeout and longer than tREFI.  Requests
 /// cycle through every LineClass and a few rows per bank, so open-page
 /// runs see row hits, conflicts and idle-closed rows.
-std::uint64_t run_digest(const ScheduleCase& c, std::uint64_t seed) {
+StreamResult run_stream(const ScheduleCase& c, std::uint64_t seed) {
   const MemSystemConfig cfg = case_config(c);
   MemorySystem mem(cfg);
   Fnv1a fnv;
@@ -115,9 +128,16 @@ std::uint64_t run_digest(const ScheduleCase& c, std::uint64_t seed) {
   Rng rng(seed);
   std::uint64_t next_id = 0;
   std::uint64_t rejects = 0;
+  StreamResult result;
+  std::vector<std::uint32_t> channel_of;  // by request id
+  std::vector<std::uint64_t> last_finish(mem.num_channels(), 0);
 
   auto consume = [&] {
     for (const MemCompletion& done : mem.completions()) {
+      std::uint64_t& last = last_finish[channel_of[done.id]];
+      if (done.finish_cycle <= last) ++result.out_of_order;
+      last = done.finish_cycle;
+      ++result.completions;
       fnv.add(std::uint64_t{0xd0});
       fnv.add(mem.cycle());
       fnv.add(done.id);
@@ -136,7 +156,7 @@ std::uint64_t run_digest(const ScheduleCase& c, std::uint64_t seed) {
         const std::uint64_t n = 1 + rng.next_below(4);
         for (std::uint64_t k = 0; k < n; ++k) {
           DramAddress a;
-          a.channel = rng.bernoulli(0.7)
+          a.channel = rng.bernoulli(c.hot_share)
                           ? hot
                           : static_cast<std::uint32_t>(
                                 rng.next_below(mem.num_channels()));
@@ -147,6 +167,7 @@ std::uint64_t run_digest(const ScheduleCase& c, std::uint64_t seed) {
           const bool is_write = rng.bernoulli(0.35);
           const auto lc = static_cast<LineClass>(rng.next_below(4));
           const bool ok = mem.enqueue_addr(a, is_write, lc, next_id);
+          channel_of.push_back(a.channel);
           fnv.add(std::uint64_t{0xe0});
           fnv.add(next_id);
           fnv.add(std::uint64_t{ok});
@@ -205,7 +226,8 @@ std::uint64_t run_digest(const ScheduleCase& c, std::uint64_t seed) {
     EXPECT_EQ(obs->checker().violation_count(), 0u) << obs->checker().report();
     EXPECT_GT(obs->checker().commands_checked(), 0u);
   }
-  return fnv.value();
+  result.digest = fnv.value();
+  return result;
 }
 
 const char* policy_name(RowPolicy p) {
@@ -231,17 +253,37 @@ TEST(DramSchedule, GoldenDigests) {
       {kD5, kClose, false, 0x169d0127cc7871a6ULL},
       {kD5, kOpen, true, 0x40434c93aaf4a70cULL},
       {kD5, kOpen, false, 0xadd4233979e32f3dULL},
+      // The paper's shape: 8 single-rank channels, most of them idle while
+      // one is hot, so the system ticks mostly channels with nothing due.
+      {kD3, kClose, true, 0xd26ee378609bb7e3ULL, 8, 1, 0.97},
   };
   std::uint64_t seed = 0x5eed;
   for (const ScheduleCase& c : cases) {
-    char label[64];
-    std::snprintf(label, sizeof label, "%s %s powerdown=%d",
+    char label[96];
+    std::snprintf(label, sizeof label, "%s %s powerdown=%d %ux%u",
                   to_string(c.gen).c_str(), policy_name(c.policy),
-                  c.powerdown ? 1 : 0);
+                  c.powerdown ? 1 : 0, c.channels, c.ranks);
     SCOPED_TRACE(label);
-    const std::uint64_t digest = run_digest(c, ++seed);
+    const std::uint64_t digest = run_stream(c, ++seed).digest;
     EXPECT_EQ(digest, c.digest)
         << label << ": digest 0x" << std::hex << digest;
+  }
+}
+
+// Every booking starts its data burst at or after the bus's previous
+// finish, so one channel's completions finish in strictly increasing
+// order; the channel delivers them as a FIFO and relies on it.
+TEST(DramSchedule, EachChannelDeliversCompletionsInFinishOrder) {
+  std::uint64_t seed = 0xf1f0;
+  for (const Generation gen :
+       {Generation::kDdr3, Generation::kDdr4, Generation::kDdr5}) {
+    for (const RowPolicy policy :
+         {RowPolicy::kClosePage, RowPolicy::kOpenPage}) {
+      SCOPED_TRACE(to_string(gen) + " " + policy_name(policy));
+      const StreamResult r = run_stream({gen, policy, true, 0}, ++seed);
+      EXPECT_GT(r.completions, 1000u);
+      EXPECT_EQ(r.out_of_order, 0u);
+    }
   }
 }
 

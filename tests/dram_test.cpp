@@ -297,6 +297,51 @@ TEST(Channel, BadRankThrows) {
                std::out_of_range);
 }
 
+TEST(Channel, BankGroupCountIsChecked) {
+  auto cfg = test_channel_config();
+  cfg.device.bank_groups = 0;
+  EXPECT_THROW(Channel{cfg}, std::invalid_argument);
+  cfg.device.bank_groups = 9;
+  EXPECT_THROW(Channel{cfg}, std::invalid_argument);
+  cfg.device.bank_groups = 8;
+  EXPECT_NO_THROW(Channel{cfg});
+}
+
+// With four ranks the channel books ACTs faster than the data bus drains
+// them, so far more transactions are in flight than a short queue holds
+// and the completion FIFO must grow while wrapped.  Every request still
+// completes once, in strictly increasing finish order.
+TEST(Channel, CompletionFifoGrowsAndKeepsFinishOrder) {
+  auto cfg = test_channel_config();
+  cfg.ranks = 4;
+  cfg.queue_depth = 4;
+  Channel ch(cfg);
+  std::vector<MemCompletion> out;
+  std::uint64_t now = 0;
+  std::uint64_t next_id = 0;
+  std::size_t max_in_flight = 0;
+  while (next_id < 400 || ch.pending() + ch.in_flight() > 0) {
+    while (next_id < 400 &&
+           ch.enqueue(make_req(next_id, next_id % 4, (next_id / 4) % 8,
+                               next_id, 0, next_id % 3 == 0))) {
+      ++next_id;
+    }
+    ch.tick(++now, out);
+    max_in_flight = std::max(max_in_flight, ch.in_flight());
+    ASSERT_LT(now, 100'000u);
+  }
+  EXPECT_GT(max_in_flight, 2 * cfg.queue_depth + 16);
+  ASSERT_EQ(out.size(), 400u);
+  std::vector<bool> seen(400, false);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (i > 0) EXPECT_GT(out[i].finish_cycle, out[i - 1].finish_cycle);
+    EXPECT_LE(out[i].finish_cycle, now);
+    ASSERT_LT(out[i].id, 400u);
+    EXPECT_FALSE(seen[out[i].id]) << "id " << out[i].id;
+    seen[out[i].id] = true;
+  }
+}
+
 TEST(Channel, ReadLatencyStatTracksQueueing) {
   Channel ch(test_channel_config());
   // Saturate one bank; later requests should see growing latency.

@@ -7,7 +7,8 @@
 //       one pinned smoke-sized sweep_figures process (the quad and dual
 //       sweeps), and appends one timing record per benchmark -- stamped
 //       with git SHA, host, and thread count -- to
-//       results/history/BENCH_<name>.json.
+//       results/history/BENCH_<name>.json.  Under --smoke the
+//       microbenches write their own outputs to results/smoke/.
 //   benchtool compare [--history DIR] [--threshold X] [--window N]
 //       Compares each history file's newest record against the median of
 //       up to N prior records from the same host/smoke/threads context;
@@ -38,7 +39,6 @@
 #include "obs/run_info.hpp"
 #include "runner/json.hpp"
 #include "runner/thread_pool.hpp"
-#include "stats/stats.hpp"
 
 namespace {
 
@@ -163,27 +163,10 @@ int cmd_record(int argc, char** argv) {
     }
   }
 
-  obs::Manifest& man = obs::manifest();
-  man.tool = "benchtool";
-  for (int i = 1; i < argc; ++i) man.args.emplace_back(argv[i]);
-  man.git_sha = obs::git_head_sha();
-  man.seed_regime = "paper_sweep_seed(root=1)";
-  man.threads = runner::ThreadPool::default_thread_count();
-  man.host = obs::hostname();
-  man.host_cpus = obs::cpu_count();
-  man.started_utc = obs::utc_timestamp();
-  const std::string manifest_path = "results/benchtool.manifest.json";
-  obs::write_manifest(manifest_path, man);
-  const double start = obs::monotonic_seconds();
-  const auto finish = [&](int rc) {
-    obs::note_exit_code(rc);
-    man.finished_utc = obs::utc_timestamp();
-    man.wall_seconds = obs::monotonic_seconds() - start;
-    man.peak_rss_bytes = stats::process_peak_rss_bytes();
-    if (man.status == "running") man.status = "completed";
-    obs::write_manifest(manifest_path, man);
-    return rc;
-  };
+  obs::ToolManifest man("benchtool", argc, argv,
+                        "results/benchtool.manifest.json",
+                        "paper_sweep_seed(root=1)",
+                        runner::ThreadPool::default_thread_count());
 
   std::error_code ec;
   std::filesystem::create_directories(history_dir, ec);
@@ -194,20 +177,22 @@ int cmd_record(int argc, char** argv) {
       if (!executable_exists(bin)) {
         std::fprintf(stderr, "benchtool record: %s not found (build the "
                      "bench targets first, or pass --bin)\n", bin.c_str());
-        return finish(1);
+        return man.finish(1);
       }
       const std::string tmp =
           history_dir + "/." + std::string(name) + ".gbench.json";
       // --benchmark_out is honored even by the microbenches' custom
       // display reporters; min_time keeps a record run under ~15s.
-      const int rc = run_command(bin + " --benchmark_out=" + tmp +
+      // --smoke sends their own JSON and manifest to results/smoke/.
+      const int rc = run_command(bin + (smoke ? " --smoke" : "") +
+                                     " --benchmark_out=" + tmp +
                                      " --benchmark_out_format=json" +
                                      " --benchmark_min_time=0.05",
                                  nullptr);
       if (rc != 0) {
         std::fprintf(stderr, "benchtool record: %s exited with %d\n",
                      bin.c_str(), rc);
-        return finish(1);
+        return man.finish(1);
       }
       obs::perf::Record rec = base_record(smoke);
       try {
@@ -215,13 +200,13 @@ int cmd_record(int argc, char** argv) {
       } catch (const std::exception& e) {
         std::fprintf(stderr, "benchtool record: bad benchmark output: %s\n",
                      e.what());
-        return finish(1);
+        return man.finish(1);
       }
       std::filesystem::remove(tmp, ec);
       if (rec.metrics.empty()) {
         std::fprintf(stderr, "benchtool record: %s produced no benchmark "
                      "results\n", bin.c_str());
-        return finish(1);
+        return man.finish(1);
       }
       const std::string hist =
           history_dir + "/BENCH_" + std::string(name) + ".json";
@@ -241,7 +226,7 @@ int cmd_record(int argc, char** argv) {
     if (!executable_exists(bin)) {
       std::fprintf(stderr, "benchtool record: %s not found (build the "
                    "bench targets first, or pass --bin)\n", bin.c_str());
-      return finish(1);
+      return man.finish(1);
     }
     double wall = 0.0;
     const int rc = run_command(
@@ -249,7 +234,7 @@ int cmd_record(int argc, char** argv) {
     if (rc != 0) {
       std::fprintf(stderr, "benchtool record: %s exited with %d\n",
                    bin.c_str(), rc);
-      return finish(1);
+      return man.finish(1);
     }
     obs::perf::Record rec = base_record(smoke);
     rec.metrics.emplace_back("wall_seconds", wall);
@@ -258,7 +243,7 @@ int cmd_record(int argc, char** argv) {
     std::printf("recorded %-22s %.2fs -> %s\n", "smoke_sweeps", wall,
                 hist.c_str());
   }
-  return finish(0);
+  return man.finish(0);
 }
 
 int cmd_compare(int argc, char** argv) {

@@ -29,7 +29,6 @@
 #include "fleet/spec.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/manifest.hpp"
-#include "obs/run_info.hpp"
 #include "runner/json.hpp"
 
 namespace {
@@ -136,18 +135,6 @@ struct ExecFlags {
   }
 };
 
-void start_manifest(obs::Manifest& man, int argc, char** argv,
-                    const std::string& path) {
-  man.tool = "fleetd";
-  for (int i = 1; i < argc; ++i) man.args.emplace_back(argv[i]);
-  man.git_sha = obs::git_head_sha();
-  man.seed_regime = "fleet spec seed";
-  man.host = obs::hostname();
-  man.host_cpus = obs::cpu_count();
-  man.started_utc = obs::utc_timestamp();
-  obs::write_manifest(path, man);
-}
-
 int cmd_worker(int argc, char** argv) {
   std::string spec_path, out_path;
   std::uint64_t chunk_lo = 0, chunk_hi = 0;
@@ -212,19 +199,9 @@ int cmd_run(int argc, char** argv) {
 
   obs::Heartbeat& hb = obs::Heartbeat::global();
   hb.set_tool("fleetd");
-  obs::Manifest& man = obs::manifest();
-  const std::string manifest_path = "results/fleetd.manifest.json";
-  start_manifest(man, argc, argv, manifest_path);
-  man.extra.emplace_back("config_hash", fleet::config_hash(spec));
-  const double start = obs::monotonic_seconds();
-  const auto finish = [&](int rc) {
-    obs::note_exit_code(rc);
-    man.finished_utc = obs::utc_timestamp();
-    man.wall_seconds = obs::monotonic_seconds() - start;
-    if (man.status == "running") man.status = "completed";
-    obs::write_manifest(manifest_path, man);
-    return rc;
-  };
+  obs::ToolManifest man("fleetd", argc, argv, "results/fleetd.manifest.json",
+                        "fleet spec seed", 0);
+  obs::manifest().extra.emplace_back("config_hash", fleet::config_hash(spec));
 
   fleet::RunOptions run = exec.run;
   run.heartbeat = &hb;
@@ -237,14 +214,14 @@ int cmd_run(int argc, char** argv) {
   const std::string doc = fleet::result_to_json(result).dump(2) + "\n";
   if (!obs::atomic_write_file(out_path, doc)) {
     std::fprintf(stderr, "fleetd run: cannot write %s\n", out_path.c_str());
-    return finish(1);
+    return man.finish(1);
   }
   std::printf("fleet %-12s %" PRIu64
               " nodes  events %.1f  lost %" PRIu64
               "  availability %.9f  -> %s\n",
               result.name.c_str(), result.nodes, result.uncorrected_events,
               result.nodes_lost, result.availability, out_path.c_str());
-  return finish(0);
+  return man.finish(0);
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -274,10 +251,9 @@ int cmd_serve(int argc, char** argv) {
   }
 
   obs::Heartbeat::global().set_tool("fleetd");
-  obs::Manifest& man = obs::manifest();
-  const std::string manifest_path = opts.results_dir + "/fleetd.manifest.json";
-  start_manifest(man, argc, argv, manifest_path);
-  const double start = obs::monotonic_seconds();
+  obs::ToolManifest man("fleetd", argc, argv,
+                        opts.results_dir + "/fleetd.manifest.json",
+                        "fleet spec seed", 0);
 
   fleet::Service service(opts);
   service.start();
@@ -286,13 +262,9 @@ int cmd_serve(int argc, char** argv) {
   service.wait();
   service.stop();
 
-  man.finished_utc = obs::utc_timestamp();
-  man.wall_seconds = obs::monotonic_seconds() - start;
-  man.status = "completed";
-  man.extra.emplace_back("requests_served",
-                         std::to_string(service.requests_served()));
-  obs::write_manifest(manifest_path, man);
-  return 0;
+  obs::manifest().extra.emplace_back(
+      "requests_served", std::to_string(service.requests_served()));
+  return man.finish(0);
 }
 
 int cmd_client(int argc, char** argv) {

@@ -29,9 +29,7 @@
 #include "dram/spec.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/manifest.hpp"
-#include "obs/run_info.hpp"
 #include "runner/json.hpp"
-#include "stats/stats.hpp"
 #include "trace/workload.hpp"
 #include "tracefile/reader.hpp"
 #include "tracefile/replay.hpp"
@@ -136,27 +134,9 @@ int cmd_record(int argc, char** argv) {
   // observability treatment: a run manifest plus heartbeat ticks.
   obs::Heartbeat& hb = obs::Heartbeat::global();
   hb.set_tool("tracetool");
-  obs::Manifest& man = obs::manifest();
-  man.tool = "tracetool";
-  for (int i = 1; i < argc; ++i) man.args.emplace_back(argv[i]);
-  man.git_sha = obs::git_head_sha();
-  man.seed_regime = seed ? "explicit" : "paper_sweep_seed(root=1)";
-  man.threads = 1;
-  man.host = obs::hostname();
-  man.host_cpus = obs::cpu_count();
-  man.started_utc = obs::utc_timestamp();
-  const std::string manifest_path = "results/tracetool.manifest.json";
-  obs::write_manifest(manifest_path, man);
-  const auto start = obs::monotonic_seconds();
-  const auto finish = [&](int rc) {
-    obs::note_exit_code(rc);
-    man.finished_utc = obs::utc_timestamp();
-    man.wall_seconds = obs::monotonic_seconds() - start;
-    man.peak_rss_bytes = stats::process_peak_rss_bytes();
-    if (man.status == "running") man.status = "completed";
-    obs::write_manifest(manifest_path, man);
-    return rc;
-  };
+  obs::ToolManifest man("tracetool", argc, argv,
+                        "results/tracetool.manifest.json",
+                        seed ? "explicit" : "paper_sweep_seed(root=1)", 1);
 
   const bool out_is_dir = all || out.empty() || out.back() == '/';
   std::uint64_t done = 0;
@@ -174,7 +154,7 @@ int cmd_record(int argc, char** argv) {
     if (!res.ok) {
       std::fprintf(stderr, "tracetool record: %s failed post-write "
                    "validation: %s\n", path.c_str(), res.error.c_str());
-      return finish(1);
+      return man.finish(1);
     }
     ++done;
     if (hb.enabled()) {
@@ -189,7 +169,7 @@ int cmd_record(int argc, char** argv) {
                 " bytes, seed %" PRIu64 ")\n",
                 w->name.c_str(), path.c_str(), ops, res.file_bytes, s);
   }
-  return finish(0);
+  return man.finish(0);
 }
 
 int cmd_info(const std::string& path) {
