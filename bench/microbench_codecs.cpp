@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks: throughput of the hot computational
 // kernels -- Reed-Solomon encode/decode, the per-scheme line codecs, the
 // ECC Parity manager's read/write paths, the DRAM channel scheduler, a
-// Bin2-like request stream through a whole memory system, and the LLC
-// under the warm-up's access stream.  These are engineering
+// Bin2-like request stream through a whole memory system, the LLC under
+// the warm-up's access stream, and the measured phase of a sweep cell.  These are engineering
 // benchmarks for the library itself (regression tracking), not paper
 // figures.  Besides the console table, results land in
 // results/microbench_codecs.json (results/smoke/ under --smoke) beside the
@@ -21,6 +21,7 @@
 #include "gf/kernels.hpp"
 #include "gf/rs.hpp"
 #include "microbench_main.hpp"
+#include "sim/system.hpp"
 #include "trace/source.hpp"
 
 using namespace eccsim;
@@ -337,6 +338,36 @@ void BM_LlcWarmupStream(benchmark::State& state, const char* workload) {
 }
 BENCHMARK_CAPTURE(BM_LlcWarmupStream, omnetpp, "omnetpp");
 BENCHMARK_CAPTURE(BM_LlcWarmupStream, mcf, "mcf");
+
+// The CPU and DRAM layers of a sweep cell: the measured phase of a
+// workload on the paper-quad LOT-ECC5+Parity system at its paper sweep
+// seed, started from a WarmState built once before timing.  Each
+// iteration times the SystemSim's construction (which copies the warm LLC)
+// and run(): 1M instructions, as in a sweep cell, plus the drain.  Items
+// are memory cycles.
+void BM_SystemSimMeasured(benchmark::State& state, const char* workload) {
+  const ecc::SchemeDesc scheme = ecc::make_scheme(
+      ecc::SchemeId::kLotEcc5Parity, ecc::SystemScale::kQuadEquivalent);
+  const trace::WorkloadDesc& desc = trace::workload_by_name(workload);
+  const sim::CpuConfig cpu;
+  sim::SimOptions opts;
+  opts.target_instructions = 1'000'000;
+  opts.seed = trace::paper_sweep_seed(workload);
+  const sim::WarmState warm = sim::SystemSim::warm(scheme, desc, cpu, opts);
+  std::uint64_t mem_cycles = 0;
+  for (auto _ : state) {
+    sim::SystemSim cell(scheme, desc, cpu, opts, &warm);
+    const sim::RunResult result = cell.run();
+    benchmark::DoNotOptimize(result);
+    mem_cycles += result.mem_cycles;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(mem_cycles));
+  state.SetLabel(workload);
+}
+BENCHMARK_CAPTURE(BM_SystemSimMeasured, omnetpp, "omnetpp")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SystemSimMeasured, mcf, "mcf")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

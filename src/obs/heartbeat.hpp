@@ -56,7 +56,7 @@ class Heartbeat {
     std::uint64_t done = 0;
     std::uint64_t total = 0;
     double rel_ci = std::numeric_limits<double>::quiet_NaN();
-    std::vector<std::pair<std::string, double>> counters;
+    std::vector<std::pair<std::string, double>> counters{};
     bool force = false;
   };
 

@@ -78,7 +78,8 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
       }()),
       llc_(warm != nullptr ? warm->llc : cache::Cache(cache::CacheConfig{})),
       lines64_per_memline_(scheme.line_bytes / 64),
-      total_data_lines_(mem_.map().geometry().total_data_lines()) {
+      total_data_lines_(mem_.map().geometry().total_data_lines()),
+      degraded_(scheme.uses_ecc_parity && !opts.faulty_banks.empty()) {
   if (opts.dedicated_ecc_cache_bytes != 0) {
     cache::CacheConfig ecc_cfg;
     ecc_cfg.size_bytes = opts.dedicated_ecc_cache_bytes;
@@ -226,9 +227,7 @@ void SystemSim::attach_stats() {
   llc_.attach_stats(reg, "llc");
   if (dedicated_ecc_cache_) dedicated_ecc_cache_->attach_stats(reg, "ecc_cache");
   reg.gauge("cpu.committed_instructions", [this](std::uint64_t) {
-    std::uint64_t total = 0;
-    for (const auto& c : cores_) total += c.committed;
-    return static_cast<double>(total);
+    return static_cast<double>(committed_instructions());
   });
   stalled_core_cycles_ = reg.counter("cpu.stalled_core_cycles");
   if (scheme_.uses_ecc_parity) {
@@ -403,9 +402,7 @@ void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
         const std::uint64_t memline = in_memory(mem_line_of(addr));
         // Warm-up drops the write, so it decodes only for the faulty-bank
         // test below.
-        const bool faulty_test =
-            scheme_.uses_ecc_parity && !opts_.faulty_banks.empty();
-        const dram::DramAddress daddr = !warmup_ || faulty_test
+        const dram::DramAddress daddr = !warmup_ || degraded_
                                             ? mem_.map().decode(memline)
                                             : dram::DramAddress{};
         send_or_queue(PendingReq{daddr, true, dram::LineClass::kData,
@@ -418,7 +415,7 @@ void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
             scheme_.maint == ecc::MaintTraffic::kWriteOnEvict
                 ? cache::LineKind::kEcc
                 : cache::LineKind::kXor;
-        if (faulty_test && bank_is_faulty(daddr)) {
+        if (degraded_ && bank_is_faulty(daddr)) {
           ecc_kind = cache::LineKind::kEcc;
         }
         next = ecc_cache().access(ecc_cacheline_key(memline), true, ecc_kind);
@@ -453,39 +450,17 @@ bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
     // Read: an LLC miss occupies an MLP slot; refuse (and stall the core)
     // if none is free.  The slot count is tested first: it usually rules
     // out the stall without a set scan.
-    if (!warmup_ && core.outstanding_reads >= cpu_.mlp &&
-        !llc_.contains(op.line)) {
+    if (core.outstanding_reads >= cpu_.mlp && !llc_.contains(op.line)) {
       return false;
     }
     const auto r = llc_.access(op.line, false, cache::LineKind::kData);
     if (!r.hit) wake_on_insert(op.line);
     if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
-    if (!r.hit && !warmup_) {
+    if (!r.hit) {
       ++core.outstanding_reads;
       request_read(mem_line_of(op.line), static_cast<int>(c));
     }
-    // Step A1/B: reads to a faulty bank also need the ECC line (cached).
-    // Without faulty banks there is nothing to match, so no decode.
-    if (!scheme_.uses_ecc_parity || opts_.faulty_banks.empty()) return true;
-    const std::uint64_t memline = in_memory(mem_line_of(op.line));
-    const dram::DramAddress daddr = mem_.map().decode(memline);
-    if (!bank_is_faulty(daddr)) return true;
-    const std::uint64_t key = ecc_cacheline_key(memline) | kEccKeyTag;
-    const auto er = ecc_cache().access(key, false, cache::LineKind::kEcc);
-    if (er.writeback) process_eviction(er.victim_addr, er.victim_kind);
-    if (!er.hit) {
-      send_or_queue(PendingReq{ecc_request_address(key & ~kEccKeyTag), false,
-                               dram::LineClass::kEccCorrection, next_id_++});
-    }
-    if (!warmup_) {
-      if (slow_path_hits_) slow_path_hits_->inc();
-      if (tracer_) {
-        tracer_->instant(
-            "eccparity", "fig6_slow_path", mem_.cycle(), ecc_trace_tid_,
-            {{"bank", static_cast<double>(faulty_key(daddr))},
-             {"ecc_cached", er.hit ? 1.0 : 0.0}});
-      }
-    }
+    if (degraded_) degraded_read(op.line);
     return true;
   }
 
@@ -493,13 +468,39 @@ bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
   const auto r = llc_.access(op.line, true, cache::LineKind::kData);
   if (!r.hit) wake_on_insert(op.line);
   if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
-  if (!r.hit && !warmup_) request_read(mem_line_of(op.line), -1);
+  if (!r.hit) request_read(mem_line_of(op.line), -1);
   return true;
+}
+
+void SystemSim::degraded_read(std::uint64_t line) {
+  const std::uint64_t memline = in_memory(mem_line_of(line));
+  const dram::DramAddress daddr = mem_.map().decode(memline);
+  if (!bank_is_faulty(daddr)) return;
+  const std::uint64_t key = ecc_cacheline_key(memline) | kEccKeyTag;
+  const auto er = ecc_cache().access(key, false, cache::LineKind::kEcc);
+  if (er.writeback) process_eviction(er.victim_addr, er.victim_kind);
+  if (!er.hit) {
+    send_or_queue(PendingReq{ecc_request_address(key & ~kEccKeyTag), false,
+                             dram::LineClass::kEccCorrection, next_id_++});
+  }
+  if (warmup_) return;
+  if (slow_path_hits_) slow_path_hits_->inc();
+  if (tracer_) {
+    tracer_->instant("eccparity", "fig6_slow_path", mem_.cycle(),
+                     ecc_trace_tid_,
+                     {{"bank", static_cast<double>(faulty_key(daddr))},
+                      {"ecc_cached", er.hit ? 1.0 : 0.0}});
+  }
+}
+
+void SystemSim::warm_op(const trace::MemOp& op) {
+  const auto r = llc_.access(op.line, op.is_write, cache::LineKind::kData);
+  if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
+  if (degraded_ && !op.is_write) degraded_read(op.line);
 }
 
 void SystemSim::core_cycle(unsigned c) {
   Core& core = cores_[c];
-  if (core.asleep) return;  // its retry would be refused again
   unsigned budget = cpu_.width;
   while (budget > 0) {
     if (!core.waiting_op) {
@@ -518,7 +519,7 @@ void SystemSim::core_cycle(unsigned c) {
     // The memory op is due.
     if (!execute_op(c, *core.waiting_op)) {  // stall: sleep until a wake
       if (core.stalled_since == kNotStalled) core.stalled_since = cpu_cycle_;
-      core.asleep = true;
+      core.due = kNever;
       ++asleep_cores_;
       return;
     }
@@ -527,6 +528,13 @@ void SystemSim::core_cycle(unsigned c) {
     --budget;
     core.waiting_op.reset();
   }
+  // The budget ran out.  The gap's whole cycles that follow would only
+  // count down: commit them now and come back on the cycle after them,
+  // which starts with the gap's remainder (if any) and then the op.
+  const std::uint32_t skipped = core.gap_remaining / cpu_.width;
+  core.gap_remaining -= skipped * cpu_.width;
+  core.committed += std::uint64_t{skipped} * cpu_.width;
+  core.due = cpu_cycle_ + 1 + skipped;
 }
 
 void SystemSim::warm_up() {
@@ -540,24 +548,20 @@ void SystemSim::warm_up() {
       cache::CacheConfig{}.size_bytes / cache::CacheConfig{}.line_bytes;
   const std::uint64_t ops = 3 * llc_lines / cpu_.cores * cpu_.cores;
   // Interleave cores so shared-footprint (PARSEC-style) workloads warm the
-  // cache the way they will run: op k belongs to core k % cores.  The full
-  // execute_op path runs -- including ECC/XOR cacheline insertion and
-  // eviction -- so the LLC reaches its steady-state mix of data and ECC
-  // lines; send_or_queue drops every request while warmup_ is set, and
-  // demand reads are never requested.  Warm-up has no timing, so it never
+  // cache the way they will run: op k belongs to core k % cores.  Each op
+  // runs its LLC access and the eviction chain behind it -- including
+  // ECC/XOR cacheline insertion and eviction -- so the LLC reaches its
+  // steady-state mix of data and ECC lines; send_or_queue drops every
+  // request while warmup_ is set.  Warm-up has no timing, so it never
   // reads an op's gap (next_untimed).  Each op is pulled kAhead ops before
   // it runs, in the same order, and the pull prefetches its LLC set block,
   // so the set is in the host's cache by the time the op needs it.
   constexpr std::uint64_t kAhead = 4;
   std::array<trace::MemOp, kAhead> ring;
   unsigned pull_core = 0;
-  unsigned run_core = 0;
   for (std::uint64_t k = 0; k < ops + kAhead; ++k) {
     trace::MemOp& slot = ring[k % kAhead];
-    if (k >= kAhead) {  // op k - kAhead
-      (void)execute_op(run_core, slot);
-      if (++run_core == cpu_.cores) run_core = 0;
-    }
+    if (k >= kAhead) warm_op(slot);  // op k - kAhead
     if (k < ops) {
       slot = source_->next_untimed(pull_core);
       llc_.prefetch(slot.line);
@@ -569,8 +573,22 @@ void SystemSim::warm_up() {
 }
 
 void SystemSim::cpu_cycle() {
-  for (unsigned c = 0; c < cpu_.cores; ++c) core_cycle(c);
+  if (next_due_ <= cpu_cycle_) {
+    for (unsigned c = 0; c < cpu_.cores; ++c) {
+      if (cores_[c].due <= cpu_cycle_) core_cycle(c);
+    }
+    // A visit may have woken a lower-numbered core for this cycle: it is
+    // visited on the next one, as a per-cycle scan would.
+    next_due_ = kNever;
+    for (const Core& core : cores_) next_due_ = std::min(next_due_, core.due);
+  }
   ++cpu_cycle_;
+}
+
+std::uint64_t SystemSim::committed_instructions() const {
+  std::uint64_t total = 0;
+  for (const Core& core : cores_) total += committed_by(core, cpu_cycle_);
+  return total;
 }
 
 void SystemSim::end_stall(Core& core) {
@@ -639,17 +657,13 @@ RunResult SystemSim::run() {
       streg_->sample_epoch(mem_.cycle());
       next_epoch_ += epoch_cycles_;
     }
-    if ((mem_.cycle() & 0x3FF) == 0) {
-      committed_total = 0;
-      for (const auto& c : cores_) committed_total += c.committed;
-    }
+    if ((mem_.cycle() & 0x3FF) == 0) committed_total = committed_instructions();
   }
   for (Core& core : cores_) {
     if (core.stalled_since != kNotStalled) end_stall(core);
   }
   const std::uint64_t run_cycles = mem_.cycle();
-  std::uint64_t instructions = 0;
-  for (const auto& c : cores_) instructions += c.committed;
+  const std::uint64_t instructions = committed_instructions();
   if (instructions < opts_.target_instructions) {
     fail("max_mem_cycles reached with " + std::to_string(instructions) +
          " of " + std::to_string(opts_.target_instructions) +

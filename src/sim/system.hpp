@@ -9,13 +9,19 @@
 //     `width` instructions, issuing its next memory operation when its
 //     instruction gap elapses.  Reads that miss the LLC occupy one of the
 //     core's MLP slots; a core with all slots full stalls -- this is the
-//     latency feedback that turns DRAM contention into IPC loss.  A
-//     stalled core sleeps until one of the two events that can end the
-//     stall: a completion frees one of its MLP slots, or its read's line
-//     enters the LLC (a demand miss or write-allocate of any core, or a
-//     completion fill).  Then it retries, in the same CPU cycle if a
-//     lower-numbered core's insert woke it, so the read issues on the
-//     first cycle on which a retry would succeed.
+//     latency feedback that turns DRAM contention into IPC loss.  Cores
+//     run on events: a core is visited only on the CPU cycle something
+//     can happen to it, and a CPU cycle with no core due costs one
+//     compare.  A gap that outlasts a cycle's budget commits its whole
+//     cycles without visits, and the core comes due on the cycle its op
+//     does.  A stalled core sleeps until one of the two events that can
+//     end the stall: a completion frees one of its MLP slots, or its
+//     read's line enters the LLC (a demand miss or write-allocate of any
+//     core, or a completion fill).  Then it retries, in the same CPU cycle
+//     if a lower-numbered core's insert woke it, so the read issues on the
+//     first cycle on which a retry would succeed.  Ops are drawn and run
+//     on the same CPU cycle and in the same core order as a per-cycle
+//     visit of every core would draw and run them.
 //   3. LLC evictions expand into ECC-maintenance traffic per the scheme's
 //     model (Sec. IV-C): dirty data -> memory write (+ an ECC/XOR
 //     cacheline touch for tiered/parity schemes); dirty ECC line -> one
@@ -27,6 +33,7 @@
 // memory accesses (64B units) per instruction.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -238,19 +245,23 @@ class SystemSim {
 
  private:
   static constexpr std::uint64_t kNotStalled = ~std::uint64_t{0};
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
-  /// One core.  A due read refused for a full MLP window puts the core to
-  /// sleep: core_cycle returns at once, with no LLC probe, until wake()
-  /// runs.  Only handle_completions lowering `outstanding_reads` and
-  /// wake_on_insert of `waiting_op->line` wake it; every other event
-  /// leaves the refusal standing.  A wake means "retry": the op may be
-  /// refused again, and the core sleeps again.
+  /// One core, visited by core_cycle only on CPU cycle `due`.  When a
+  /// visit's budget runs out inside an op's gap, the gap's whole cycles
+  /// are counted into `committed` at once and `due` skips past them, so
+  /// `committed` runs ahead of the cycle; committed_by() reads it.  A due
+  /// read refused for a full MLP window puts the core to sleep (`due` ==
+  /// kNever) until wake() runs.  Only handle_completions lowering
+  /// `outstanding_reads` and wake_on_insert of `waiting_op->line` wake it;
+  /// every other event leaves the refusal standing.  A wake means
+  /// "retry": the op may be refused again, and the core sleeps again.
   struct Core {
     std::uint64_t committed = 0;
     std::uint32_t gap_remaining = 0;
     std::optional<trace::MemOp> waiting_op;  ///< next op, issued once due
     unsigned outstanding_reads = 0;
-    bool asleep = false;
+    std::uint64_t due = 0;  ///< CPU cycle of the next visit
     /// CPU cycle of the stall's first refusal; kNotStalled when the core
     /// is not stalled.  The stall is counted when the op issues or the
     /// measured phase ends, so sleeping cycles cost nothing.
@@ -282,22 +293,33 @@ class SystemSim {
       std::uint64_t memline) const;
   [[noreturn, gnu::cold]] void fail(const std::string& what) const;
 
-  /// Streams 3 LLC-sizes of ops, round-robin over cores, through
-  /// execute_op with memory traffic suppressed, then clears the LLC
-  /// counters.  Ops are pulled a few ahead of execution so their LLC set
-  /// blocks can be prefetched.
+  /// Streams 3 LLC-sizes of ops, round-robin over cores, through warm_op
+  /// with memory traffic suppressed, then clears the LLC counters.  Ops
+  /// are pulled a few ahead of execution so their LLC set blocks can be
+  /// prefetched.
   void warm_up();
+  /// One warm-up op: its LLC access and the eviction chain that follows,
+  /// plus the faulty-bank ECC line read (degraded_read).  No timing, no
+  /// MLP slots and no demand reads.
+  void warm_op(const trace::MemOp& op);
+  /// Visits the cores due on this CPU cycle, in index order.
   void cpu_cycle();
   void core_cycle(unsigned c);
-  /// Runs the LLC access for one op; returns false if the core must retry
-  /// (a read that misses while every MLP slot is taken).  A refusal has
-  /// no side effects.  A full DRAM queue never refuses an op:
-  /// send_or_queue parks the request in pending_ and drain_pending
+  /// Runs the LLC access for one measured-phase op; returns false if the
+  /// core must retry (a read that misses while every MLP slot is taken).
+  /// A refusal has no side effects.  A full DRAM queue never refuses an
+  /// op: send_or_queue parks the request in pending_ and drain_pending
   /// retries it.
   bool execute_op(unsigned c, const trace::MemOp& op);
+  /// Step A1/B of Fig. 6, for ECC Parity with faulty banks: a read of
+  /// data `line` from a faulty bank also reads the bank's materialized
+  /// ECC line, through the ECC cache.
+  void degraded_read(std::uint64_t line);
+  /// Makes a sleeping core due on the current CPU cycle.
   void wake(Core& core) {
-    if (!core.asleep) return;
-    core.asleep = false;
+    if (core.due != kNever) return;
+    core.due = cpu_cycle_;
+    next_due_ = std::min(next_due_, cpu_cycle_);
     --asleep_cores_;
   }
   /// Wakes every sleeping core whose refused read is for `line`; called
@@ -306,9 +328,17 @@ class SystemSim {
   void wake_on_insert(std::uint64_t line) {
     if (asleep_cores_ == 0) return;
     for (Core& core : cores_) {
-      if (core.asleep && core.waiting_op->line == line) wake(core);
+      if (core.due == kNever && core.waiting_op->line == line) wake(core);
     }
   }
+  /// Instructions `core` has committed in the CPU cycles before `cycle`:
+  /// `committed` less the gap cycles it counted ahead.
+  std::uint64_t committed_by(const Core& core, std::uint64_t cycle) const {
+    if (core.due == kNever || core.due <= cycle) return core.committed;
+    return core.committed - (core.due - cycle) * cpu_.width;
+  }
+  /// Instructions committed across all cores in the CPU cycles run so far.
+  std::uint64_t committed_instructions() const;
   /// Adds a finished (or, at the end of the measured phase, unfinished)
   /// stall's refused cycles to cpu.stalled_core_cycles.
   void end_stall(Core& core);
@@ -376,6 +406,7 @@ class SystemSim {
   std::vector<Core> cores_;
   unsigned asleep_cores_ = 0;
   std::uint64_t cpu_cycle_ = 0;  ///< measured-phase CPU cycles run
+  std::uint64_t next_due_ = 0;   ///< earliest Core::due
   /// Stimulus: one MemOp stream per core (synthetic, replay, or recording
   /// tee).  Owned here; never null after construction.
   std::unique_ptr<trace::TraceSource> source_;
@@ -392,6 +423,8 @@ class SystemSim {
   std::uint32_t lines64_per_memline_;
   /// The memory's data-line count (decode's domain), read once.
   std::uint64_t total_data_lines_;
+  /// ECC Parity with faulty banks: reads may take Fig. 6's slow path.
+  bool degraded_;
   bool warmup_ = false;  ///< suppresses memory traffic during LLC warmup
   bool warmed_ = false;  ///< started from a WarmState: run() skips warm_up
   std::uint64_t next_id_ = 1;

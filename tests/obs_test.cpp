@@ -68,7 +68,7 @@ HeartbeatConfig status_config(const std::string& path,
 TEST(Heartbeat, DisabledByDefaultAndSkipsTicks) {
   Heartbeat hb;
   EXPECT_FALSE(hb.enabled());
-  hb.tick({"phase", 1, 10});
+  hb.tick({.phase = "phase", .done = 1, .total = 10});
   EXPECT_EQ(hb.snapshots_written(), 0u);
 }
 
@@ -97,9 +97,9 @@ TEST(Heartbeat, PublishesParsableSnapshotWithSchema) {
 TEST(Heartbeat, FinalTickMarksFinalAndSeqIncreases) {
   const std::string path = ::testing::TempDir() + "/obs_hb_final.json";
   Heartbeat hb(status_config(path));
-  hb.tick({"run", 1, 4});
-  hb.tick({"run", 2, 4});
-  hb.tick({"run", 4, 4});
+  hb.tick({.phase = "run", .done = 1, .total = 4});
+  hb.tick({.phase = "run", .done = 2, .total = 4});
+  hb.tick({.phase = "run", .done = 4, .total = 4});
   EXPECT_EQ(hb.snapshots_written(), 3u);
   const runner::Json doc = runner::Json::parse(slurp(path));
   EXPECT_TRUE(doc.at("final").as_bool());
@@ -112,7 +112,9 @@ TEST(Heartbeat, IntervalThrottleDropsIntermediateTicks) {
   // An hour-long interval: only the first tick and the forced/final ones
   // may publish.
   Heartbeat hb(status_config(path, 3'600'000));
-  for (std::uint64_t i = 1; i <= 50; ++i) hb.tick({"run", i, 100});
+  for (std::uint64_t i = 1; i <= 50; ++i) {
+    hb.tick({.phase = "run", .done = i, .total = 100});
+  }
   EXPECT_EQ(hb.snapshots_written(), 1u);
   Heartbeat::Tick forced;
   forced.phase = "run";
@@ -120,7 +122,8 @@ TEST(Heartbeat, IntervalThrottleDropsIntermediateTicks) {
   forced.total = 100;
   forced.force = true;
   hb.tick(forced);
-  hb.tick({"run", 100, 100});  // final: bypasses the throttle too
+  // final: bypasses the throttle too
+  hb.tick({.phase = "run", .done = 100, .total = 100});
   EXPECT_EQ(hb.snapshots_written(), 3u);
   std::remove(path.c_str());
 }
@@ -157,7 +160,8 @@ TEST(Heartbeat, RelCiSeriesResetsOnPhaseChange) {
 TEST(Heartbeat, ConcurrentReaderNeverSeesTornSnapshot) {
   const std::string path = ::testing::TempDir() + "/obs_hb_torn.json";
   Heartbeat hb(status_config(path));
-  hb.tick({"warmup", 1, 1000});  // file exists before readers start
+  // the file exists before the readers start
+  hb.tick({.phase = "warmup", .done = 1, .total = 1000});
 
   std::atomic<bool> stop{false};
   std::atomic<int> parsed{0};

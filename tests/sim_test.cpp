@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "sim/system.hpp"
+#include "stats/stats.hpp"
 
 namespace eccsim::sim {
 namespace {
@@ -376,6 +378,64 @@ TEST(SystemSim, StalledCoresWakeExactly) {
     const std::string fields = result_fields(sim.run());
     EXPECT_EQ(fnv1a(fields), c.digest)
         << std::hex << "0x" << fnv1a(fields) << " for " << fields;
+  }
+}
+
+// Lazy commit accounting: a core deep in an instruction gap is not
+// visited until its op comes due, yet every reader of its committed count
+// must see the count a per-cycle countdown would have reached.  Each case
+// samples the registry every 3 memory cycles, so most samples fall in the
+// middle of some core's gap, and pins the cpu.committed_instructions epoch
+// series, cpu.stalled_core_cycles and the run's instruction and cycle
+// counts to a digest recorded from the simulator that visited every core
+// on every CPU cycle.  The cases cover long gaps (omnetpp), stalls (mcf at
+// MLP 1) and a target that the 1024-cycle check finds mid-gap.
+struct CommitCase {
+  const char* label;
+  const char* workload;
+  std::uint64_t digest;  ///< fnv1a of the pinned series and counts
+  std::uint64_t instructions = 400'000;
+  unsigned mlp = 4;
+};
+
+TEST(SystemSim, CommittedCountsExactMidGap) {
+  const CommitCase cases[] = {
+      {.label = "omnetpp", .workload = "omnetpp",
+       .digest = 0x77dbabd0d6a696ebULL},
+      {.label = "mcf mlp 1", .workload = "mcf",
+       .digest = 0xf6001aad9ab092a2ULL, .mlp = 1},
+      {.label = "target mid-gap", .workload = "omnetpp",
+       .digest = 0x43b8db4e9179999cULL, .instructions = 40'001},
+  };
+  for (const CommitCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    stats::Config cfg;
+    cfg.enabled = true;
+    cfg.epoch_cycles = 3;
+    stats::Collector collector(cfg);
+    SimOptions opts = quick();
+    opts.target_instructions = c.instructions;
+    opts.stats = &collector;
+    CpuConfig cpu;
+    cpu.mlp = c.mlp;
+    SystemSim sim(ecc::make_scheme(ecc::SchemeId::kLotEcc5Parity,
+                                   ecc::SystemScale::kQuadEquivalent),
+                  trace::workload_by_name(c.workload), cpu, opts);
+    const RunResult r = sim.run();
+    const stats::Registry& reg = collector.registry();
+    const std::vector<double>* committed =
+        reg.epoch_series("cpu.committed_instructions");
+    ASSERT_NE(committed, nullptr);
+    std::string fields = std::to_string(r.instructions) + "," +
+                         std::to_string(r.mem_cycles) + "," +
+                         std::to_string(static_cast<std::uint64_t>(
+                             reg.value("cpu.stalled_core_cycles")));
+    for (const double v : *committed) {
+      fields += "," + std::to_string(static_cast<std::uint64_t>(v));
+    }
+    EXPECT_EQ(fnv1a(fields), c.digest)
+        << std::hex << "0x" << fnv1a(fields) << " over "
+        << committed->size() << " epochs";
   }
 }
 

@@ -4,8 +4,11 @@
 // synthetic run exactly -- the property the fig10 replay CI job leans on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "sim/system.hpp"
@@ -100,6 +103,48 @@ TEST(TraceReplaySim, RecordingRunIsUnperturbedAndReplayable) {
       replaying);
   expect_identical(baseline, replayed);
   std::remove(path.c_str());
+}
+
+/// 64-bit FNV-1a of the bytes of the file at `path`.
+std::uint64_t file_fnv1a(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+    h ^= static_cast<unsigned char>(*it);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// A pre-LLC recording made through SystemSim holds the ops in the order
+// the cores drew them, and a post-LLC capture the requests in the order
+// they were sent, so both pin the cross-core call order of the measured
+// phase, not only its totals.  Digests of the file bytes, recorded from
+// the simulator that visited every core on every CPU cycle, for 8 cores
+// of a stalling Bin2 workload.
+TEST(TraceReplaySim, RecordingsPinCrossCoreCallOrder) {
+  struct Case {
+    const char* label;
+    tracefile::CapturePoint point;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"pre-LLC", tracefile::CapturePoint::kPreLlc, 0x43776c5e63572f6dULL},
+      {"post-LLC", tracefile::CapturePoint::kPostLlc, 0x7334201132a31fa8ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    const std::string path = temp_path("call_order.ecctrace");
+    SimOptions opts = base_opts(trace::paper_sweep_seed("mcf"));
+    opts.target_instructions = 400'000;
+    opts.trace_out = path;
+    opts.trace_point = c.point;
+    run_experiment(ecc::SchemeId::kLotEcc5Parity,
+                   ecc::SystemScale::kQuadEquivalent, "mcf", opts);
+    EXPECT_EQ(file_fnv1a(path), c.digest)
+        << std::hex << "0x" << file_fnv1a(path);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(TraceReplaySim, PostLlcCaptureMatchesMemoryTraffic) {
