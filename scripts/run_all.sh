@@ -12,13 +12,13 @@
 #
 # Sweeps fan out over all cores by default; set RUNNER_THREADS=N to cap
 # (results are bit-identical at any thread count).  The fault Monte Carlo
-# benches (fig02/fig08/fig18/sec6b) additionally honor ECCSIM_MC_SYSTEMS,
-# ECCSIM_MC_CHUNK, ECCSIM_MC_TARGET_REL_CI, and ECCSIM_MC_CHECKPOINT --
-# exported here, they pass straight through to every binary (results are
-# bit-identical at any thread count and chunk size; see
-# docs/REPRODUCING.md).  Every binary prints its table to stdout and
-# writes CSV + JSON result files; this driver adds [n/total] progress and
-# per-binary wall-clock to stderr.
+# benches (fig02/fig08/fig18/sec6b/fleet_demo) additionally honor
+# ECCSIM_MC_SYSTEMS, ECCSIM_MC_CHUNK, ECCSIM_MC_TARGET_REL_CI, and
+# ECCSIM_MC_CHECKPOINT -- exported here, they pass straight through to
+# every binary (results are bit-identical at any thread count and chunk
+# size; see docs/REPRODUCING.md).  Every binary prints its table to stdout
+# and writes CSV + JSON result files; this driver adds [n/total] progress
+# and per-binary wall-clock to stderr.
 set -e
 
 build=1
@@ -68,21 +68,6 @@ for b in build/bench/*; do
   echo "[$n/$total] $name done in $(($(date +%s) - t0))s" >&2
 done
 echo "all $n bench binaries done in $(($(date +%s) - start))s" >&2
-
-# Fleet demo (src/fleet, docs/ARCHITECTURE.md): the heterogeneous
-# ddr3/ddr4/ddr5 spec mixing isolated and cross-parity ECC schemes,
-# evaluated through the sharded coordinator.  Smoke runs shrink every
-# pool 20x and quarantine the result under results/fleet/smoke/; full
-# runs evaluate all 48k nodes into results/fleet/demo.json.
-if [ -x build/tools/fleetd/fleetd ]; then
-  if [ "${ECCSIM_SMOKE:-0}" != 0 ]; then
-    ./build/tools/fleetd/fleetd run --spec examples/fleet_demo.json \
-      --scale 20 --shards 4 --out results/fleet/smoke/demo.json
-  else
-    ./build/tools/fleetd/fleetd run --spec examples/fleet_demo.json \
-      --shards 4 --out results/fleet/demo.json
-  fi
-fi
 
 if [ -s "$profiles" ]; then
   {

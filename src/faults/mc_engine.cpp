@@ -39,17 +39,88 @@ std::uint64_t mix64(std::uint64_t x) {
   return sm.next();
 }
 
+// A checkpoint file is a line-oriented text log of completed chunks.  Each
+// chunk is one line:
+//
+//   mcchunk1 <run_id:hex16> <chunk_index> <count> <field:hex16>...
+//
+// where the fields are the bit patterns of the chunk's count*nfields
+// doubles (std::bit_cast, so the round-trip is exact).  Lines starting
+// with '#' are comments; malformed or partial lines (a killed writer) are
+// skipped on load.  Chunks are matched to a run by `run_id`, a hash of the
+// run's tag and every sampling parameter -- see run_identity() and
+// docs/CHECKPOINTS.md for the full matching rule.
 constexpr const char* kChunkLineTag = "mcchunk1";
 
-/// Loads every complete chunk recorded for `run_id` from a file path;
-/// a missing or unreadable file is an empty (fresh) checkpoint.
+/// Identity of a run for checkpoint-chunk matching: FNV-1a of the tag,
+/// mixed (SplitMix64) with the seed, system budget, chunk size, and field
+/// count.  A chunk recorded under any differing parameter never matches.
+std::uint64_t run_identity(const std::string& tag, std::uint64_t seed,
+                           unsigned systems, unsigned chunk_size,
+                           std::size_t nfields) {
+  std::uint64_t id = fnv1a(tag);
+  id = mix64(id ^ seed);
+  id = mix64(id ^ systems);
+  id = mix64(id ^ chunk_size);
+  id = mix64(id ^ nfields);
+  return id;
+}
+
+/// Appends one completed chunk (`count` systems' fields, flattened) as a
+/// single flushed line in the format above.
+void append_chunk(std::ostream& out, std::uint64_t run_id,
+                  std::uint64_t index, unsigned count,
+                  const std::vector<double>& fields) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s %016" PRIx64 " %" PRIu64 " %u",
+                kChunkLineTag, run_id, index, count);
+  out << buf;
+  for (const double d : fields) {
+    std::snprintf(buf, sizeof buf, " %016" PRIx64,
+                  std::bit_cast<std::uint64_t>(d));
+    out << buf;
+  }
+  // One line per chunk, flushed immediately: a kill can lose at most the
+  // line being written, and the loader discards a partial trailer.
+  out << '\n' << std::flush;
+}
+
+/// Parses every complete chunk recorded for `run_id` in the file at
+/// `path`, keyed by chunk index; a missing or unreadable file is a fresh
+/// checkpoint.  `chunk_systems(ci)` is the expected system count of chunk
+/// `ci`; lines with a mismatched count, an out-of-range index, or a
+/// truncated field list are skipped (resuming from a damaged file degrades
+/// to re-simulating the missing chunks, never to failing).
 std::unordered_map<std::uint64_t, std::vector<double>> load_checkpoint(
     const std::string& path, std::uint64_t run_id, std::uint64_t nchunks,
     const std::function<unsigned(std::uint64_t)>& chunk_systems,
     std::size_t nfields) {
+  std::unordered_map<std::uint64_t, std::vector<double>> loaded;
   std::ifstream in(path);
-  if (!in) return {};
-  return mc_checkpoint_load(in, run_id, nchunks, chunk_systems, nfields);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream is(line);
+    std::string word;
+    std::uint64_t id = 0, index = 0, count = 0;
+    is >> word >> std::hex >> id >> std::dec >> index >> count;
+    if (!is || word != kChunkLineTag || id != run_id) continue;
+    if (index >= nchunks || count != chunk_systems(index)) continue;
+    if (loaded.count(index) != 0) continue;  // identical by construction
+    std::vector<double> fields;
+    fields.reserve(count * nfields);
+    bool ok = true;
+    for (std::uint64_t k = 0; k < count * nfields; ++k) {
+      std::uint64_t bits = 0;
+      if (!(is >> std::hex >> bits)) {
+        ok = false;  // partial line (killed mid-write): discard
+        break;
+      }
+      fields.push_back(std::bit_cast<double>(bits));
+    }
+    if (ok) loaded.emplace(index, std::move(fields));
+  }
+  return loaded;
 }
 
 /// Test hook: per-chunk sleep so kill-and-resume checks can reliably
@@ -100,65 +171,6 @@ struct McStats {
 
 }  // namespace
 
-std::uint64_t mc_run_identity(const std::string& tag, std::uint64_t seed,
-                              unsigned systems, unsigned chunk_size,
-                              std::size_t nfields) {
-  std::uint64_t id = fnv1a(tag);
-  id = mix64(id ^ seed);
-  id = mix64(id ^ systems);
-  id = mix64(id ^ chunk_size);
-  id = mix64(id ^ nfields);
-  return id;
-}
-
-void mc_checkpoint_append(std::ostream& out, std::uint64_t run_id,
-                          std::uint64_t index, unsigned count,
-                          const std::vector<double>& fields) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%s %016" PRIx64 " %" PRIu64 " %u",
-                kChunkLineTag, run_id, index, count);
-  out << buf;
-  for (const double d : fields) {
-    std::snprintf(buf, sizeof buf, " %016" PRIx64,
-                  std::bit_cast<std::uint64_t>(d));
-    out << buf;
-  }
-  // One line per chunk, flushed immediately: a kill can lose at most the
-  // line being written, and the loader discards a partial trailer.
-  out << '\n' << std::flush;
-}
-
-std::unordered_map<std::uint64_t, std::vector<double>> mc_checkpoint_load(
-    std::istream& in, std::uint64_t run_id, std::uint64_t nchunks,
-    const std::function<unsigned(std::uint64_t)>& chunk_systems,
-    std::size_t nfields) {
-  std::unordered_map<std::uint64_t, std::vector<double>> loaded;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream is(line);
-    std::string word;
-    std::uint64_t id = 0, index = 0, count = 0;
-    is >> word >> std::hex >> id >> std::dec >> index >> count;
-    if (!is || word != kChunkLineTag || id != run_id) continue;
-    if (index >= nchunks || count != chunk_systems(index)) continue;
-    if (loaded.count(index) != 0) continue;  // identical by construction
-    std::vector<double> fields;
-    fields.reserve(count * nfields);
-    bool ok = true;
-    for (std::uint64_t k = 0; k < count * nfields; ++k) {
-      std::uint64_t bits = 0;
-      if (!(is >> std::hex >> bits)) {
-        ok = false;  // partial line (killed mid-write): discard
-        break;
-      }
-      fields.push_back(std::bit_cast<double>(bits));
-    }
-    if (ok) loaded.emplace(index, std::move(fields));
-  }
-  return loaded;
-}
-
 Rng mc_system_rng(std::uint64_t seed, unsigned index) {
   SplitMix64 sm(seed ^ (0x9e3779b97f4a7c15ULL * (index + 1)));
   return Rng(sm.next());
@@ -195,7 +207,7 @@ McRunInfo mc_run(unsigned systems, std::uint64_t seed, std::size_t nfields,
 
   // --- checkpoint: restore already-completed chunks ------------------------
   const std::uint64_t run_id =
-      mc_run_identity(tag, seed, systems, chunk, nfields);
+      run_identity(tag, seed, systems, chunk, nfields);
   std::unordered_map<std::uint64_t, std::vector<double>> loaded;
   std::ofstream ckpt;
   if (!opts.checkpoint_path.empty()) {
@@ -275,7 +287,7 @@ McRunInfo mc_run(unsigned systems, std::uint64_t seed, std::size_t nfields,
     if (mc.chunks_merged != nullptr) mc.chunks_merged->inc();
     if (mc.systems_merged != nullptr) mc.systems_merged->inc(count);
     if (!was_loaded && ckpt.is_open()) {
-      mc_checkpoint_append(ckpt, run_id, ci, count, fields);
+      append_chunk(ckpt, run_id, ci, count, fields);
     }
     if (rel_ci) {
       info.final_rel_ci = rel_ci();

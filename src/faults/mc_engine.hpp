@@ -27,10 +27,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -80,44 +78,6 @@ struct McRunInfo {
   /// Relative CI at the last check; NaN when no rel-CI callback ran.
   double final_rel_ci = std::numeric_limits<double>::quiet_NaN();
 };
-
-// --- checkpoint format (public so other engines can reuse the envelope) ---
-//
-// A checkpoint file is a line-oriented text log of completed chunks.  Each
-// chunk is one line:
-//
-//   mcchunk1 <run_id:hex16> <chunk_index> <count> <field:hex16>...
-//
-// where the fields are the bit patterns of the chunk's count*nfields
-// doubles (std::bit_cast, so the round-trip is exact).  Lines starting
-// with '#' are comments; malformed or partial lines (a killed writer) are
-// skipped on load.  Chunks are matched to a run by `run_id`, a hash of the
-// run's tag and every sampling parameter -- see mc_run_identity() and
-// docs/CHECKPOINTS.md for the full matching rule.  The fleet coordinator
-// (src/fleet) reuses this format as its work-unit envelope.
-
-/// Identity of a run for checkpoint-chunk matching: FNV-1a of the tag,
-/// mixed (SplitMix64) with the seed, system budget, chunk size, and field
-/// count.  A chunk recorded under any differing parameter never matches.
-std::uint64_t mc_run_identity(const std::string& tag, std::uint64_t seed,
-                              unsigned systems, unsigned chunk_size,
-                              std::size_t nfields);
-
-/// Appends one completed chunk (`count` systems' fields, flattened) to a
-/// checkpoint stream as a single flushed line in the format above.
-void mc_checkpoint_append(std::ostream& out, std::uint64_t run_id,
-                          std::uint64_t index, unsigned count,
-                          const std::vector<double>& fields);
-
-/// Parses every complete chunk recorded for `run_id` from `in`, keyed by
-/// chunk index.  `chunk_systems(ci)` must return the expected system count
-/// of chunk `ci`; lines with a mismatched count, an out-of-range index, or
-/// a truncated field list are skipped (resuming from a damaged file
-/// degrades to re-simulating the missing chunks, never to failing).
-std::unordered_map<std::uint64_t, std::vector<double>> mc_checkpoint_load(
-    std::istream& in, std::uint64_t run_id, std::uint64_t nchunks,
-    const std::function<unsigned(std::uint64_t)>& chunk_systems,
-    std::size_t nfields);
 
 /// Deterministic per-system generator: cheap to derive for any index
 /// (unlike repeated jump()), still statistically independent streams.

@@ -2,16 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "common/units.hpp"
-#include "faults/mc_engine.hpp"
 #include "faults/montecarlo.hpp"
-#include "runner/json.hpp"
 
 namespace eccsim::fleet {
+
+namespace {
+
+/// %.17g round-trips every double; availability nines print "inf" for a
+/// fleet without downtime.
+std::string exact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+}  // namespace
 
 FleetModel::FleetModel(const FleetSpec& spec) : spec_(spec) {
   const std::string diag = validate(spec_);
@@ -188,40 +199,40 @@ FleetResult FleetAccumulator::finalize() const {
   return r;
 }
 
-runner::Json result_to_json(const FleetResult& result) {
-  runner::Json doc = runner::Json::object();
-  doc.set("schema", "eccsim.fleet/1");
-  doc.set("name", result.name);
-  doc.set("config_hash", result.config_hash);
-  doc.set("nodes", result.nodes);
-  doc.set("lifetime_hours", result.lifetime_hours);
-  doc.set("uncorrected_events", result.uncorrected_events);
-  doc.set("nodes_with_events", result.nodes_with_events);
-  doc.set("nodes_lost", result.nodes_lost);
-  doc.set("downtime_hours", result.downtime_hours);
-  doc.set("annual_node_loss", result.annual_node_loss);
-  doc.set("availability", result.availability);
-  doc.set("availability_nines", result.availability_nines);
-  runner::Json quant = runner::Json::object();
-  quant.set("p50", result.events_p50);
-  quant.set("p99", result.events_p99);
-  quant.set("p999", result.events_p999);
-  quant.set("exact", result.quantiles_exact);
-  doc.set("events_per_node", std::move(quant));
-  runner::Json pools = runner::Json::array();
-  for (const PoolResult& pool : result.pools) {
-    runner::Json p = runner::Json::object();
-    p.set("name", pool.name);
-    p.set("nodes", pool.nodes);
-    p.set("uncorrected_events", pool.uncorrected_events);
-    p.set("nodes_with_events", pool.nodes_with_events);
-    p.set("nodes_lost", pool.nodes_lost);
-    p.set("downtime_hours", pool.downtime_hours);
-    p.set("hard_faults", pool.hard_faults);
-    pools.push_back(std::move(p));
+FleetResult run(const FleetSpec& spec, const faults::McOptions& opts) {
+  const FleetModel model(spec);
+  FleetAccumulator acc(model);
+  faults::mc_run(
+      static_cast<unsigned>(model.nodes()), spec.seed, kNodeFields,
+      "fleet:" + config_hash(spec), opts,
+      [&model](unsigned index, Rng& rng, double* fields) {
+        model.node_fields(index, rng, fields);
+      },
+      [&acc](unsigned index, const double* fields) { acc.add(index, fields); });
+  return acc.finalize();
+}
+
+Table result_table(const FleetResult& r) {
+  Table t({"scope", "name", "nodes", "uncorrected events",
+           "nodes with events", "nodes lost", "downtime (h)", "hard faults",
+           "annual node loss", "availability", "availability nines",
+           "events p50", "events p99", "events p99.9", "quantiles",
+           "lifetime (h)", "config hash"});
+  t.add_row({"fleet", r.name, std::to_string(r.nodes),
+             exact(r.uncorrected_events), std::to_string(r.nodes_with_events),
+             std::to_string(r.nodes_lost), exact(r.downtime_hours), "",
+             exact(r.annual_node_loss), exact(r.availability),
+             exact(r.availability_nines), exact(r.events_p50),
+             exact(r.events_p99), exact(r.events_p999),
+             r.quantiles_exact ? "exact" : "reservoir",
+             exact(r.lifetime_hours), r.config_hash});
+  for (const PoolResult& p : r.pools) {
+    t.add_row({"pool", p.name, std::to_string(p.nodes),
+               exact(p.uncorrected_events), std::to_string(p.nodes_with_events),
+               std::to_string(p.nodes_lost), exact(p.downtime_hours),
+               exact(p.hard_faults)});
   }
-  doc.set("pools", std::move(pools));
-  return doc;
+  return t;
 }
 
 }  // namespace eccsim::fleet

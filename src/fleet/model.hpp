@@ -1,17 +1,16 @@
 // Per-node failure model and fleet-level aggregation.
 //
-// Layer (1) of the fleet subsystem: maps one node index to a deterministic
-// per-node simulation (fault lifetime sampling + scheme-class coincidence
-// detection), and folds the resulting fixed-width field blocks -- in
+// FleetModel maps one node index to a deterministic per-node simulation
+// (fault lifetime sampling + scheme-class coincidence detection), and
+// FleetAccumulator folds the resulting fixed-width field blocks -- in
 // strict node-index order -- into fleet metrics: expected annual node
 // loss, fleet availability (nines), and uncorrected-error-event quantiles.
 //
-// The split into FleetModel (produces fields) and FleetAccumulator
-// (consumes fields) mirrors the McSystemFn/McMergeFn contract of
-// faults::mc_run: the producer runs on any worker (thread or spawned
-// process), the consumer runs single-threaded in index order, and the
-// final result is a pure function of the ordered field stream -- which is
-// what makes merged output byte-identical at any shard count.
+// The split is the McSystemFn/McMergeFn contract of faults::mc_run, and
+// run() is that one call: the producer runs on any pool worker, the
+// consumer on the calling thread in index order, so the result is a pure
+// function of the spec -- identical at any thread count and chunk size,
+// and after a checkpointed resume.
 #pragma once
 
 #include <cstdint>
@@ -20,16 +19,15 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/table.hpp"
+#include "faults/mc_engine.hpp"
 #include "faults/montecarlo.hpp"
 #include "fleet/spec.hpp"
 
-namespace eccsim::runner {
-class Json;
-}
-
 namespace eccsim::fleet {
 
-/// Fixed per-node field block, the unit of the work-unit envelope:
+/// Fixed per-node field block, what one node contributes to an MC chunk
+/// (and to its checkpoint line):
 ///   [0] uncorrected error events over the node lifetime
 ///   [1] time of the first event in hours (+inf when the node never fails)
 ///   [2] downtime hours if every event is repaired (spares permitting)
@@ -114,8 +112,8 @@ struct FleetResult {
 inline constexpr std::size_t kFleetReservoirCap = 1 << 16;
 
 /// Folds per-node field blocks into a FleetResult.  add() must be called
-/// once per node in strictly increasing index order (the coordinator's
-/// merge guarantees this); finalize() resolves spare-pool depletion and
+/// once per node in strictly increasing index order (mc_run's merge
+/// guarantees this); finalize() resolves spare-pool depletion and
 /// computes the derived metrics.
 class FleetAccumulator {
  public:
@@ -142,10 +140,17 @@ class FleetAccumulator {
   std::vector<double> demand_repaired_downtime_;
 };
 
-/// Serializes a FleetResult as an `eccsim.fleet/1` document (see
-/// docs/OBSERVABILITY.md).  Deliberately free of timestamps, shard counts,
-/// and execution-mode fields -- those belong in the manifest -- so the
-/// dump is byte-identical however the run was executed.
-runner::Json result_to_json(const FleetResult& result);
+/// Evaluates every node of a validated spec through faults::mc_run, node i
+/// on faults::mc_system_rng(spec.seed, i), under the run tag
+/// "fleet:<config_hash>" -- so a checkpoint recorded under any other spec
+/// never resumes -- and returns the finalized result.
+FleetResult run(const FleetSpec& spec, const faults::McOptions& opts);
+
+/// The fleet's one output format (docs/OBSERVABILITY.md): a fleet row, then
+/// one row per pool.  Every number is at full precision (%.17g, so each
+/// double round-trips), and a column that does not apply to a row is blank.
+/// Free of timings and execution settings, so it is byte-identical however
+/// the run was executed.
+Table result_table(const FleetResult& result);
 
 }  // namespace eccsim::fleet

@@ -8,9 +8,10 @@
 // fleet availability and annual node-loss as the output metrics.
 //
 // A FleetSpec is a plain value, serialized as canonical JSON (fixed field
-// order, every field explicit) so that `config_hash()` is a stable cache
-// key: two requests describing the same fleet hash identically whatever
-// the field order or defaulting of the submitted document.
+// order, every field explicit) so that `config_hash()` is a stable run
+// tag: two documents describing the same fleet hash identically whatever
+// their field order or defaulting, and any change to the fleet re-keys
+// its Monte Carlo checkpoint chunks.
 //
 // Layering note: this module deliberately does NOT include src/dram or
 // src/ecc.  Pools carry their DRAM generation and ECC scheme as validated
@@ -77,8 +78,8 @@ struct FleetSpec {
   std::vector<PoolSpec> pools;
 
   std::uint64_t total_nodes() const;
-  /// Divides every pool's node count by `factor` (floor 1 node) -- the
-  /// smoke-scaling knob used by run_all.sh and the CI identity check.
+  /// Divides every pool's node count by `factor` (floor 1 node) -- how
+  /// bench/fleet_demo shrinks the fleet for --quick and --smoke runs.
   void scale_nodes(std::uint64_t factor);
 };
 
@@ -108,9 +109,8 @@ std::optional<SchemeClass> scheme_class(const std::string& ecc);
 /// Canonical JSON form: fixed field order, every field explicit.
 runner::Json to_json(const FleetSpec& spec);
 
-/// Parses a spec document (the `spec` member of an eccsim.fleetreq/1
-/// request, or a standalone file).  Unknown members throw; absent members
-/// take their defaults.  Throws std::runtime_error with a field path on
+/// Parses a spec document (e.g. examples/fleet_demo.json).  Unknown
+/// members throw; absent members take their defaults.  Throws std::runtime_error with a field path on
 /// malformed input.
 FleetSpec spec_from_json(const runner::Json& doc);
 
@@ -119,9 +119,9 @@ FleetSpec spec_from_json(const runner::Json& doc);
 /// valid, else a one-line diagnostic.
 std::string validate(const FleetSpec& spec);
 
-/// Cache key: 16 lowercase hex digits, FNV-1a over the canonical JSON
-/// dump of the spec.  Stable across field order and defaulting of the
-/// submitted document (both normalize through spec_from_json/to_json).
+/// Run tag: 16 lowercase hex digits, FNV-1a over the canonical JSON dump
+/// of the spec.  Stable across field order and defaulting of the source
+/// document (both normalize through spec_from_json/to_json).
 std::string config_hash(const FleetSpec& spec);
 
 }  // namespace eccsim::fleet

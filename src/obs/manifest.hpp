@@ -66,7 +66,7 @@ void note_resumed();
 void note_exit_code(int code);
 
 /// The manifest of a tool that runs without bench::init (benchtool,
-/// tracetool, fleetd).  Construction fills manifest() -- tool, args, git
+/// tracetool).  Construction fills manifest() -- tool, args, git
 /// SHA, seed regime, threads, host, CPU count, start time -- and writes
 /// it to `path` with status "running"; finish() closes it.
 class ToolManifest {

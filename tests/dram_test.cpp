@@ -334,7 +334,9 @@ TEST(Channel, CompletionFifoGrowsAndKeepsFinishOrder) {
   ASSERT_EQ(out.size(), 400u);
   std::vector<bool> seen(400, false);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    if (i > 0) EXPECT_GT(out[i].finish_cycle, out[i - 1].finish_cycle);
+    if (i > 0) {
+      EXPECT_GT(out[i].finish_cycle, out[i - 1].finish_cycle);
+    }
     EXPECT_LE(out[i].finish_cycle, now);
     ASSERT_LT(out[i].id, 400u);
     EXPECT_FALSE(seen[out[i].id]) << "id " << out[i].id;

@@ -371,8 +371,8 @@ TEST(EcclintLayering, UnmappedFilesAndAngledIncludesAreUnconstrained) {
 
 namespace fleetlayers {
 
-// The fleet/fleetd corner of tools/ecclint/layers.txt, reduced to the
-// modules those edges touch.
+// The fleet corner of tools/ecclint/layers.txt, reduced to the modules
+// that the fleet library and the fleet_demo bench touch.
 const char* const kLayers =
     "module json       src/runner/json.\n"
     "module threadpool src/runner/thread_pool.\n"
@@ -381,26 +381,27 @@ const char* const kLayers =
     "module dram       src/dram/\n"
     "module faults     src/faults/\n"
     "module fleet      src/fleet/\n"
-    "module fleetd     tools/fleetd/\n"
+    "module bench      bench/\n"
     "allow obs -> common\n"
     "allow faults -> common obs threadpool\n"
-    "allow fleet -> common faults obs json threadpool\n"
-    "allow fleetd -> common obs fleet json\n";
+    "allow fleet -> common faults json\n"
+    "allow bench -> common obs faults fleet json\n";
 
 std::vector<el::SourceFile> fixture_tree() {
   return {
       {"src/runner/json.hpp", "#pragma once\n"},
-      {"src/runner/thread_pool.hpp", "#pragma once\n"},
-      {"src/obs/heartbeat.hpp", "#pragma once\n"},
+      {"src/common/table.hpp", "#pragma once\n"},
+      {"src/obs/manifest.hpp", "#pragma once\n"},
       {"src/dram/spec.hpp", "#pragma once\n"},
       {"src/faults/mc_engine.hpp", "#pragma once\n"},
-      {"src/fleet/coordinator.cpp",
-       "#include \"faults/mc_engine.hpp\"\n"
-       "#include \"obs/heartbeat.hpp\"\n"
-       "#include \"runner/json.hpp\"\n"
-       "#include \"runner/thread_pool.hpp\"\n"},
-      {"tools/fleetd/main.cpp",
-       "#include \"fleet/coordinator.hpp\"\n"
+      {"src/fleet/model.hpp",
+       "#pragma once\n"
+       "#include \"common/table.hpp\"\n"
+       "#include \"faults/mc_engine.hpp\"\n"},
+      {"src/fleet/spec.cpp", "#include \"runner/json.hpp\"\n"},
+      {"bench/fleet_demo.cpp",
+       "#include \"fleet/model.hpp\"\n"
+       "#include \"obs/manifest.hpp\"\n"
        "#include \"runner/json.hpp\"\n"},
   };
 }
@@ -408,8 +409,8 @@ std::vector<el::SourceFile> fixture_tree() {
 }  // namespace fleetlayers
 
 TEST(EcclintLayering, FleetEdgesPass) {
-  // The edges the fleet library and the fleetd tool actually use are all
-  // declared, so the reduced DAG yields no findings.
+  // The edges the fleet library and the fleet_demo bench actually use are
+  // all declared, so the reduced DAG yields no findings.
   el::Config cfg;
   cfg.layers_text = fleetlayers::kLayers;
   EXPECT_TRUE(el::analyze(fleetlayers::fixture_tree(), cfg).empty());

@@ -1,26 +1,17 @@
 // Tests for src/fleet: spec round-trip and config-hash stability, the
 // pinned generation/scheme tables, the per-node failure model under a
-// high-FIT stress spec, shard planning, byte-identity of the sharded
-// coordinator (in-process and worker-process), and the fleetd service
-// (cache hits via the per-request manifest flag, concurrent clients,
-// queue backpressure).
+// high-FIT stress spec, and the fleet run on faults::mc_run: its result
+// pinned field by field, byte-identical at any thread count and chunk
+// size, and never resumed from a checkpoint of another spec.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "dram/spec.hpp"
 #include "ecc/scheme.hpp"
 #include "faults/mc_engine.hpp"
-#include "fleet/coordinator.hpp"
 #include "fleet/model.hpp"
-#include "fleet/service.hpp"
 #include "fleet/spec.hpp"
 #include "runner/json.hpp"
 
@@ -60,31 +51,15 @@ FleetSpec stress_spec() {
   return spec;
 }
 
-/// stress_spec() shrunk for the service tests, renamed so each test's
-/// jobs hash (and cache) independently.
-FleetSpec tiny_spec(const std::string& name) {
-  FleetSpec spec = stress_spec();
-  spec.name = name;
-  spec.scale_nodes(10);
-  return spec;
-}
-
 std::string dump_of(const FleetResult& result) {
-  return result_to_json(result).dump(2);
+  return result_table(result).csv();
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-/// Value of `key` among a manifest's extra pairs, or "" when absent.
-std::string manifest_extra(const std::string& path, const std::string& key) {
-  const runner::Json doc = runner::Json::parse(slurp(path));
-  if (!doc.contains("extra") || !doc.at("extra").contains(key)) return "";
-  return doc.at("extra").at(key).as_string();
+faults::McOptions mc_options(unsigned threads, unsigned chunk_size) {
+  faults::McOptions opts;
+  opts.threads = threads;
+  opts.chunk_size = chunk_size;
+  return opts;
 }
 
 // ---------------------------------------------------------------------------
@@ -103,8 +78,8 @@ TEST(FleetSpec, JsonRoundTripPreservesEverything) {
 TEST(FleetSpec, HashIgnoresFieldOrderAndDefaulting) {
   // The same fleet written three ways: canonical, reordered, and with
   // every defaultable field omitted.  All must hash identically, because
-  // the service's cache key must not depend on how the client spelled
-  // the document.
+  // the run's checkpoint tag must not depend on how the document is
+  // spelled.
   const std::string canonical =
       "{\"name\":\"n\",\"seed\":2014,\"pools\":[{\"name\":\"p\","
       "\"nodes\":10,\"dram\":\"ddr3\",\"ecc\":\"lotecc5+parity\","
@@ -208,11 +183,7 @@ TEST(FleetModel, PoolLayoutIsContiguous) {
 
 TEST(FleetModel, StressFleetProducesConsistentMetrics) {
   const FleetSpec spec = stress_spec();
-  Coordinator coordinator(spec);
-  RunOptions opts;
-  opts.threads = 2;
-  opts.chunk_size = 64;
-  const FleetResult r = coordinator.run(opts);
+  const FleetResult r = run(spec, mc_options(2, 64));
 
   EXPECT_EQ(r.nodes, 500u);
   EXPECT_EQ(r.config_hash, config_hash(spec));
@@ -236,288 +207,78 @@ TEST(FleetModel, StressFleetProducesConsistentMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded coordinator
+// The run on faults::mc_run
 // ---------------------------------------------------------------------------
 
-TEST(FleetCoordinator, ShardPlanIsContiguousAndComplete) {
-  for (const unsigned shards : {1u, 2u, 3u, 8u, 64u}) {
-    const std::vector<WorkUnit> plan = shard_plan(17, shards);
-    ASSERT_EQ(plan.size(), shards);
-    std::uint64_t next = 0;
-    for (const WorkUnit& u : plan) {
-      EXPECT_EQ(u.chunk_lo, next);
-      EXPECT_LE(u.chunk_lo, u.chunk_hi);
-      next = u.chunk_hi;
-    }
-    EXPECT_EQ(next, 17u);
-  }
-  EXPECT_TRUE(shard_plan(0, 4)[3].chunk_lo == 0);
+TEST(FleetRun, StressFleetMatchesPinnedResult) {
+  // Every field of the stress fleet's result, recorded from the sharded
+  // coordinator that mc_run replaced; the doubles compare exactly.
+  const FleetResult r = run(stress_spec(), mc_options(1, 0));
+  EXPECT_EQ(r.name, "stress");
+  EXPECT_EQ(r.config_hash, "2877a15a99c5fdaf");
+  EXPECT_EQ(r.nodes, 500u);
+  EXPECT_EQ(r.lifetime_hours, 43830.0);
+  EXPECT_EQ(r.uncorrected_events, 2973.0);
+  EXPECT_EQ(r.nodes_with_events, 459u);
+  EXPECT_EQ(r.nodes_lost, 456u);
+  EXPECT_EQ(r.downtime_hours, 15820568.012275374);
+  EXPECT_EQ(r.annual_node_loss, 91.200000000000003);
+  EXPECT_EQ(r.availability, 0.27809409024524878);
+  EXPECT_EQ(r.availability_nines, 0.1415194028973224);
+  EXPECT_EQ(r.events_p50, 7.0);
+  EXPECT_EQ(r.events_p99, 13.0);
+  EXPECT_EQ(r.events_p999, 15.0);
+  EXPECT_TRUE(r.quantiles_exact);
+  ASSERT_EQ(r.pools.size(), 2u);
+  const PoolResult& a = r.pools[0];
+  EXPECT_EQ(a.name, "isolated");
+  EXPECT_EQ(a.nodes, 300u);
+  EXPECT_EQ(a.uncorrected_events, 2684.0);
+  EXPECT_EQ(a.nodes_with_events, 300u);
+  EXPECT_EQ(a.nodes_lost, 299u);
+  EXPECT_EQ(a.downtime_hours, 11675400.743947797);
+  EXPECT_EQ(a.hard_faults, 11862.0);
+  const PoolResult& b = r.pools[1];
+  EXPECT_EQ(b.name, "parity");
+  EXPECT_EQ(b.nodes, 200u);
+  EXPECT_EQ(b.uncorrected_events, 289.0);
+  EXPECT_EQ(b.nodes_with_events, 159u);
+  EXPECT_EQ(b.nodes_lost, 157u);
+  EXPECT_EQ(b.downtime_hours, 4145167.268327577);
+  EXPECT_EQ(b.hard_faults, 6645.0);
 }
 
-TEST(FleetCoordinator, MergedResultIsByteIdenticalAcrossShardCounts) {
-  Coordinator coordinator(stress_spec());
-  RunOptions base;
-  base.chunk_size = 64;
-  base.shards = 1;
-  base.threads = 1;
-  const std::string reference = dump_of(coordinator.run(base));
-  for (const unsigned shards : {2u, 8u}) {
-    RunOptions opts = base;
-    opts.shards = shards;
-    opts.threads = 4;
-    EXPECT_EQ(dump_of(coordinator.run(opts)), reference) << shards;
-  }
-  // A different chunk size re-buckets the envelope but must not change
+TEST(FleetRun, ResultIsByteIdenticalAcrossThreadsAndChunkSizes) {
+  const FleetSpec spec = stress_spec();
+  const std::string reference = dump_of(run(spec, mc_options(1, 64)));
+  EXPECT_EQ(dump_of(run(spec, mc_options(4, 64))), reference);
+  // A different chunk size re-buckets the systems but must not change
   // the merged stream.
-  RunOptions rechunk = base;
-  rechunk.chunk_size = 17;
-  rechunk.shards = 3;
-  EXPECT_EQ(dump_of(coordinator.run(rechunk)), reference);
+  EXPECT_EQ(dump_of(run(spec, mc_options(1, 17))), reference);
+  EXPECT_EQ(dump_of(run(spec, mc_options(4, 17))), reference);
 }
 
-TEST(FleetCoordinator, WorkUnitEnvelopeRoundTrips) {
-  FleetSpec spec = tiny_spec("envelope");
-  const FleetModel model(spec);
-  const unsigned chunk_size = 16;
-  const std::uint64_t nchunks = fleet_chunk_count(model.nodes(), chunk_size);
-  ASSERT_GT(nchunks, 1u);
-  std::ostringstream blob;
-  compute_unit(model, 0, nchunks, chunk_size, blob);
+TEST(FleetRun, ChangedSpecNeverResumesAStaleCheckpoint) {
+  const std::string path = testing::TempDir() + "/fleet_run.mcchunks";
+  std::filesystem::remove(path);
+  faults::McOptions opts = mc_options(2, 64);
+  opts.checkpoint_path = path;
 
-  std::istringstream in(blob.str());
-  const auto chunks = faults::mc_checkpoint_load(
-      in, fleet_run_identity(spec, chunk_size), nchunks,
-      [&](std::uint64_t ci) {
-        return fleet_chunk_nodes(model.nodes(), chunk_size, ci);
-      },
-      kNodeFields);
-  ASSERT_EQ(chunks.size(), nchunks);
+  const FleetSpec spec = stress_spec();
+  const std::string reference = dump_of(run(spec, opts));
+  const auto recorded = std::filesystem::file_size(path);
+  // The same spec resumes every chunk: the result is unchanged and no
+  // chunk is appended again.
+  EXPECT_EQ(dump_of(run(spec, opts)), reference);
+  EXPECT_EQ(std::filesystem::file_size(path), recorded);
 
-  // Replaying the loaded chunks through the accumulator reproduces the
-  // coordinator's result exactly -- the worker data path in miniature.
-  FleetAccumulator acc(model);
-  std::uint64_t node = 0;
-  for (std::uint64_t ci = 0; ci < nchunks; ++ci) {
-    const std::vector<double>& fields = chunks.at(ci);
-    const unsigned count = fleet_chunk_nodes(model.nodes(), chunk_size, ci);
-    ASSERT_EQ(fields.size(), count * kNodeFields);
-    for (unsigned i = 0; i < count; ++i, ++node) {
-      acc.add(node, fields.data() + i * kNodeFields);
-    }
-  }
-  Coordinator coordinator(spec);
-  RunOptions opts;
-  opts.chunk_size = chunk_size;
-  EXPECT_EQ(dump_of(acc.finalize()), dump_of(coordinator.run(opts)));
-}
-
-TEST(FleetCoordinator, MismatchedSpecNeverMatchesTheEnvelope) {
-  FleetSpec spec = tiny_spec("envelope-a");
-  const FleetModel model(spec);
-  const unsigned chunk_size = 16;
-  const std::uint64_t nchunks = fleet_chunk_count(model.nodes(), chunk_size);
-  std::ostringstream blob;
-  compute_unit(model, 0, nchunks, chunk_size, blob);
-
+  // Any spec change re-keys the run, so the recorded chunks never match.
   FleetSpec other = spec;
-  other.pools[0].fit_per_chip += 1.0;  // any spec change re-keys the run
-  std::istringstream in(blob.str());
-  const auto chunks = faults::mc_checkpoint_load(
-      in, fleet_run_identity(other, chunk_size), nchunks,
-      [&](std::uint64_t ci) {
-        return fleet_chunk_nodes(model.nodes(), chunk_size, ci);
-      },
-      kNodeFields);
-  EXPECT_TRUE(chunks.empty());
-}
-
-#ifdef ECCSIM_FLEETD_BINARY
-TEST(FleetCoordinator, WorkerProcessesMatchInProcess) {
-  const FleetSpec spec = tiny_spec("worker-identity");
-  Coordinator coordinator(spec);
-  RunOptions in_process;
-  in_process.chunk_size = 16;
-  in_process.shards = 3;
-  in_process.threads = 2;
-  const std::string reference = dump_of(coordinator.run(in_process));
-
-  RunOptions worker;
-  worker.mode = RunOptions::Mode::kWorkerProcess;
-  worker.chunk_size = 16;
-  worker.shards = 3;
-  worker.worker_binary = ECCSIM_FLEETD_BINARY;
-  worker.work_dir = testing::TempDir() + "/fleet_worker_units";
-  EXPECT_EQ(dump_of(coordinator.run(worker)), reference);
-}
-#endif
-
-// ---------------------------------------------------------------------------
-// Service
-// ---------------------------------------------------------------------------
-
-runner::Json submit_request(const FleetSpec& spec, bool wait) {
-  runner::Json req = make_request("submit");
-  req.set("spec", to_json(spec));
-  if (wait) req.set("wait", true);
-  return req;
-}
-
-TEST(FleetService, RepeatedSubmitIsACacheHitWithoutResimulation) {
-  const std::string dir = testing::TempDir() + "/fleet_svc_cache";
-  std::filesystem::remove_all(dir);
-  ServiceOptions opts;
-  opts.socket_path = dir + ".sock";
-  opts.results_dir = dir;
-  Service service(opts);
-  service.start();
-
-  const FleetSpec spec = tiny_spec("cache-test");
-  const runner::Json first =
-      fleet_request(opts.socket_path, submit_request(spec, /*wait=*/true));
-  ASSERT_TRUE(first.at("ok").as_bool()) << first.dump(0);
-  EXPECT_FALSE(first.at("cache_hit").as_bool());
-  EXPECT_EQ(first.at("state").as_string(), "done");
-  EXPECT_EQ(first.at("hash").as_string(), config_hash(spec));
-
-  // Same fleet, different spelling: defaults omitted where possible.
-  const FleetSpec respelled = spec_from_json(to_json(spec));
-  const runner::Json second =
-      fleet_request(opts.socket_path, submit_request(respelled, false));
-  ASSERT_TRUE(second.at("ok").as_bool());
-  EXPECT_TRUE(second.at("cache_hit").as_bool());
-  EXPECT_EQ(second.at("state").as_string(), "cached");
-
-  // The per-request manifests record the miss then the hit -- the
-  // "answered from cache without re-simulation" acceptance flag.
-  EXPECT_EQ(manifest_extra(dir + "/manifests/req-1.json", "cache_hit"),
-            "false");
-  EXPECT_EQ(manifest_extra(dir + "/manifests/req-2.json", "cache_hit"),
-            "true");
-  EXPECT_EQ(manifest_extra(dir + "/manifests/req-2.json", "config_hash"),
-            config_hash(spec));
-
-  // The results op inlines the cached document byte for byte.
-  runner::Json results = make_request("results");
-  results.set("hash", config_hash(spec));
-  const runner::Json inlined = fleet_request(opts.socket_path, results);
-  ASSERT_TRUE(inlined.at("ok").as_bool());
-  EXPECT_EQ(inlined.at("result").dump(2) + "\n",
-            slurp(dir + "/cache/" + config_hash(spec) + ".json"));
-
-  runner::Json status = make_request("status");
-  status.set("hash", config_hash(spec));
-  EXPECT_EQ(fleet_request(opts.socket_path, status).at("state").as_string(),
-            "cached");
-  service.stop();
-}
-
-TEST(FleetService, ServesConcurrentClients) {
-  const std::string dir = testing::TempDir() + "/fleet_svc_concurrent";
-  std::filesystem::remove_all(dir);
-  ServiceOptions opts;
-  opts.socket_path = dir + ".sock";
-  opts.results_dir = dir;
-  Service service(opts);
-  service.start();
-
-  // Two clients submit the same fleet concurrently, both blocking on
-  // completion; a third probes liveness while the job runs.  Every
-  // session must get a well-formed answer.
-  const FleetSpec spec = tiny_spec("concurrent-test");
-  runner::Json r1, r2, r3;
-  std::thread c1([&] {
-    r1 = fleet_request(opts.socket_path, submit_request(spec, true));
-  });
-  std::thread c2([&] {
-    r2 = fleet_request(opts.socket_path, submit_request(spec, true));
-  });
-  std::thread c3([&] {
-    r3 = fleet_request(opts.socket_path, make_request("ping"));
-  });
-  c1.join();
-  c2.join();
-  c3.join();
-  EXPECT_TRUE(r1.at("ok").as_bool()) << r1.dump(0);
-  EXPECT_TRUE(r2.at("ok").as_bool()) << r2.dump(0);
-  EXPECT_TRUE(r3.at("ok").as_bool()) << r3.dump(0);
-  // Both submits resolve to the same finished job whatever interleaving
-  // occurred (done from the queue, or cached if the other finished
-  // first); the job ran at most... exactly once: one cache file exists.
-  for (const runner::Json* r : {&r1, &r2}) {
-    const std::string state = r->at("state").as_string();
-    EXPECT_TRUE(state == "done" || state == "cached") << r->dump(0);
-  }
-  EXPECT_TRUE(std::filesystem::exists(dir + "/cache/" + config_hash(spec) +
-                                      ".json"));
-  EXPECT_EQ(service.requests_served(), 3u);
-  service.stop();
-}
-
-TEST(FleetService, BoundedQueueRejectsWithRetryable) {
-  const std::string dir = testing::TempDir() + "/fleet_svc_queue";
-  std::filesystem::remove_all(dir);
-  // Stall every job so the one-slot queue can be filled deterministically.
-  ::setenv("ECCSIM_FLEET_JOB_DELAY_MS", "500", 1);
-  ServiceOptions opts;
-  opts.socket_path = dir + ".sock";
-  opts.results_dir = dir;
-  opts.queue_capacity = 1;
-  Service service(opts);
-  service.start();
-
-  const runner::Json a =
-      fleet_request(opts.socket_path, submit_request(tiny_spec("qa"), false));
-  ASSERT_TRUE(a.at("ok").as_bool());
-  // Wait until the executor has picked job A up (freeing the queue slot).
-  runner::Json status = make_request("status");
-  status.set("hash", a.at("hash").as_string());
-  for (int i = 0; i < 200; ++i) {
-    const runner::Json s = fleet_request(opts.socket_path, status);
-    if (s.at("state").as_string() != "queued") break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  const runner::Json b =
-      fleet_request(opts.socket_path, submit_request(tiny_spec("qb"), false));
-  ASSERT_TRUE(b.at("ok").as_bool());
-  EXPECT_EQ(b.at("state").as_string(), "queued");
-
-  // Queue full: B holds the only slot while A stalls in the executor.
-  const runner::Json c =
-      fleet_request(opts.socket_path, submit_request(tiny_spec("qc"), false));
-  EXPECT_FALSE(c.at("ok").as_bool());
-  EXPECT_NE(c.at("error").as_string().find("queue full"), std::string::npos);
-  EXPECT_TRUE(c.at("retryable").as_bool());
-  ::unsetenv("ECCSIM_FLEET_JOB_DELAY_MS");
-  service.stop();
-}
-
-TEST(FleetService, RejectsMalformedRequests) {
-  const std::string dir = testing::TempDir() + "/fleet_svc_reject";
-  std::filesystem::remove_all(dir);
-  ServiceOptions opts;
-  opts.socket_path = dir + ".sock";
-  opts.results_dir = dir;
-  Service service(opts);
-  service.start();
-
-  runner::Json bad = runner::Json::object();
-  bad.set("op", "submit");  // no eccsim.fleetreq/1 envelope
-  EXPECT_FALSE(fleet_request(opts.socket_path, bad).at("ok").as_bool());
-
-  EXPECT_FALSE(fleet_request(opts.socket_path, make_request("sumbit"))
-                   .at("ok")
-                   .as_bool());
-
-  runner::Json invalid = make_request("submit");
-  invalid.set("spec", runner::Json::parse(
-                          "{\"pools\":[{\"name\":\"p\",\"nodes\":1,"
-                          "\"channels\":1}]}"));
-  const runner::Json resp = fleet_request(opts.socket_path, invalid);
-  EXPECT_FALSE(resp.at("ok").as_bool());
-  EXPECT_NE(resp.at("error").as_string().find("channels"),
-            std::string::npos);
-  service.stop();
+  other.pools[0].fit_per_chip += 1.0;
+  EXPECT_EQ(dump_of(run(other, opts)),
+            dump_of(run(other, mc_options(2, 64))));
+  EXPECT_GT(std::filesystem::file_size(path), recorded);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -38,8 +38,6 @@ done
 
 sweep=$build/bench/sweep_figures
 tracetool=$build/tools/tracetool
-fleetd=$build/tools/fleetd/fleetd
-spec=$repo/examples/fleet_demo.json
 base=../smoke
 
 fail() { echo "identity.$row: FAIL: $*" >&2; exit 1; }
@@ -87,19 +85,20 @@ case $row in
     done ;;
   goldens)
     # Full-fidelity DDR3 must reproduce the committed CSVs: both sweeps,
-    # Figs. 9-17 and ablation_xor_cache, plus the three ablations for
-    # paths the sweep never takes (faulty banks, the dedicated ECC cache,
-    # open-page rows).
+    # Figs. 9-17 and ablation_xor_cache, the three ablations for paths the
+    # sweep never takes (faulty banks, the dedicated ECC cache, open-page
+    # rows), and the 48,000-node fleet demo.
     "$sweep" >/dev/null
-    for a in ablation_degraded ablation_ecc_cache ablation_rowpolicy; do
-      "$build/bench/$a" >/dev/null
+    for b in ablation_degraded ablation_ecc_cache ablation_rowpolicy \
+      fleet_demo; do
+      "$build/bench/$b" >/dev/null
     done
     n=0
     for f in bench_results/*.csv; do
       same "$repo/$f" "$f"
       n=$((n + 1))
     done
-    [ "$n" -eq 15 ] || fail "expected 15 CSVs, compared $n"
+    [ "$n" -eq 16 ] || fail "expected 16 CSVs, compared $n"
     exit 0 ;;
   golden_traces*)
     # The committed traces must validate, match SHA256SUMS, and re-record
@@ -138,57 +137,6 @@ case $row in
     m=run/results/smoke/$1.manifest.json
     grep -q '"resumed": true' "$m" || fail "$m lacks \"resumed\": true"
     grep -q '"status": "completed"' "$m" || fail "$m is not completed"
-    exit 0 ;;
-  fleet_*)
-    # Baseline: the smoke-scaled demo fleet, one shard, one thread.
-    "$fleetd" run --spec "$spec" --scale 50 --shards 1 --threads 1 \
-      --out s1.json >/dev/null ;;
-esac
-
-case $row in
-  fleet_shards)
-    for s in 2 8; do
-      "$fleetd" run --spec "$spec" --scale 50 --shards $s \
-        --out s$s.json >/dev/null
-      same s1.json s$s.json
-    done
-    "$fleetd" run --spec "$spec" --scale 50 --shards 4 --mode worker \
-      --work-dir units --out w4.json >/dev/null
-    same s1.json w4.json
-    exit 0 ;;
-  fleet_daemon)
-    # A served daemon simulates the first submit into its cache, byte-
-    # identical to the direct run, and answers the second from the cache.
-    # It takes a spec file: the demo with every pool's nodes divided by
-    # 50, floor 1, as --scale 50 does.
-    awk 'match($0, /"nodes": [0-9]+/) {
-      n = int(substr($0, RSTART + 9, RLENGTH - 9) / 50)
-      $0 = substr($0, 1, RSTART + 8) (n < 1 ? 1 : n) \
-        substr($0, RSTART + RLENGTH)
-    } { print }' "$spec" >spec.json
-    hash=$("$fleetd" hash --spec spec.json)
-    "$fleetd" serve --socket d.sock --results fleet &
-    daemon=$! i=0
-    trap 'kill $daemon 2>/dev/null' EXIT
-    until "$fleetd" ping --socket d.sock >/dev/null 2>&1; do
-      [ $i -lt 100 ] || fail "the daemon did not come up"
-      sleep 0.1
-      i=$((i + 1))
-    done
-    "$fleetd" submit --socket d.sock --spec spec.json --wait >sub1.out
-    grep -q '"cache_hit": false' sub1.out || fail "submit 1 did not simulate"
-    same s1.json "fleet/cache/$hash.json"
-    "$fleetd" submit --socket d.sock --spec spec.json >sub2.out
-    grep -q '"cache_hit": true' sub2.out &&
-      grep -q '"state": "cached"' sub2.out ||
-      fail "submit 2 was not answered from the cache"
-    grep -q '"cache_hit": "false"' fleet/manifests/req-1.json &&
-      grep -q '"cache_hit": "true"' fleet/manifests/req-2.json ||
-      fail "the request manifests do not record the cache hit"
-    "$fleetd" results --socket d.sock --hash "$hash" >/dev/null
-    "$fleetd" shutdown --socket d.sock >/dev/null
-    wait $daemon
-    trap - EXIT
     exit 0 ;;
 esac
 
