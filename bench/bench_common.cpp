@@ -458,6 +458,41 @@ std::string serialize(const sim::RunResult& r) {
   return os.str();
 }
 
+/// Fans `cells` out over the runner with the standard stderr progress (a
+/// per-cell line on a terminal, else only the summary).
+runner::Report run_cells(const std::string& label,
+                         const std::vector<runner::Cell>& cells) {
+  runner::RunOptions opts;
+  obs::Heartbeat& hb = obs::Heartbeat::global();
+  const bool tty = isatty(fileno(stderr)) != 0;
+  opts.progress = [&label, &hb, tty](std::size_t done, std::size_t total,
+                                     const runner::Cell& cell) {
+    if (hb.enabled()) {
+      obs::Heartbeat::Tick t;
+      t.phase = label;
+      t.done = done;
+      t.total = total;
+      t.counters = {{"cells_done", static_cast<double>(done)}};
+      hb.tick(t);
+    }
+    // The heartbeat's --progress line supersedes the plain one; printing
+    // both would interleave two \r lines on the same row.  A \r line only
+    // makes sense on a terminal: in a log it is one line per cell.
+    if (hb.config().stderr_line || !tty) return;
+    std::fprintf(stderr, "\r[%s] %zu/%zu (%s / %s)        ", label.c_str(),
+                 done, total, cell.workload.c_str(), cell.scheme.c_str());
+    std::fflush(stderr);
+  };
+  runner::Report report = runner::run_cells(cells, opts);
+  std::fprintf(stderr,
+               "%s[%s] %zu cells, %.1fs wall (%.1fs serial-equivalent, "
+               "%.2fx on %u threads)\n",
+               tty ? "\r" : "", label.c_str(), cells.size(),
+               report.wall_seconds, report.cell_seconds, report.speedup(),
+               report.threads);
+  return report;
+}
+
 std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
   // One cell per (workload, scheme), fanned out over the runner.  Each
   // cell builds its own SimOptions with the workload's substream seed, so
@@ -653,7 +688,7 @@ void init(int argc, char** argv) {
   // All sweeps draw per-workload substreams of root seed 1 (see
   // trace::paper_sweep_seed); that is the only seed regime the benches use.
   m.seed_regime = "paper_sweep_seed(root=1)";
-  m.threads = runner::ThreadPool::default_thread_count();
+  m.threads = runner::default_thread_count();
   m.host = obs::hostname();
   m.host_cpus = obs::cpu_count();
   m.started_utc = obs::utc_timestamp();
@@ -735,39 +770,6 @@ unsigned mc_systems(unsigned full) {
     n = full / 5;
   }
   return std::max(n, 200u);
-}
-
-runner::Report run_cells(const std::string& label,
-                         const std::vector<runner::Cell>& cells) {
-  runner::RunOptions opts;
-  obs::Heartbeat& hb = obs::Heartbeat::global();
-  const bool tty = isatty(fileno(stderr)) != 0;
-  opts.progress = [&label, &hb, tty](std::size_t done, std::size_t total,
-                                     const runner::Cell& cell) {
-    if (hb.enabled()) {
-      obs::Heartbeat::Tick t;
-      t.phase = label;
-      t.done = done;
-      t.total = total;
-      t.counters = {{"cells_done", static_cast<double>(done)}};
-      hb.tick(t);
-    }
-    // The heartbeat's --progress line supersedes the plain one; printing
-    // both would interleave two \r lines on the same row.  A \r line only
-    // makes sense on a terminal: in a log it is one line per cell.
-    if (hb.config().stderr_line || !tty) return;
-    std::fprintf(stderr, "\r[%s] %zu/%zu (%s / %s)        ", label.c_str(),
-                 done, total, cell.workload.c_str(), cell.scheme.c_str());
-    std::fflush(stderr);
-  };
-  runner::Report report = runner::run_cells(cells, opts);
-  std::fprintf(stderr,
-               "%s[%s] %zu cells, %.1fs wall (%.1fs serial-equivalent, "
-               "%.2fx on %u threads)\n",
-               tty ? "\r" : "", label.c_str(), cells.size(),
-               report.wall_seconds, report.cell_seconds, report.speedup(),
-               report.threads);
-  return report;
 }
 
 std::vector<sim::RunResult> sweep(ecc::SystemScale scale) {

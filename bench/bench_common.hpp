@@ -3,10 +3,11 @@
 // Figures 9-17 all consume the same sweep: every workload x every scheme at
 // one system scale (bench/sweep_figures.cpp builds all of them, one sweep
 // per scale).  The sweep's cells are independent, so they fan out over the
-// work-stealing runner (src/runner) -- thread count comes from
-// RUNNER_THREADS (default: all cores) and results are bit-identical at any
-// thread count because every cell owns its simulator and draws its
-// workload stimulus from a per-workload RNG substream of the root seed.
+// runner (src/runner), whose threads claim cells in index order -- thread
+// count comes from RUNNER_THREADS (default: all cores) and results are
+// bit-identical at any thread count because every cell owns its simulator
+// and draws its workload stimulus from a per-workload RNG substream of the
+// root seed.
 // A first fan-out warms the LLC once per (workload, warm-up class) --
 // sim::WarmState, exact by construction -- and each cell starts from its
 // class's state (replayed or recorded sweeps warm up per cell).
@@ -138,12 +139,5 @@ void emit(const std::string& name, const Table& table);
 /// Saves results/<name>.json in the run's output subdirectory: `bench`
 /// (= name), the run manifest as `metadata`, then every member of `body`.
 void emit_json(const std::string& name, const runner::Json& body);
-
-/// Fans custom cells out over the runner with the standard stderr progress
-/// (a per-cell line on a terminal, else only the summary).  For ablations
-/// that sweep knobs other than (workload x scheme); the standard sweep()
-/// already uses it internally.
-runner::Report run_cells(const std::string& label,
-                         const std::vector<runner::Cell>& cells);
 
 }  // namespace eccsim::bench

@@ -4,12 +4,10 @@
 #include <atomic>
 #include <bit>
 #include <cinttypes>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -229,29 +227,8 @@ McRunInfo mc_run(unsigned systems, std::uint64_t seed, std::size_t nfields,
     }
   }
 
-  const auto compute_chunk = [&](std::uint64_t ci,
-                                 const std::atomic<std::uint64_t>* stop_before)
-      -> std::vector<double> {
-    maybe_delay();
-    const unsigned base = chunk_base(ci);
-    const unsigned count = chunk_systems(ci);
-    std::vector<double> fields(static_cast<std::size_t>(count) * nfields,
-                               0.0);
-    for (unsigned k = 0; k < count; ++k) {
-      // Bail quickly once the merger has decided to stop before this
-      // chunk; the partial buffer is discarded, never merged.
-      if (stop_before != nullptr &&
-          ci >= stop_before->load(std::memory_order_relaxed)) {
-        return {};
-      }
-      Rng rng = mc_system_rng(seed, base + k);
-      fn(base + k, rng, fields.data() + static_cast<std::size_t>(k) * nfields);
-    }
-    return fields;
-  };
-
-  // Merges one completed chunk (strict index order across calls) and
-  // evaluates the early-stop rule; returns true to keep going.
+  // Merges one completed chunk (under `mu`, in strict index order across
+  // calls) and evaluates the early-stop rule; returns true to keep going.
   std::vector<double> ci_series;
   obs::Heartbeat& hb = obs::Heartbeat::global();
   const auto heartbeat_tick = [&](bool run_complete) {
@@ -304,89 +281,69 @@ McRunInfo mc_run(unsigned systems, std::uint64_t seed, std::size_t nfields,
     return true;
   };
 
-  const unsigned threads = opts.threads != 0
-                               ? opts.threads
-                               : runner::ThreadPool::default_thread_count();
-  const bool inline_run = threads <= 1 ||
-                          runner::ThreadPool::on_worker_thread() ||
-                          nchunks <= 1;
-
-  if (inline_run) {
-    for (std::uint64_t ci = 0; ci < nchunks; ++ci) {
-      const auto it = loaded.find(ci);
-      const bool was_loaded = it != loaded.end();
-      std::vector<double> fields;
-      if (was_loaded) {
-        fields = std::move(it->second);
-      } else {
-        const double t0 = now_seconds();
-        fields = compute_chunk(ci, nullptr);
-        if (mc.chunk_seconds != nullptr) {
-          mc.chunk_seconds->add(now_seconds() - t0);
-        }
-        if (mc.systems_simulated != nullptr) {
-          mc.systems_simulated->inc(chunk_systems(ci));
-        }
-      }
-      if (!merge_chunk(ci, fields, was_loaded)) {
-        info.chunks_total = nchunks;
-        break;
-      }
-    }
-  } else {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::map<std::uint64_t, std::vector<double>> ready;
-    std::atomic<std::uint64_t> stop_before{nchunks};
-    {
-      runner::ThreadPool pool(std::min<unsigned>(
-          threads, static_cast<unsigned>(nchunks)));
-      for (std::uint64_t ci = 0; ci < nchunks; ++ci) {
-        if (loaded.count(ci) != 0) continue;  // merged from the checkpoint
-        pool.submit([&, ci] {
-          const double t0 = now_seconds();
-          std::vector<double> fields = compute_chunk(ci, &stop_before);
-          const double dt = now_seconds() - t0;
-          std::lock_guard<std::mutex> lock(mu);
-          if (!fields.empty() || chunk_systems(ci) == 0) {
-            // Timings and simulated-system counts are recorded under the
-            // merge lock so the registry stays single-writer.
-            if (mc.chunk_seconds != nullptr) mc.chunk_seconds->add(dt);
-            if (mc.systems_simulated != nullptr) {
-              mc.systems_simulated->inc(chunk_systems(ci));
-            }
-          }
-          ready.emplace(ci, std::move(fields));
-          cv.notify_all();
-        });
-      }
-      for (std::uint64_t ci = 0; ci < nchunks; ++ci) {
-        const auto it = loaded.find(ci);
-        const bool was_loaded = it != loaded.end();
-        std::vector<double> fields;
-        if (was_loaded) {
-          fields = std::move(it->second);
-        } else {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return ready.count(ci) != 0; });
-          fields = std::move(ready.at(ci));
-          ready.erase(ci);
-        }
-        bool keep_going;
-        {
-          // merge_chunk touches the registry; hold the lock so in-flight
-          // workers recording timings cannot interleave.
-          std::lock_guard<std::mutex> lock(mu);
-          keep_going = merge_chunk(ci, fields, was_loaded);
-        }
-        if (!keep_going) {
-          stop_before.store(ci + 1, std::memory_order_relaxed);
-          break;
-        }
-      }
-      // ~ThreadPool drains the remaining (bailing) chunk tasks.
-    }
+  // One path for every thread count: a worker stores its chunk under `mu`
+  // and then, still holding it, merges every consecutive ready chunk from
+  // the cursor, so the checkpoint, the heartbeat and early stop advance in
+  // strict index order while later chunks are still computing.  Loaded
+  // checkpoint chunks start out ready and pass through the same cursor.
+  // `mu` also guards `info`, `ci_series`, the registry and `ckpt`.
+  std::mutex mu;
+  // Chunks from `stop_before` on are abandoned: the run stopped early
+  // before reaching them.  Written only under `mu`; the relaxed polls let
+  // an in-flight chunk bail between systems.
+  std::atomic<std::uint64_t> stop_before{nchunks};
+  std::vector<std::vector<double>> ready(nchunks);  // held until merged
+  std::vector<bool> is_ready(nchunks, false);
+  std::uint64_t cursor = 0;  // next chunk to merge
+  for (auto& [ci, fields] : loaded) {
+    ready[ci] = std::move(fields);
+    is_ready[ci] = true;
   }
+  const auto merge_ready = [&] {  // caller holds `mu`
+    while (cursor < stop_before.load(std::memory_order_relaxed) &&
+           is_ready[cursor]) {
+      const std::uint64_t ci = cursor++;
+      if (!merge_chunk(ci, ready[ci], loaded.count(ci) != 0)) {
+        stop_before.store(ci + 1, std::memory_order_relaxed);
+      }
+      std::vector<double>().swap(ready[ci]);
+    }
+  };
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    merge_ready();
+  }
+  const unsigned threads =
+      opts.threads != 0 ? opts.threads : runner::default_thread_count();
+  runner::parallel_for(nchunks, threads, [&](std::size_t t) {
+    const std::uint64_t ci = t;
+    if (loaded.count(ci) != 0) return;  // merged from the checkpoint
+    const auto stopped = [&] {
+      return ci >= stop_before.load(std::memory_order_relaxed);
+    };
+    if (stopped()) return;
+    const double t0 = now_seconds();
+    maybe_delay();
+    const unsigned base = chunk_base(ci);
+    const unsigned count = chunk_systems(ci);
+    std::vector<double> fields(static_cast<std::size_t>(count) * nfields,
+                               0.0);
+    for (unsigned k = 0; k < count; ++k) {
+      // A partial buffer is discarded, never merged.
+      if (stopped()) return;
+      Rng rng = mc_system_rng(seed, base + k);
+      fn(base + k, rng, fields.data() + static_cast<std::size_t>(k) * nfields);
+    }
+    const double dt = now_seconds() - t0;
+    std::lock_guard<std::mutex> lock(mu);
+    // Timings and simulated-system counts are recorded under the lock so
+    // the registry stays single-writer.
+    if (mc.chunk_seconds != nullptr) mc.chunk_seconds->add(dt);
+    if (mc.systems_simulated != nullptr) mc.systems_simulated->inc(count);
+    ready[ci] = std::move(fields);
+    is_ready[ci] = true;
+    merge_ready();
+  });
 
   const std::uint64_t skipped = nchunks - info.chunks_merged;
   if (info.early_stopped) {
@@ -401,28 +358,19 @@ McRunInfo mc_run(unsigned systems, std::uint64_t seed, std::size_t nfields,
 
 void parallel_systems(unsigned systems, std::uint64_t seed,
                       const std::function<void(unsigned, Rng&)>& fn) {
-  const unsigned threads = runner::ThreadPool::default_thread_count();
-  if (threads <= 1 || systems <= 1 ||
-      runner::ThreadPool::on_worker_thread()) {
-    for (unsigned i = 0; i < systems; ++i) {
-      Rng rng = mc_system_rng(seed, i);
-      fn(i, rng);
-    }
-    return;
-  }
+  // Claim kMcDefaultChunkSize systems at a time: one claim per system
+  // costs more than a cheap system does.
   const unsigned chunk = kMcDefaultChunkSize;
   const unsigned nchunks = (systems + chunk - 1) / chunk;
-  runner::ThreadPool pool(std::min(threads, nchunks));
-  for (unsigned ci = 0; ci < nchunks; ++ci) {
-    pool.submit([&, ci] {
-      const unsigned hi = std::min(systems, (ci + 1) * chunk);
-      for (unsigned i = ci * chunk; i < hi; ++i) {
-        Rng rng = mc_system_rng(seed, i);
-        fn(i, rng);
-      }
-    });
-  }
-  pool.wait_idle();
+  runner::parallel_for(nchunks, runner::default_thread_count(),
+                       [&](std::size_t ci) {
+                         const auto lo = static_cast<unsigned>(ci) * chunk;
+                         const unsigned hi = std::min(systems, lo + chunk);
+                         for (unsigned i = lo; i < hi; ++i) {
+                           Rng rng = mc_system_rng(seed, i);
+                           fn(i, rng);
+                         }
+                       });
 }
 
 }  // namespace eccsim::faults

@@ -6,14 +6,16 @@
 // fan-out mechanics so the per-figure code in montecarlo.cpp is pure
 // modeling:
 //
-//   - Systems execute in fixed-size chunks over the shared work-stealing
-//     runner::ThreadPool (honoring RUNNER_THREADS).  A Monte Carlo
-//     launched from inside a pool worker -- e.g. from a sweep cell --
-//     detects the nesting and runs inline instead of oversubscribing.
+//   - Systems execute in fixed-size chunks over runner::parallel_for
+//     (honoring RUNNER_THREADS), which starts chunks in index order.  A
+//     Monte Carlo launched from inside a parallel_for worker -- e.g. from
+//     a sweep cell -- runs inline instead of oversubscribing.
 //   - Each system draws from its own RNG substream derived from
-//     (seed, system index), and per-system results are merged on the
-//     calling thread in strict index order, so the final statistics are
-//     bit-identical at any thread count and any chunk size.
+//     (seed, system index).  The worker that completes a chunk merges
+//     every consecutive ready chunk under the engine's lock, in strict
+//     index order, so the final statistics are bit-identical at any
+//     thread count and any chunk size, and the merge keeps pace with the
+//     computation instead of waiting for the last chunk.
 //   - Optional confidence-interval early termination: when a relative-CI
 //     callback is supplied and `target_rel_ci` is set, the run stops at
 //     the first chunk boundary where the estimate has converged.  The
@@ -39,14 +41,14 @@ class Registry;
 
 namespace eccsim::faults {
 
-/// Default systems per chunk: coarse enough that pool dispatch is noise,
+/// Default systems per chunk: coarse enough that dispatch is noise,
 /// fine enough that early stop and checkpoints have useful granularity.
 inline constexpr unsigned kMcDefaultChunkSize = 256;
 
 /// Knobs for one Monte Carlo run.  The zero-initialized default runs the
-/// full budget on the shared pool with no checkpointing.
+/// full budget at the default thread count with no checkpointing.
 struct McOptions {
-  /// Worker threads; 0 = runner::ThreadPool::default_thread_count()
+  /// Worker threads; 0 = runner::default_thread_count()
   /// (the RUNNER_THREADS environment variable, else all cores).
   unsigned threads = 0;
   /// Systems per chunk; 0 = kMcDefaultChunkSize.  Results are identical
@@ -90,14 +92,15 @@ Rng mc_system_rng(std::uint64_t seed, unsigned index);
 std::uint64_t mc_sample_key(std::uint64_t seed, unsigned index);
 
 /// Evaluates one system: fills `fields[0..nfields)` from draws on `rng`.
-/// Runs on a pool worker; must not touch shared state.
+/// Runs on a worker thread; must not touch shared state.
 using McSystemFn =
     std::function<void(unsigned index, Rng& rng, double* fields)>;
-/// Consumes one system's fields.  Always called on the engine's calling
-/// thread, in strict index order -- accumulate freely without locks.
+/// Consumes one system's fields.  Calls are serialized under the engine's
+/// lock, in strict index order, on whichever thread completed a chunk --
+/// state that only the merge and rel-CI callbacks touch needs no lock.
 using McMergeFn = std::function<void(unsigned index, const double* fields)>;
 /// Current relative 95% CI half-width of the run's primary estimate;
-/// polled after each merged chunk.
+/// polled after each merged chunk, serialized with the merges.
 using McRelCiFn = std::function<double()>;
 
 /// Runs `fn` for systems [0, systems) and feeds every system's fields to
@@ -111,12 +114,12 @@ McRunInfo mc_run(unsigned systems, std::uint64_t seed, std::size_t nfields,
                  const McRelCiFn& rel_ci = nullptr);
 
 /// Deterministic parallel map over system indices: runs
-/// fn(system_index, rng) for each index in [0, systems) across the shared
-/// pool, each index seeded from mc_system_rng(seed, index).  The index
-/// visit *set* is thread-count independent; the visit *order* is not, so
-/// `fn` must either be independent per index or do its own (order
-/// insensitive) aggregation.  Prefer mc_run for anything that reduces to
-/// statistics.
+/// fn(system_index, rng) for each index in [0, systems) over
+/// runner::parallel_for, each index seeded from mc_system_rng(seed,
+/// index).  The index visit *set* is thread-count independent; the visit
+/// *order* is not, so `fn` must either be independent per index or do its
+/// own (order insensitive) aggregation.  Prefer mc_run for anything that
+/// reduces to statistics.
 void parallel_systems(unsigned systems, std::uint64_t seed,
                       const std::function<void(unsigned, Rng&)>& fn);
 

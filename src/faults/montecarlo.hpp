@@ -8,7 +8,7 @@
 // Sampling: each chip's faults of each type arrive as independent Poisson
 // processes (the exponential failure distribution the paper assumes).
 // Execution runs on the chunked Monte Carlo engine (mc_engine.hpp) over
-// the shared work-stealing runner pool: deterministic per-system RNG
+// the runner's index-ordered fan-out: deterministic per-system RNG
 // substreams with in-order merging make every result bit-identical at any
 // thread count and chunk size, and each study accepts McOptions for
 // confidence-interval early stop, chunk-granular checkpoint/resume, and

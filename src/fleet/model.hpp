@@ -7,10 +7,10 @@
 // loss, fleet availability (nines), and uncorrected-error-event quantiles.
 //
 // The split is the McSystemFn/McMergeFn contract of faults::mc_run, and
-// run() is that one call: the producer runs on any pool worker, the
-// consumer on the calling thread in index order, so the result is a pure
-// function of the spec -- identical at any thread count and chunk size,
-// and after a checkpointed resume.
+// run() is that one call: the producer runs on any worker thread, the
+// consumer serialized under the engine's lock in index order, so the
+// result is a pure function of the spec -- identical at any thread count
+// and chunk size, and after a checkpointed resume.
 #pragma once
 
 #include <cstdint>

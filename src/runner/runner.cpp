@@ -15,30 +15,24 @@ Report run_cells(const std::vector<Cell>& cells, const RunOptions& opts) {
   Report report;
   report.cells.resize(cells.size());
   const unsigned threads =
-      opts.threads != 0 ? opts.threads : ThreadPool::default_thread_count();
+      opts.threads != 0 ? opts.threads : default_thread_count();
   report.threads = threads;
 
   const auto sweep_start = std::chrono::steady_clock::now();
-  {
-    ThreadPool pool(threads);
-    std::mutex progress_mu;
-    std::size_t done = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      pool.submit([&, i] {
-        STATS_SCOPE("runner.cell");
-        const auto t0 = std::chrono::steady_clock::now();
-        report.cells[i].result = cells[i].work();
-        const auto t1 = std::chrono::steady_clock::now();
-        report.cells[i].wall_seconds =
-            std::chrono::duration<double>(t1 - t0).count();
-        if (opts.progress) {
-          std::lock_guard<std::mutex> lock(progress_mu);
-          opts.progress(++done, cells.size(), cells[i]);
-        }
-      });
+  std::mutex progress_mu;
+  std::size_t done = 0;
+  parallel_for(cells.size(), threads, [&](std::size_t i) {
+    STATS_SCOPE("runner.cell");
+    const auto t0 = std::chrono::steady_clock::now();
+    report.cells[i].result = cells[i].work();
+    const auto t1 = std::chrono::steady_clock::now();
+    report.cells[i].wall_seconds =
+        std::chrono::duration<double>(t1 - t0).count();
+    if (opts.progress) {
+      std::lock_guard<std::mutex> lock(progress_mu);
+      opts.progress(++done, cells.size(), cells[i]);
     }
-    pool.wait_idle();
-  }
+  });
   const auto sweep_end = std::chrono::steady_clock::now();
   report.wall_seconds =
       std::chrono::duration<double>(sweep_end - sweep_start).count();

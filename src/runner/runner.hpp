@@ -2,12 +2,12 @@
 //
 // Every evaluation figure in the paper is a grid of independent cells --
 // one `sim::SystemSim` per (workload x ECC scheme) point -- that the bench
-// binaries used to execute serially.  This runner fans the cells out over
-// a work-stealing thread pool and collects results *by submission index*,
-// so the output vector is bit-identical whatever the thread count: each
-// cell owns its simulator, its workload generators, and (via
-// `substream_seed`) its own deterministic RNG substream, and nothing is
-// shared between cells but the result slots.
+// binaries used to execute serially.  This runner fans the cells out with
+// runner::parallel_for (threads claim cells in index order) and collects
+// results *by cell index*, so the output vector is bit-identical whatever
+// the thread count: each cell owns its simulator, its workload generators,
+// and (via `substream_seed`) its own deterministic RNG substream, and
+// nothing is shared between cells but the result slots.
 //
 // The runner also standardizes observability: `Report` carries per-cell
 // wall-clock plus the fan-out wall-clock (their ratio is the realized
@@ -42,11 +42,11 @@ struct CellResult {
   double wall_seconds = 0;
 };
 
-/// Everything one fan-out produced, in submission order.
+/// Everything one fan-out produced, in cell order.
 struct Report {
   std::vector<CellResult> cells;
-  unsigned threads = 1;      ///< pool size used
-  double wall_seconds = 0;   ///< fan-out wall-clock (submit to last finish)
+  unsigned threads = 1;      ///< thread count used
+  double wall_seconds = 0;   ///< fan-out wall-clock (start to last finish)
   double cell_seconds = 0;   ///< sum of per-cell wall-clock (serial cost)
 
   /// Realized parallel speedup: serial-equivalent time over wall time.
@@ -57,7 +57,7 @@ struct Report {
 
 /// Fan-out knobs.
 struct RunOptions {
-  /// Pool size; 0 means ThreadPool::default_thread_count() (i.e. the
+  /// Thread count; 0 means default_thread_count() (i.e. the
   /// RUNNER_THREADS environment variable or the hardware concurrency).
   unsigned threads = 0;
   /// Called after each cell completes (from the completing worker thread,
@@ -65,7 +65,7 @@ struct RunOptions {
   std::function<void(std::size_t, std::size_t, const Cell&)> progress;
 };
 
-/// Runs every cell and returns their results in submission order.
+/// Runs every cell and returns their results in cell order.
 /// Deterministic: the thread count and scheduling interleaving cannot
 /// affect any result, only the timing fields.
 Report run_cells(const std::vector<Cell>& cells,

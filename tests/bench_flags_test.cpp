@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -346,33 +347,44 @@ TEST(BenchFlagsDeathTest, LostOutputFailsTheRun) {
   fs::remove_all(dir);
 }
 
+/// Runs the smoke quad sweep with stderr sent to a file and reports
+/// whether that file holds exactly the two fan-out summary lines.
+bool sweep_prints_only_summaries() {
+  run_init({}, {"--smoke"});
+  const char* path = "progress.txt";
+  if (std::freopen(path, "w", stderr) == nullptr) return false;
+  (void)sweep(ecc::SystemScale::kQuadEquivalent);
+  std::fflush(stderr);
+  std::ifstream in(path);
+  std::string warm;
+  std::string cells;
+  std::string rest;
+  std::getline(in, warm);
+  std::getline(in, cells);
+  const bool more = static_cast<bool>(std::getline(in, rest));
+  const std::regex warm_line(R"(^\[warm-up quad\] \d+ cells, )");
+  const std::regex cells_line(R"(^\[sweep quad\] \d+ cells, )");
+  return std::regex_search(warm, warm_line) &&
+         std::regex_search(cells, cells_line) &&
+         warm.find('\r') == std::string::npos &&
+         cells.find('\r') == std::string::npos && !more;
+}
+
 TEST(BenchFlagsDeathTest, ProgressLineOnlyOnTerminal) {
-  // Under ctest stderr is a pipe, not a terminal: run_cells must print
-  // only its summary line, with no carriage return and no per-cell line.
+  // Under ctest stderr is a pipe, not a terminal: each of a sweep's two
+  // fan-outs (the LLC warm-up, then the cells) must print only its summary
+  // line, with no carriage return and no per-cell line.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "bench_flags_progress";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
   EXPECT_EXIT(
       {
-        run_init({}, {});
-        const char* path = "bench_flags_progress.txt";
-        if (std::freopen(path, "w", stderr) == nullptr) std::exit(3);
-        std::vector<runner::Cell> cells(3);
-        for (auto& c : cells) {
-          c.scheme = "s";
-          c.workload = "w";
-          c.work = [] { return sim::RunResult{}; };
-        }
-        (void)run_cells("probe", cells);
-        std::fflush(stderr);
-        std::ifstream in(path);
-        std::stringstream text;
-        text << in.rdbuf();
-        const std::string out = text.str();
-        std::exit(out.rfind("[probe] 3 cells, ", 0) == 0 &&
-                          out.find('\r') == std::string::npos &&
-                          out.find("1/3") == std::string::npos
-                      ? 0
-                      : 1);
+        fs::current_path(dir);
+        std::exit(sweep_prints_only_summaries() ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
+  fs::remove_all(dir);
 }
 
 }  // namespace

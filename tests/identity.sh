@@ -55,17 +55,27 @@ case $row in
     [ "$n" -eq 256 ] || fail "expected 2 x 128 sweep cells, got $n"
     exit 0 ;;
   kernel_*)
+    # ablation_threshold drives the ECC Parity manager, whose parity
+    # updates go through the dispatched GF kernels (gf::gf_xor_region), so
+    # a forced kernel must reproduce the unforced run's CSV and stdout.
     # Force only what the baseline's manifest lists as runnable here:
     # forcing simd on a host without SSSE3 is a deliberate exit 2.  The
     # scalar oracle is always listed, so a list without it is a failure.
-    k=$base/results/smoke/sweep_figures.manifest.json
+    bin=$build/bench/ablation_threshold
+    mkdir ref run
+    (cd ref && env -u ECCSIM_KERNEL "$bin" --smoke >../ref.out)
+    k=ref/results/smoke/ablation_threshold.manifest.json
     avail=,$(sed -n 's/.*"kernels_available": "\([^"]*\)".*/\1/p' "$k"),
     case $avail in *,scalar,*) ;; *) fail "no kernel list in $k" ;; esac
     case $avail in
       *",$ECCSIM_KERNEL,"*) ;;
       *) echo "identity.$row: $ECCSIM_KERNEL unavailable: skipped" >&2
          exit 77 ;;
-    esac ;;
+    esac
+    (cd run && "$bin" --smoke >../run.out)
+    same ref.out run.out
+    same ref/bench_results run/bench_results
+    exit 0 ;;
   replay)
     # One recording per workload serves every scheme and both scales;
     # 60000 ops per core cover the warm-up and the smoke measured phase.
@@ -122,8 +132,8 @@ case $row in
     (cd run && exec env ECCSIM_MC_CHUNK_DELAY_MS=200 "$bin" --smoke \
       --mc-checkpoint ../ck.txt >/dev/null 2>&1) &
     pid=$! i=0
-    until grep -q '^mcchunk1 ' ck.txt 2>/dev/null || [ $i -ge 300 ]; do
-      sleep 0.1
+    until grep -q '^mcchunk1 ' ck.txt 2>/dev/null || [ $i -ge 1500 ]; do
+      sleep 0.02
       i=$((i + 1))
     done
     kill -9 $pid 2>/dev/null || true
@@ -131,7 +141,15 @@ case $row in
     grep -q '^mcchunk1 ' ck.txt || fail "no chunk checkpointed before the kill"
     (cd run &&
       "$bin" --smoke --mc-checkpoint ../ck.txt >../res.out 2>../res.err)
-    grep -q resuming res.err || { cat res.err >&2; fail "nothing resumed"; }
+    # The kill must land mid-run: every tag that resumed restored some
+    # chunks but not all of them.
+    sed -n 's|^\[mc\] .*: resuming \([0-9]*\)/\([0-9]*\) chunks from .*|\1 \2|p' \
+      res.err >resumed.txt
+    [ -s resumed.txt ] || { cat res.err >&2; fail "nothing resumed"; }
+    while read -r k n; do
+      [ "$k" -gt 0 ] && [ "$k" -lt "$n" ] ||
+        fail "resumed $k/$n chunks: the kill did not land mid-run"
+    done <resumed.txt
     same ref.out res.out
     same ref/bench_results run/bench_results
     m=run/results/smoke/$1.manifest.json

@@ -5,10 +5,16 @@
 // closed-form models.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -51,6 +57,21 @@ std::vector<double> run_fake(unsigned systems, McOptions opts,
 
 std::string temp_path(const char* name) {
   return testing::TempDir() + "/" + name;
+}
+
+/// True when the checkpoint file at `path` holds a line for chunk `ci`.
+bool checkpoint_has_chunk(const std::string& path, unsigned ci) {
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream is(line);
+    std::string tag, id;
+    unsigned index = 0;
+    if (is >> tag >> id >> index && tag == "mcchunk1" && index == ci) {
+      return true;
+    }
+  }
+  return false;
 }
 
 TEST(McEngine, SystemRngIsPerIndexDeterministic) {
@@ -100,28 +121,95 @@ TEST(McEngine, MergesInStrictIndexOrder) {
 }
 
 TEST(McEngine, NestedRunExecutesInlineOnWorker) {
-  // A Monte Carlo launched from inside a pool worker (as a sweep cell
-  // would) must not spin up a second pool -- and must still produce the
-  // same bits as a top-level run.
+  // A Monte Carlo launched from inside a parallel_for worker (as a sweep
+  // cell would) must not start threads of its own -- every system and
+  // every merge runs on that worker -- and must still produce the same
+  // bits as a top-level run.
   const std::vector<double> reference = run_fake(64, McOptions{});
   std::vector<double> nested;
-  bool was_worker = false;
-  {
-    runner::ThreadPool pool(2);
-    pool.submit([&] {
-      was_worker = runner::ThreadPool::on_worker_thread();
-      McOptions opts;
-      opts.threads = 8;  // would oversubscribe if honored
-      nested = run_fake(64, opts);
-    });
-    pool.wait_idle();
-  }
-  EXPECT_TRUE(was_worker);
-  EXPECT_FALSE(runner::ThreadPool::on_worker_thread());
+  bool all_on_worker = true;
+  runner::parallel_for(2, 2, [&](std::size_t item) {
+    if (item != 0) return;
+    const std::thread::id worker = std::this_thread::get_id();
+    McOptions opts;
+    opts.threads = 8;  // would oversubscribe if honored
+    opts.chunk_size = 8;
+    mc_run(64, 42, 2, "fake", opts,
+           [&](unsigned index, Rng& rng, double* f) {
+             all_on_worker = all_on_worker &&
+                             std::this_thread::get_id() == worker;
+             fake_system(index, rng, f);
+           },
+           [&](unsigned, const double* f) {
+             all_on_worker = all_on_worker &&
+                             std::this_thread::get_id() == worker;
+             nested.push_back(f[0]);
+             nested.push_back(f[1]);
+           });
+  });
+  EXPECT_TRUE(all_on_worker);
   ASSERT_EQ(nested.size(), reference.size());
   for (std::size_t i = 0; i < nested.size(); ++i) {
     EXPECT_EQ(nested[i], reference[i]);
   }
+}
+
+TEST(McEngine, FirstChunkIsCheckpointedBeforeTheLastChunkStarts) {
+  // Chunks start in index order, and the worker that completes a chunk
+  // merges and checkpoints every ready chunk before it claims another.
+  // Chunks 1..14 wait (bounded) for chunk 0's merge, so by the time the
+  // last chunk starts, chunk 0 must be merged and on disk, and every
+  // earlier chunk must have started but the at most threads-1 that other
+  // threads have claimed and not yet begun.
+  constexpr unsigned kChunk = 4;
+  constexpr unsigned kChunks = 16;
+  const std::string path = temp_path("mc_progress.ck");
+  std::remove(path.c_str());
+  McOptions opts;
+  opts.threads = 4;
+  opts.chunk_size = kChunk;
+  opts.checkpoint_path = path;
+  std::mutex mu;
+  std::condition_variable cv;
+  // Guarded by mu.
+  bool first_merged = false;
+  unsigned started = 0;
+  unsigned started_before_last = 0;
+  bool last_saw_merge = false;
+  bool last_saw_line = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  mc_run(kChunk * kChunks, 5, 1, "progress", opts,
+         [&](unsigned index, Rng&, double* f) {
+           f[0] = index;
+           if (index % kChunk != 0) return;
+           const unsigned ci = index / kChunk;
+           std::unique_lock<std::mutex> lock(mu);
+           if (ci == kChunks - 1) {
+             started_before_last = started;
+             last_saw_merge = first_merged;
+             last_saw_line = checkpoint_has_chunk(path, 0);
+             return;
+           }
+           ++started;
+           if (ci != 0) {
+             cv.wait_until(lock, deadline, [&] { return first_merged; });
+           }
+         },
+         [](unsigned, const double*) {},
+         [&] {
+           {
+             std::lock_guard<std::mutex> lock(mu);
+             first_merged = true;
+           }
+           cv.notify_all();
+           return 1.0;
+         });
+  EXPECT_TRUE(last_saw_merge) << "chunk 0 not merged when the last started";
+  EXPECT_TRUE(last_saw_line)
+      << "chunk 0 not checkpointed when the last started";
+  EXPECT_GE(started_before_last, kChunks - opts.threads);
+  std::remove(path.c_str());
 }
 
 TEST(McEngine, CheckpointRoundTripSkipsLoadedChunks) {
@@ -234,12 +322,13 @@ TEST(McEngine, ResumingAnEarlyStoppedRunSimulatesNothingNew) {
   // Regression for the checkpoint x --mc-target-rel-ci interaction
   // (docs/CHECKPOINTS.md): an early-stopped run records only the chunks
   // that merged, and resuming it must replay those chunks through the
-  // same convergence checks, stop at the same boundary, and -- on the
-  // single-threaded path -- evaluate zero new systems.
+  // same convergence checks, stop at the same boundary, and evaluate zero
+  // new systems at any thread count: loaded chunks pass through the merge
+  // cursor before any chunk is computed.
   const std::string path = temp_path("mc_earlystop_resume.ck");
   std::remove(path.c_str());
   McOptions opts;
-  opts.threads = 1;  // inline path: loaded chunks fully precede new work
+  opts.threads = 1;
   opts.chunk_size = 50;
   opts.target_rel_ci = 0.05;
   opts.min_systems = 200;
@@ -249,29 +338,33 @@ TEST(McEngine, ResumingAnEarlyStoppedRunSimulatesNothingNew) {
   ASSERT_TRUE(first.early_stopped);
   ASSERT_LT(first.systems_merged, 100'000u);
 
-  unsigned simulated = 0;
-  std::vector<double> resumed;
-  RunningStat stat;
-  const McRunInfo second = mc_run(
-      100'000, 42, 2, "fake", opts,
-      [&](unsigned index, Rng& rng, double* f) {
-        ++simulated;
-        fake_system(index, rng, f);
-      },
-      [&](unsigned, const double* f) {
-        resumed.push_back(f[0]);
-        resumed.push_back(f[1]);
-        stat.add(f[0]);
-      },
-      [&] { return relative_ci95(stat); });
-  EXPECT_EQ(simulated, 0u);  // no extra chunk ever executed
-  EXPECT_TRUE(second.early_stopped);
-  EXPECT_EQ(second.chunks_loaded, first.chunks_merged);
-  EXPECT_EQ(second.chunks_merged, first.chunks_merged);
-  EXPECT_EQ(second.systems_merged, first.systems_merged);
-  ASSERT_EQ(resumed.size(), reference.size());
-  for (std::size_t i = 0; i < resumed.size(); ++i) {
-    EXPECT_EQ(resumed[i], reference[i]);
+  for (unsigned threads : {1u, 4u}) {
+    opts.threads = threads;
+    std::atomic<unsigned> simulated{0};
+    std::vector<double> resumed;
+    RunningStat stat;
+    const McRunInfo second = mc_run(
+        100'000, 42, 2, "fake", opts,
+        [&](unsigned index, Rng& rng, double* f) {
+          ++simulated;
+          fake_system(index, rng, f);
+        },
+        [&](unsigned, const double* f) {
+          resumed.push_back(f[0]);
+          resumed.push_back(f[1]);
+          stat.add(f[0]);
+        },
+        [&] { return relative_ci95(stat); });
+    EXPECT_EQ(simulated.load(), 0u)  // no extra chunk ever executed
+        << "threads=" << threads;
+    EXPECT_TRUE(second.early_stopped);
+    EXPECT_EQ(second.chunks_loaded, first.chunks_merged);
+    EXPECT_EQ(second.chunks_merged, first.chunks_merged);
+    EXPECT_EQ(second.systems_merged, first.systems_merged);
+    ASSERT_EQ(resumed.size(), reference.size());
+    for (std::size_t i = 0; i < resumed.size(); ++i) {
+      EXPECT_EQ(resumed[i], reference[i]);
+    }
   }
   std::remove(path.c_str());
 }

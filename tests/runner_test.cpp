@@ -1,5 +1,5 @@
-// Tests for the parallel experiment runner (src/runner): the thread pool
-// executes everything exactly once, fan-out results are bit-identical at
+// Tests for the parallel experiment runner (src/runner): parallel_for
+// executes every index exactly once, fan-out results are bit-identical at
 // any thread count (the property every figure binary now depends on), and
 // the emitted JSON round-trips with all cells intact.
 #include <atomic>
@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,53 +19,25 @@
 namespace eccsim::runner {
 namespace {
 
-// --- ThreadPool ------------------------------------------------------------
+// --- parallel_for ----------------------------------------------------------
 
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+TEST(ParallelForTest, RunsEveryTaskExactlyOnce) {
+  std::vector<std::atomic<int>> hits(1000);
+  parallel_for(hits.size(), 4, [&hits](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
 }
 
-TEST(ThreadPoolTest, TasksMaySubmitMoreTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&] {
-      count.fetch_add(1, std::memory_order_relaxed);
-      for (int k = 0; k < 4; ++k) {
-        pool.submit(
-            [&count] { count.fetch_add(1, std::memory_order_relaxed); });
-      }
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 8 + 8 * 4);
-}
-
-TEST(ThreadPoolTest, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.wait_idle();  // no work yet: must not hang
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvironment) {
+TEST(ParallelForTest, DefaultThreadCountHonorsEnvironment) {
   setenv("RUNNER_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::default_thread_count(), 3u);
+  EXPECT_EQ(default_thread_count(), 3u);
   setenv("RUNNER_THREADS", "0", 1);  // invalid: fall back to hardware
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
+  EXPECT_GE(default_thread_count(), 1u);
   unsetenv("RUNNER_THREADS");
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
+  EXPECT_GE(default_thread_count(), 1u);
 }
 
 // --- run_cells determinism -------------------------------------------------

@@ -1,12 +1,11 @@
-// Concurrency stress tests for the work-stealing ThreadPool and the
-// per-worker Collector discipline.  These are the TSan targets: the tsan
-// CMake preset builds them with -fsanitize=thread, so any data race in
-// submit / steal / wait_idle or in the parallel-sweep pattern (one
-// Collector per cell, merge on the main thread) is reported as a failure
-// rather than a latent heisenbug.
+// Concurrency stress tests for runner::parallel_for and the per-worker
+// Collector discipline.  These are TSan targets: the tsan CMake preset
+// builds them with -fsanitize=thread, so any data race in the index claim or
+// in the parallel-sweep pattern (one Collector per cell, results read on
+// the main thread after the join) is reported as a failure rather than a
+// latent heisenbug.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -18,65 +17,36 @@
 namespace eccsim::runner {
 namespace {
 
-TEST(ThreadPoolStress, NestedSubmitsAcrossManyWaitIdleRounds) {
-  ThreadPool pool(4);
-  std::atomic<std::uint64_t> count{0};
-  std::uint64_t expected = 0;
+TEST(ParallelForStress, NestedCallsRunInlineAcrossManyRounds) {
+  // Each item fans out again from inside a worker: the nested call must
+  // run inline on that worker, in index order, and every index of every
+  // round must run exactly once.
   for (unsigned round = 0; round < 25; ++round) {
-    for (unsigned i = 0; i < 40; ++i) {
-      // Each task fans out from inside a worker (own-deque push), the
-      // classic nested-parallelism shape that exercises stealing.
-      pool.submit([&pool, &count] {
-        count.fetch_add(1, std::memory_order_relaxed);
-        for (unsigned j = 0; j < 3; ++j) {
-          pool.submit(
-              [&count] { count.fetch_add(1, std::memory_order_relaxed); });
-        }
+    std::vector<std::vector<std::size_t>> inner(40);
+    std::vector<int> inline_ok(40, 0);
+    parallel_for(inner.size(), 4, [&](std::size_t i) {
+      const std::thread::id outer = std::this_thread::get_id();
+      bool same_thread = true;
+      parallel_for(3, 4, [&](std::size_t j) {
+        same_thread = same_thread && std::this_thread::get_id() == outer;
+        inner[i].push_back(j);
       });
-    }
-    expected += 40 * 4;
-    pool.wait_idle();
-    ASSERT_EQ(count.load(), expected) << "round " << round;
-  }
-}
-
-TEST(ThreadPoolStress, ConcurrentExternalSubmitters) {
-  ThreadPool pool(3);
-  std::atomic<std::uint64_t> count{0};
-  std::vector<std::thread> submitters;
-  for (unsigned s = 0; s < 4; ++s) {
-    submitters.emplace_back([&pool, &count] {
-      for (unsigned i = 0; i < 250; ++i) {
-        pool.submit(
-            [&count] { count.fetch_add(1, std::memory_order_relaxed); });
-      }
+      inline_ok[i] = same_thread ? 1 : 0;
     });
+    for (std::size_t i = 0; i < inner.size(); ++i) {
+      ASSERT_EQ(inline_ok[i], 1) << "round " << round << " item " << i;
+      ASSERT_EQ(inner[i], (std::vector<std::size_t>{0, 1, 2}))
+          << "round " << round << " item " << i;
+    }
   }
-  for (auto& t : submitters) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000u);
 }
 
-TEST(ThreadPoolStress, WaitIdleFromSeveralThreads) {
-  ThreadPool pool(2);
-  std::atomic<std::uint64_t> count{0};
-  for (unsigned i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  std::vector<std::thread> waiters;
-  for (unsigned w = 0; w < 3; ++w) {
-    waiters.emplace_back([&pool] { pool.wait_idle(); });
-  }
-  for (auto& t : waiters) t.join();
-  EXPECT_EQ(count.load(), 200u);
-}
-
-TEST(ThreadPoolStress, ParallelMiniSweepIsDeterministic) {
+TEST(ParallelForStress, ParallelMiniSweepIsDeterministic) {
   // The runner's fan-out pattern in miniature: every cell owns its
   // SystemSim and its Collector; the main thread only reads results after
-  // wait_idle().  Duplicate cells must produce bit-identical numbers
-  // whatever the steal interleaving, and gauge polling during the run must
-  // not race the simulating worker.
+  // parallel_for() returns.  Duplicate cells must produce bit-identical
+  // numbers whatever the interleaving, and gauge polling during the run
+  // must not race the simulating worker.
   struct Cell {
     ecc::SchemeId scheme;
     double epi = 0;
@@ -90,26 +60,23 @@ TEST(ThreadPoolStress, ParallelMiniSweepIsDeterministic) {
     cells.push_back(Cell{ecc::SchemeId::kMultiEcc});
   }
 
-  ThreadPool pool(ThreadPool::default_thread_count());
-  for (Cell& cell : cells) {
-    pool.submit([&cell] {
-      stats::Config scfg;
-      scfg.enabled = true;
-      scfg.epoch_cycles = 5'000;
-      stats::Collector collector(scfg);
-      sim::SimOptions opts;
-      opts.target_instructions = 30'000;
-      opts.seed = 11;
-      opts.stats = &collector;
-      const sim::RunResult r = sim::run_experiment(
-          cell.scheme, ecc::SystemScale::kQuadEquivalent, "lbm", opts);
-      cell.epi = r.epi_pj;
-      cell.mem_cycles = r.mem_cycles;
-      cell.gauge_instructions =
-          collector.registry().value("cpu.committed_instructions");
-    });
-  }
-  pool.wait_idle();
+  parallel_for(cells.size(), default_thread_count(), [&cells](std::size_t i) {
+    Cell& cell = cells[i];
+    stats::Config scfg;
+    scfg.enabled = true;
+    scfg.epoch_cycles = 5'000;
+    stats::Collector collector(scfg);
+    sim::SimOptions opts;
+    opts.target_instructions = 30'000;
+    opts.seed = 11;
+    opts.stats = &collector;
+    const sim::RunResult r = sim::run_experiment(
+        cell.scheme, ecc::SystemScale::kQuadEquivalent, "lbm", opts);
+    cell.epi = r.epi_pj;
+    cell.mem_cycles = r.mem_cycles;
+    cell.gauge_instructions =
+        collector.registry().value("cpu.committed_instructions");
+  });
 
   const std::size_t half = cells.size() / 2;
   for (std::size_t i = 0; i < half; ++i) {

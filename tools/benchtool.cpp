@@ -134,7 +134,7 @@ obs::perf::Record base_record(bool smoke) {
   rec.git_sha = obs::git_head_sha();
   rec.timestamp_utc = obs::utc_timestamp();
   rec.host = obs::hostname();
-  rec.threads = runner::ThreadPool::default_thread_count();
+  rec.threads = runner::default_thread_count();
   rec.smoke = smoke;
   return rec;
 }
@@ -166,7 +166,7 @@ int cmd_record(int argc, char** argv) {
   obs::ToolManifest man("benchtool", argc, argv,
                         "results/benchtool.manifest.json",
                         "paper_sweep_seed(root=1)",
-                        runner::ThreadPool::default_thread_count());
+                        runner::default_thread_count());
 
   std::error_code ec;
   std::filesystem::create_directories(history_dir, ec);
