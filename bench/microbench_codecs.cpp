@@ -1,18 +1,19 @@
 // google-benchmark microbenchmarks: throughput of the hot computational
 // kernels -- Reed-Solomon encode/decode, the per-scheme line codecs, the
-// ECC Parity manager's read/write paths, the DRAM channel scheduler, a
-// Bin2-like request stream through a whole memory system, the LLC under
-// the warm-up's access stream, and the measured phase of a sweep cell.  These are engineering
-// benchmarks for the library itself (regression tracking), not paper
-// figures.  Besides the console table, results land in
-// results/microbench_codecs.json (results/smoke/ under --smoke) beside the
-// run manifest.
+// ECC Parity manager's read/write paths, the address map's decode, the
+// DRAM channel scheduler, a Bin2-like request stream through a whole
+// memory system, the LLC under the warm-up's access stream, and the
+// measured phase of a sweep cell.  These are engineering benchmarks for
+// the library itself (regression tracking), not paper figures.  Besides
+// the console table, results land in results/microbench_codecs.json
+// (results/smoke/ under --smoke) beside the run manifest.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "common/rng.hpp"
+#include "dram/address_map.hpp"
 #include "dram/channel.hpp"
 #include "dram/memory_system.hpp"
 #include "ecc/codec.hpp"
@@ -244,6 +245,29 @@ void BM_DramChannelThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(completed));
 }
 BENCHMARK(BM_DramChannelThroughput);
+
+// AddressMap::decode, the per-request line -> (channel, rank, bank, row,
+// col) split, walking each paper-quad DDR3 memory at a prime stride.
+// RAIM+Parity's 10 channels take the reciprocal channel split; LOT-ECC5+
+// Parity's 8 are a power of two.  Items are decoded lines.
+void BM_AddressMapDecode(benchmark::State& state, ecc::SchemeId id) {
+  const dram::AddressMap map(
+      ecc::make_scheme(id, ecc::SystemScale::kQuadEquivalent)
+          .mem_config()
+          .geometry());
+  const std::uint64_t total = map.geometry().total_data_lines();
+  std::uint64_t line = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(map.decode(line));
+    line += 104'729;
+    if (line >= total) line -= total;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_AddressMapDecode, raim_parity,
+                  ecc::SchemeId::kRaimParity);
+BENCHMARK_CAPTURE(BM_AddressMapDecode, lotecc5_parity,
+                  ecc::SchemeId::kLotEcc5Parity);
 
 // The DRAM layer of a Bin2 sweep cell: a seeded stream of data-line
 // requests, arriving in bursts of 1-4 on a quarter of the cycles, through

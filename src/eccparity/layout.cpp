@@ -1,11 +1,16 @@
 #include "eccparity/layout.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace eccsim::eccparity {
 
 ParityLayout::ParityLayout(const dram::MemGeometry& geom, unsigned corr_bytes)
-    : geom_(geom), map_(geom), corr_bytes_(corr_bytes) {
+    : geom_(geom),
+      map_(geom),
+      // 0 physical channels is rejected below, with its own message.
+      fd_channels_(std::max(1u, geom.fd_channels())),
+      corr_bytes_(corr_bytes) {
   if (geom_.fd_channels() < 2) {
     throw std::invalid_argument("ParityLayout: needs >= 2 physical channels");
   }
@@ -22,14 +27,12 @@ ParityLayout::ParityLayout(const dram::MemGeometry& geom, unsigned corr_bytes)
 }
 
 ParityLayout::Loc ParityLayout::locate(std::uint64_t line_index) const {
-  const std::uint32_t lpr = geom_.lines_per_row();
+  const dram::AddressMap::PageSplit s = map_.split(line_index);
   Loc loc;
-  loc.slot = static_cast<std::uint32_t>(line_index % lpr);
-  const std::uint64_t page = line_index / lpr;
-  const auto eff = static_cast<std::uint32_t>(page % geom_.channels);
-  loc.channel = eff % geom_.fd_channels();
-  loc.plane = eff / geom_.fd_channels();
-  loc.stripe = page / geom_.channels;
+  loc.slot = s.slot;
+  loc.plane = static_cast<std::uint32_t>(fd_channels_.quotient(s.channel));
+  loc.channel = s.channel - loc.plane * geom_.fd_channels();
+  loc.stripe = s.cpage;
   return loc;
 }
 

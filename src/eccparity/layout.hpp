@@ -126,6 +126,7 @@ class ParityLayout {
 
   dram::MemGeometry geom_;
   dram::AddressMap map_;
+  dram::ExactDivider fd_channels_;  ///< splits an effective channel
   unsigned corr_bytes_;
   std::uint64_t stripes_;        ///< within-channel pages
   std::uint64_t reserved_rows_;

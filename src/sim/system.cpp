@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -77,7 +78,8 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
         return cfg;
       }()),
       llc_(warm != nullptr ? warm->llc : cache::Cache(cache::CacheConfig{})),
-      lines64_per_memline_(scheme.line_bytes / 64),
+      memline_shift_(
+          static_cast<unsigned>(std::countr_zero(scheme.line_bytes / 64))),
       total_data_lines_(mem_.map().geometry().total_data_lines()),
       degraded_(scheme.uses_ecc_parity && !opts.faulty_banks.empty()) {
   if (opts.dedicated_ecc_cache_bytes != 0) {
@@ -86,8 +88,10 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
     ecc_cfg.ways = 8;
     dedicated_ecc_cache_ = std::make_unique<cache::Cache>(ecc_cfg);
   }
-  if (scheme.line_bytes % 64 != 0) {
-    throw std::invalid_argument("SystemSim: line size must be 64B multiple");
+  if (scheme.line_bytes % 64 != 0 ||
+      !std::has_single_bit(scheme.line_bytes)) {
+    throw std::invalid_argument(
+        "SystemSim: line size must be 64B times a power of two");
   }
   // Every op's memory line must lie inside the memory: then no address
   // wraps at its end, and no two footprint lines share one.  The count
@@ -97,7 +101,7 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
       copies * std::max<std::uint64_t>(1, workload.footprint_bytes / 64);
   lines64 += lines64 & 1;
   const std::uint64_t memlines =
-      (lines64 + lines64_per_memline_ - 1) / lines64_per_memline_;
+      (lines64 + (1ULL << memline_shift_) - 1) >> memline_shift_;
   if (memlines > total_data_lines_) {
     throw std::invalid_argument(
         "SystemSim: workload '" + workload.name + "' spans " +
@@ -609,8 +613,8 @@ void SystemSim::handle_completions() {
     const std::uint64_t memline = it->second;
     id_to_memline_.erase(it);
     // Fill all 64B siblings of the memory line (128B-line prefetch effect).
-    for (std::uint32_t i = 0; i < lines64_per_memline_; ++i) {
-      const std::uint64_t line = memline * lines64_per_memline_ + i;
+    for (std::uint64_t i = 0; i < (1ULL << memline_shift_); ++i) {
+      const std::uint64_t line = (memline << memline_shift_) + i;
       const auto r = llc_.fill(line);
       wake_on_insert(line);
       if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);

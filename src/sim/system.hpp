@@ -215,7 +215,7 @@ class SystemSim {
   /// come from SystemSim::warm for this scheme's class, workload, seed and
   /// core count, with shares_warm_up(opts) true.
   /// Throws std::invalid_argument if the scheme's memory-line size is not
-  /// a 64B multiple, if the workload's footprint (all cores' private
+  /// 64B times a power of two, if the workload's footprint (all cores' private
   /// copies, or the one shared PARSEC footprint) holds more memory lines
   /// than the memory, or if `warm` does not fit this run;
   /// tracefile::TraceError on a bad or mismatched trace_in.
@@ -278,7 +278,7 @@ class SystemSim {
 
   /// Converts a global 64B-line index to the scheme's memory-line index.
   std::uint64_t mem_line_of(std::uint64_t line64) const {
-    return line64 / lines64_per_memline_;
+    return line64 >> memline_shift_;
   }
   /// `memline`, checked to lie in decode's domain.  The constructor's
   /// footprint check keeps synthetic lines inside it; a replayed line
@@ -420,7 +420,8 @@ class SystemSim {
   std::unique_ptr<tracefile::TraceWriter> post_writer_;
   std::optional<eccparity::ParityLayout> parity_layout_;
 
-  std::uint32_t lines64_per_memline_;
+  /// log2 of the 64B lines per memory line (0 for 64B, 1 for 128B).
+  unsigned memline_shift_;
   /// The memory's data-line count (decode's domain), read once.
   std::uint64_t total_data_lines_;
   /// ECC Parity with faulty banks: reads may take Fig. 6's slow path.

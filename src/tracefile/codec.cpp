@@ -1,7 +1,5 @@
 #include "tracefile/codec.hpp"
 
-#include "tracefile/varint.hpp"
-
 namespace eccsim::tracefile {
 
 namespace {
@@ -72,30 +70,11 @@ void decode_pre_chunk(const unsigned char* data, std::size_t size,
                       std::uint32_t op_count, std::vector<PreOp>& out) {
   out.clear();
   out.reserve(op_count);
-  ByteCursor cur(data, size);
   std::vector<std::uint64_t> prev_line;
-  for (std::uint32_t i = 0; i < op_count; ++i) {
-    PreOp p;
-    const std::uint64_t ctrl = cur.varint();
-    if ((ctrl >> 1) > 0xFFFFu) {
-      throw TraceError("ecctrace: implausible core index in chunk");
-    }
-    p.core = static_cast<std::uint32_t>(ctrl >> 1);
-    p.op.is_write = (ctrl & 1u) != 0;
-    const std::uint64_t gap = cur.varint();
-    if (gap > 0xFFFFFFFFu) {
-      throw TraceError("ecctrace: instruction gap exceeds 32 bits");
-    }
-    p.op.gap = static_cast<std::uint32_t>(gap);
-    if (p.core >= prev_line.size()) prev_line.resize(p.core + 1, 0);
-    p.op.line = prev_line[p.core] +
-                static_cast<std::uint64_t>(unzigzag(cur.varint()));
-    prev_line[p.core] = p.op.line;
-    out.push_back(p);
-  }
-  if (!cur.done()) {
-    throw TraceError("ecctrace: trailing bytes after last record in chunk");
-  }
+  decode_pre_records(data, size, op_count, prev_line,
+                     [&out](std::uint32_t core, const trace::MemOp& op) {
+                       out.push_back(PreOp{core, op});
+                     });
 }
 
 void decode_post_chunk(const unsigned char* data, std::size_t size,

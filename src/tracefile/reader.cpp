@@ -128,38 +128,45 @@ void TraceReader::index_chunks() {
 }
 
 bool TraceReader::ensure_records() {
-  const std::size_t have = meta_.point == CapturePoint::kPreLlc
-                               ? dec_pre_.size()
-                               : dec_post_.size();
-  while (dec_pos_ >= have) {
-    if (next_chunk_ >= chunks_.size()) return false;
-    load_chunk(next_chunk_++);
-    return ensure_records();
+  const bool pre = meta_.point == CapturePoint::kPreLlc;
+  // Loops because an empty chunk decodes to no records.
+  while (dec_pos_ >= (pre ? dec_pre_.size() : dec_post_.size())) {
+    Chunk chunk;
+    if (!next_chunk(chunk)) return false;
+    if (pre) {
+      decode_pre_chunk(chunk.data, chunk.size, chunk.op_count, dec_pre_);
+    } else {
+      decode_post_chunk(chunk.data, chunk.size, chunk.op_count, dec_post_);
+    }
   }
   return true;
 }
 
-void TraceReader::load_chunk(std::size_t index) {
+void TraceReader::load_payload(std::size_t index) {
   const ChunkInfo& ci = chunks_[index];
-  std::vector<unsigned char> payload(ci.payload_bytes);
+  payload_.resize(ci.payload_bytes);
   in_.clear();
   in_.seekg(static_cast<std::streamoff>(ci.payload_offset));
   if (ci.payload_bytes > 0) {
-    read_exact(in_, payload.data(), payload.size(), "chunk payload");
+    read_exact(in_, payload_.data(), payload_.size(), "chunk payload");
   }
-  if (crc32(payload.data(), payload.size()) != ci.crc) {
+  if (crc32(payload_.data(), payload_.size()) != ci.crc) {
     throw TraceError("ecctrace: chunk " + std::to_string(index) +
                      " CRC mismatch in " + path_);
   }
-  if (meta_.point == CapturePoint::kPreLlc) {
-    decode_pre_chunk(payload.data(), payload.size(), ci.op_count, dec_pre_);
-  } else {
-    decode_post_chunk(payload.data(), payload.size(), ci.op_count,
-                      dec_post_);
-  }
   counters_.chunks_decoded += 1;
   counters_.payload_bytes += ci.payload_bytes;
+}
+
+bool TraceReader::next_chunk(Chunk& out) {
+  dec_pre_.clear();
+  dec_post_.clear();
   dec_pos_ = 0;
+  if (next_chunk_ >= chunks_.size()) return false;
+  const std::uint32_t op_count = chunks_[next_chunk_].op_count;
+  load_payload(next_chunk_++);
+  out = Chunk{payload_.data(), payload_.size(), op_count};
+  return true;
 }
 
 bool TraceReader::next(PreOp& out) {

@@ -47,6 +47,19 @@ class TraceReader {
   /// Post-LLC counterpart of next(PreOp&).
   bool next(PostOp& out);
 
+  /// One CRC-checked, still-encoded chunk payload.  `data` stays valid
+  /// until the reader's next read or seek.
+  struct Chunk {
+    const unsigned char* data = nullptr;
+    std::size_t size = 0;
+    std::uint32_t op_count = 0;
+  };
+  /// Loads the next chunk and checks its CRC, without decoding it: for a
+  /// caller that decodes straight into its own buffers (ReplaySource).
+  /// Records of the current chunk not yet read by next() are skipped.
+  /// False cleanly at end-of-trace; throws TraceError on a CRC mismatch.
+  bool next_chunk(Chunk& out);
+
   /// Positions the stream at the first record of chunk `index`
   /// (chunk_count() == end-of-trace).  Throws on out-of-range.
   void seek_chunk(std::size_t index);
@@ -61,8 +74,8 @@ class TraceReader {
 
   void parse_header();
   void index_chunks();
-  /// Loads and CRC-checks chunk `index` into the decode buffer.
-  void load_chunk(std::size_t index);
+  /// Reads chunk `index`'s payload into payload_ and checks its CRC.
+  void load_payload(std::size_t index);
   /// Advances to the next chunk if the decode buffer is drained; returns
   /// false at end-of-trace.
   bool ensure_records();
@@ -76,6 +89,7 @@ class TraceReader {
   ReaderCounters counters_;
 
   std::size_t next_chunk_ = 0;  ///< next chunk to load
+  std::vector<unsigned char> payload_;  ///< the last chunk loaded
   std::vector<PreOp> dec_pre_;
   std::vector<PostOp> dec_post_;
   std::size_t dec_pos_ = 0;

@@ -1,5 +1,9 @@
 #include "tracefile/replay.hpp"
 
+#include <optional>
+
+#include "tracefile/codec.hpp"
+
 namespace eccsim::tracefile {
 
 namespace {
@@ -25,35 +29,58 @@ ReplaySource::ReplaySource(const std::string& path) : reader_(path) {
     throw TraceError("ecctrace: zero cores in trace header of " + path);
   }
   desc_ = trace::workload_by_name(reader_.meta().workload);
-  queues_.resize(reader_.meta().cores);
+  fifos_.resize(reader_.meta().cores);
 }
 
 trace::MemOp ReplaySource::next(unsigned core) {
-  if (core >= queues_.size()) {
+  if (core >= fifos_.size() || fifos_[core].head == fifos_[core].ops.size()) {
+    refill(core);
+  }
+  Fifo& fifo = fifos_[core];
+  ++replayed_;
+  return fifo.ops[fifo.head++];
+}
+
+void ReplaySource::refill(unsigned core) {
+  if (core >= fifos_.size()) {
     throw TraceError("ecctrace: replay asked for core " +
                      std::to_string(core) + " but trace has " +
-                     std::to_string(queues_.size()) + " cores");
+                     std::to_string(fifos_.size()) + " cores");
   }
-  while (queues_[core].empty()) {
-    PreOp rec;
-    if (!reader_.next(rec)) {
+  while (fifos_[core].head == fifos_[core].ops.size()) {
+    TraceReader::Chunk chunk;
+    if (!reader_.next_chunk(chunk)) {
       throw TraceError(
           "ecctrace: trace exhausted replaying " + reader_.path() +
           " (core " + std::to_string(core) + " after " +
           std::to_string(replayed_) +
           " ops); re-record with more --ops-per-core");
     }
-    if (rec.core >= queues_.size()) {
+    // Drop each FIFO's replayed prefix once it is at least half the FIFO,
+    // so a core pulled far behind the others costs amortized O(1) per op.
+    for (Fifo& fifo : fifos_) {
+      if (fifo.head * 2 >= fifo.ops.size()) {
+        fifo.ops.erase(fifo.ops.begin(),
+                       fifo.ops.begin() +
+                           static_cast<std::ptrdiff_t>(fifo.head));
+        fifo.head = 0;
+      }
+    }
+    std::optional<std::uint32_t> stray_core;
+    decode_pre_records(chunk.data, chunk.size, chunk.op_count, prev_line_,
+                       [&](std::uint32_t c, const trace::MemOp& op) {
+                         if (c < fifos_.size()) {
+                           fifos_[c].ops.push_back(op);
+                         } else if (!stray_core) {
+                           stray_core = c;
+                         }
+                       });
+    if (stray_core) {
       throw TraceError("ecctrace: record for core " +
-                       std::to_string(rec.core) +
+                       std::to_string(*stray_core) +
                        " exceeds the header's core count");
     }
-    queues_[rec.core].push_back(rec.op);
   }
-  const trace::MemOp op = queues_[core].front();
-  queues_[core].pop_front();
-  ++replayed_;
-  return op;
 }
 
 std::string ReplaySource::describe() const {

@@ -2,11 +2,12 @@
 // container and the simulator's stimulus interface (trace/source.hpp).
 //
 //   ReplaySource     feeds a recorded pre-LLC trace back into SystemSim.
-//                    It demultiplexes the file's interleaved record order
-//                    into per-core FIFO queues, so replay depends only on
-//                    the per-core streams -- a trace recorded under one
-//                    scheme's consumption order (or tracetool's
-//                    round-robin) replays identically under any other.
+//                    It decodes one chunk at a time, in one pass, straight
+//                    into per-core FIFOs (a vector and a head index each),
+//                    so replay depends only on the per-core streams -- a
+//                    trace recorded under one scheme's consumption order
+//                    (or tracetool's round-robin) replays identically
+//                    under any other.
 //   RecordingSource  a tee: passes an inner source through unchanged
 //                    while appending every op to a TraceWriter.
 //                    Observation-only by construction, so a recorded run
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,9 +53,23 @@ class ReplaySource final : public trace::TraceSource {
   }
 
  private:
+  /// One core's decoded ops not yet replayed: ops[head..] in order.
+  struct Fifo {
+    std::vector<trace::MemOp> ops;
+    std::size_t head = 0;
+  };
+
+  /// next()'s slow path, kept out of line so next() stays a few loads:
+  /// decodes chunks onto the FIFOs' tails until `core`'s FIFO is
+  /// non-empty.  Throws TraceError if `core` or any record's core is
+  /// beyond the header's count, the trace is exhausted, or a chunk is
+  /// corrupt -- before any op of that chunk is replayed.
+  [[gnu::noinline]] void refill(unsigned core);
+
   TraceReader reader_;
   trace::WorkloadDesc desc_;
-  std::vector<std::deque<trace::MemOp>> queues_;
+  std::vector<Fifo> fifos_;
+  std::vector<std::uint64_t> prev_line_;  ///< the codec's delta scratch
   std::uint64_t replayed_ = 0;
 };
 

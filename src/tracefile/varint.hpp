@@ -66,10 +66,18 @@ class ByteCursor {
   ByteCursor(const unsigned char* data, std::size_t size)
       : data_(data), size_(size) {}
 
+  /// Longest valid varint: ten 7-bit groups cover 64 bits.
+  static constexpr std::size_t kMaxVarintBytes = 10;
+
   std::uint64_t varint() {
+    // Fast path: a one-byte varint (most flags, gaps and line deltas).
+    if (pos_ < size_ && data_[pos_] < 0x80u) return data_[pos_++];
+    // Only a varint starting in the payload's last 10 bytes can overrun
+    // it; elsewhere the per-byte bounds test is skipped.
+    const bool near_end = size_ - pos_ < kMaxVarintBytes;
     std::uint64_t v = 0;
     for (unsigned shift = 0; shift < 64; shift += 7) {
-      if (pos_ >= size_) {
+      if (near_end && pos_ >= size_) {
         throw TraceError("ecctrace: varint overruns chunk payload");
       }
       const unsigned char b = data_[pos_++];

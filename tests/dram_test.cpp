@@ -3,7 +3,10 @@
 // memory-system facade.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "dram/address_map.hpp"
@@ -128,6 +131,54 @@ TEST(AddressMap, ConsecutiveLinesSpreadRanksAfterBanks) {
   EXPECT_EQ(map.decode(0).rank, 0u);
   EXPECT_EQ(map.decode(8).rank, 1u);
   EXPECT_EQ(map.decode(8).bank, 0u);
+}
+
+// ExactDivider must equal the divide instruction for every divisor and
+// every 64-bit dividend, including the extremes the reciprocal's rounding
+// is most likely to get wrong.
+TEST(ExactDivider, MatchesHardwareDivision) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> divisors;
+  for (std::uint64_t d = 1; d <= 130; ++d) divisors.push_back(d);
+  for (unsigned k = 1; k < 64; ++k) {
+    const std::uint64_t p = 1ULL << k;
+    divisors.insert(divisors.end(), {p - 1, p, p + 1});
+  }
+  divisors.insert(divisors.end(), {kMax, kMax - 1, 1'000'000'007ULL});
+  std::mt19937_64 rng(0xD1D);
+  for (int i = 0; i < 64; ++i) divisors.push_back(rng() | 1);
+  for (const std::uint64_t d : divisors) {
+    const ExactDivider div(d);
+    std::vector<std::uint64_t> dividends = {0,        1,        d - 1,
+                                            d,        d + 1,    kMax,
+                                            kMax - 1, kMax - d, kMax / d * d};
+    for (int i = 0; i < 200; ++i) {
+      dividends.push_back(rng());
+      dividends.push_back(rng() >> (rng() % 64));
+    }
+    for (const std::uint64_t n : dividends) {
+      ASSERT_EQ(div.quotient(n), n / d) << n << " / " << d;
+    }
+  }
+  EXPECT_THROW(ExactDivider(0), std::invalid_argument);
+}
+
+TEST(AddressMap, RejectsNonPowerOfTwoGeometry) {
+  MemGeometry g;
+  g.banks_per_rank = 6;
+  EXPECT_THROW(AddressMap{g}, std::invalid_argument);
+  g = MemGeometry{};
+  g.ranks_per_channel = 3;
+  EXPECT_THROW(AddressMap{g}, std::invalid_argument);
+  g = MemGeometry{};
+  g.line_bytes = 96;  // 4096 / 96: not a whole power of two per row
+  EXPECT_THROW(AddressMap{g}, std::invalid_argument);
+  g = MemGeometry{};
+  g.channels = 0;
+  EXPECT_THROW(AddressMap{g}, std::invalid_argument);
+  g = MemGeometry{};
+  g.channels = 5;  // channels may be any count (RAIM+Parity has 5 and 10)
+  EXPECT_NO_THROW(AddressMap{g});
 }
 
 TEST(AddressMap, GeometryByteAccounting) {

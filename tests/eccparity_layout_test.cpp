@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "dram/spec.hpp"
+#include "ecc/scheme.hpp"
 #include "eccparity/layout.hpp"
 
 namespace eccsim::eccparity {
@@ -131,7 +136,9 @@ TEST_P(LayoutParamTest, XorKeysDisjointFromLineIndices) {
 INSTANTIATE_TEST_SUITE_P(ChannelCounts, LayoutParamTest,
                          ::testing::Values(2u, 4u, 5u, 8u, 10u),
                          [](const ::testing::TestParamInfo<std::uint32_t>& i) {
-                           return "N" + std::to_string(i.param);
+                           std::string name = "N";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 TEST(ParityLayout, ReservedRowsMatchOverheadFormula) {
@@ -162,6 +169,99 @@ TEST(ParityLayout, RejectsBadConfig) {
   EXPECT_THROW(ParityLayout(g, 16), std::invalid_argument);
   EXPECT_THROW(ParityLayout(small_geom(4), 0), std::invalid_argument);
   EXPECT_THROW(ParityLayout(small_geom(4), 65), std::invalid_argument);
+}
+
+
+// AddressMap::decode uses shifts, masks and a reciprocal; it must equal
+// the plain division formula, kept here as the reference, on every Table
+// II geometry at every DRAM generation.  ParityLayout locates a line
+// through the same split, so its group and XOR-line key must agree too.
+dram::DramAddress division_decode(const dram::MemGeometry& g,
+                                  std::uint64_t line) {
+  const std::uint64_t lpr = g.lines_per_row();
+  dram::DramAddress a;
+  const std::uint64_t page = line / lpr;
+  a.channel = static_cast<std::uint32_t>(page % g.channels);
+  const std::uint64_t x = page / g.channels * lpr + line % lpr;
+  a.bank = static_cast<std::uint32_t>(x % g.banks_per_rank);
+  const std::uint64_t r = x / g.banks_per_rank;
+  a.rank = static_cast<std::uint32_t>(r % g.ranks_per_channel);
+  const std::uint64_t in_bank = r / g.ranks_per_channel;
+  a.row = in_bank / lpr;
+  a.col = static_cast<std::uint32_t>(in_bank % lpr);
+  return a;
+}
+
+/// First and last line, both pages around the first and last 64 channel
+/// wraps and around every wrap at a prime stride, and a prime-stride
+/// sample of all lines.
+std::vector<std::uint64_t> decode_probe_lines(const dram::MemGeometry& g) {
+  const std::uint64_t lpr = g.lines_per_row();
+  const std::uint64_t total = g.total_data_lines();
+  const std::uint64_t wraps = g.total_pages() / g.channels;
+  std::vector<std::uint64_t> lines = {0, total - 1};
+  auto around_wrap = [&](std::uint64_t k) {
+    const std::uint64_t first = k * g.channels * lpr;  // page k*C, line 0
+    for (std::uint64_t l = first - lpr; l < first + lpr; ++l) {
+      if (l < total) lines.push_back(l);
+    }
+  };
+  for (std::uint64_t k = 1; k < wraps; ++k) {
+    if (k <= 64 || k + 64 >= wraps || k % 7919 == 0) around_wrap(k);
+  }
+  for (std::uint64_t l = 0; l < total; l += 104'729) lines.push_back(l);
+  return lines;
+}
+
+TEST(AddressMap, DecodeMatchesDivisionOnEveryTableIIGeometry) {
+  int geometries = 0;
+  for (const ecc::SchemeId id : ecc::all_schemes()) {
+    for (const ecc::SystemScale scale :
+         {ecc::SystemScale::kDualEquivalent,
+          ecc::SystemScale::kQuadEquivalent}) {
+      for (const dram::Generation gen :
+           {dram::Generation::kDdr3, dram::Generation::kDdr4,
+            dram::Generation::kDdr5}) {
+        const dram::MemGeometry g =
+            ecc::make_scheme(id, scale).mem_config(gen).geometry();
+        std::string where = ecc::to_string(id);
+        where += ' ';
+        where += dram::to_string(gen);
+        where += ", ";
+        where += std::to_string(g.channels);
+        where += " channels";
+        SCOPED_TRACE(where);
+        const dram::AddressMap map(g);
+        const std::uint32_t n = g.fd_channels();
+        std::optional<ParityLayout> layout;
+        if (n >= 2) layout.emplace(g, 16);
+        const std::uint64_t lpr = g.lines_per_row();
+        for (const std::uint64_t line : decode_probe_lines(g)) {
+          const dram::DramAddress a = map.decode(line);
+          ASSERT_EQ(a, division_decode(g, line)) << "line " << line;
+          ASSERT_EQ(map.encode(a), line);
+          if (!layout) continue;
+          const std::uint64_t page = line / lpr;
+          const auto eff = static_cast<std::uint32_t>(page % g.channels);
+          const std::uint32_t channel = eff % n;
+          const std::uint32_t plane = eff / n;
+          const std::uint64_t stripe = page / g.channels;
+          const auto slot = static_cast<std::uint32_t>(line % lpr);
+          const GroupId grp = layout->group_of(line);
+          ASSERT_EQ(grp.slot, slot);
+          ASSERT_EQ(grp.plane, plane);
+          ASSERT_EQ(grp.leftover, channel == stripe % n);
+          ASSERT_EQ(grp.index, grp.leftover ? stripe / (n - 1) : stripe);
+          ASSERT_EQ(layout->xor_cacheline_key(line),
+                    (1ULL << 62) |
+                        ((stripe * g.sub_channels + plane) * (lpr / 4) +
+                         slot / 4));
+        }
+        ++geometries;
+      }
+    }
+  }
+  EXPECT_EQ(geometries, 48);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -221,8 +222,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Params{8, 4},     // high-redundancy
                       Params{5, 1}),    // degenerate repetition-like
     [](const ::testing::TestParamInfo<Params>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "k" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += 'k';
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 }  // namespace

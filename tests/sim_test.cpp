@@ -431,7 +431,8 @@ TEST(SystemSim, CommittedCountsExactMidGap) {
                          std::to_string(static_cast<std::uint64_t>(
                              reg.value("cpu.stalled_core_cycles")));
     for (const double v : *committed) {
-      fields += "," + std::to_string(static_cast<std::uint64_t>(v));
+      fields += ',';
+      fields += std::to_string(static_cast<std::uint64_t>(v));
     }
     EXPECT_EQ(fnv1a(fields), c.digest)
         << std::hex << "0x" << fnv1a(fields) << " over "

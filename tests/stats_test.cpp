@@ -55,7 +55,9 @@ TEST(Registry, PointersSurviveManyRegistrations) {
   Registry reg;
   Counter* first = reg.counter("c0");
   for (int i = 1; i < 500; ++i) {
-    reg.counter("c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    reg.counter(name);
   }
   first->inc();
   EXPECT_EQ(reg.value("c0"), 1.0);

@@ -18,6 +18,7 @@
 #include "tracefile/crc32.hpp"
 #include "tracefile/reader.hpp"
 #include "tracefile/replay.hpp"
+#include "tracefile/varint.hpp"
 #include "tracefile/writer.hpp"
 
 namespace eccsim::tracefile {
@@ -129,6 +130,264 @@ TEST(Codec, DecodeRejectsTrailingBytes) {
       decode_pre_chunk(reinterpret_cast<const unsigned char*>(payload.data()),
                        payload.size(), 10, back),
       TraceError);
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32: the slice-by-8 implementation must equal the classic bytewise
+// definition, kept here as the reference, at every length and alignment.
+
+std::uint32_t bytewise_crc32(const unsigned char* p, std::size_t len,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(12);
+  std::vector<unsigned char> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(crc32(buf.data() + align, len),
+                bytewise_crc32(buf.data() + align, len))
+          << "length " << len << " at offset " << align;
+    }
+  }
+  std::vector<unsigned char> page(4096);
+  for (int trial = 0; trial < 8; ++trial) {
+    for (auto& b : page) b = static_cast<unsigned char>(rng());
+    ASSERT_EQ(crc32(page.data(), page.size()),
+              bytewise_crc32(page.data(), page.size()));
+  }
+}
+
+TEST(Crc32, ContinuesAcrossBuffers) {
+  std::mt19937_64 rng(13);
+  std::vector<unsigned char> buf(1000);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
+                                std::size_t{7}, std::size_t{8},
+                                std::size_t{333}, std::size_t{1000}}) {
+    const std::uint32_t a = crc32(buf.data(), cut);
+    EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, a),
+              crc32(buf.data(), buf.size()))
+        << "split at " << cut;
+    EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, a),
+              bytewise_crc32(buf.data() + cut, buf.size() - cut,
+                             bytewise_crc32(buf.data(), cut)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ByteCursor: the one-byte and windowed fast paths must return the
+// values, positions and errors of the bytewise LEB128 loop, kept here as
+// the reference.
+
+struct RefVarint {
+  std::uint64_t value = 0;
+  std::size_t end = 0;  ///< position after the varint
+  std::string error;    ///< empty when the varint is well formed
+};
+
+RefVarint bytewise_varint(const std::string& buf, std::size_t pos) {
+  RefVarint r;
+  for (unsigned shift = 0; shift < 64; shift += 7) {
+    if (pos >= buf.size()) {
+      r.error = "ecctrace: varint overruns chunk payload";
+      return r;
+    }
+    const auto b = static_cast<unsigned char>(buf[pos++]);
+    r.value |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
+    if ((b & 0x80u) == 0) {
+      r.end = pos;
+      return r;
+    }
+  }
+  r.error = "ecctrace: overlong varint";
+  return r;
+}
+
+TEST(ByteCursor, FastPathsMatchBytewiseDecode) {
+  std::mt19937_64 rng(14);
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Varints of every length 1-12 (11 and 12 are overlong), with random
+    // payload bits, and sometimes a truncated tail.
+    std::string buf;
+    const int count = 1 + static_cast<int>(rng() % 40);
+    for (int v = 0; v < count; ++v) {
+      const std::size_t len = 1 + rng() % (trial % 4 == 0 ? 12 : 4);
+      for (std::size_t i = 0; i < len; ++i) {
+        const auto bits = static_cast<unsigned char>(rng() & 0x7Fu);
+        buf.push_back(static_cast<char>(i + 1 < len ? bits | 0x80u : bits));
+      }
+    }
+    if (trial % 3 == 0) buf.resize(rng() % (buf.size() + 1));
+    const auto* data = reinterpret_cast<const unsigned char*>(buf.data());
+    ByteCursor cur(data, buf.size());
+    std::size_t pos = 0;
+    std::vector<RefVarint> want;
+    while (pos < buf.size()) {
+      want.push_back(bytewise_varint(buf, pos));
+      if (!want.back().error.empty()) break;
+      pos = want.back().end;
+    }
+    std::size_t i = 0;
+    try {
+      for (; i < want.size(); ++i) {
+        const std::uint64_t v = cur.varint();
+        ASSERT_TRUE(want[i].error.empty()) << "trial " << trial;
+        ASSERT_EQ(v, want[i].value) << "trial " << trial;
+        ASSERT_EQ(cur.position(), want[i].end);
+      }
+      EXPECT_TRUE(cur.done());
+    } catch (const TraceError& e) {
+      ASSERT_LT(i, want.size()) << "trial " << trial;
+      EXPECT_EQ(want[i].error, e.what()) << "trial " << trial;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Decoder guards: payloads whose CRC is valid but whose bytes are
+// malformed.  Each must surface as TraceError with its usual message from
+// the codec, from the reader's deep scan, and from replay.
+
+/// A one-chunk pre-LLC trace around `payload`, framed and CRC-signed
+/// exactly as TraceWriter would sign it.
+std::string trace_with_payload(const std::string& payload,
+                               std::uint32_t op_count) {
+  const std::string empty_path = temp_path("guard_empty.ecctrace");
+  TraceMeta meta;
+  meta.point = CapturePoint::kPreLlc;
+  meta.cores = 2;
+  meta.workload = "mcf";
+  {
+    TraceWriter writer(empty_path, meta);
+    writer.close();
+  }
+  const std::string empty = read_file(empty_path);
+  std::remove(empty_path.c_str());
+  std::string bytes = empty.substr(0, empty.size() - 20);  // drop footer
+  put_u32(bytes, kChunkMarker);
+  put_u32(bytes, static_cast<std::uint32_t>(payload.size()));
+  put_u32(bytes, op_count);
+  put_u32(bytes, crc32(payload.data(), payload.size()));
+  bytes += payload;
+  std::string footer;
+  put_u32(footer, kEndMarker);
+  put_u32(footer, 1);
+  put_u64(footer, op_count);
+  put_u32(footer, crc32(footer.data(), footer.size()));
+  return bytes + footer;
+}
+
+void expect_guard_fires(const std::string& payload, std::uint32_t op_count,
+                        const std::string& message) {
+  SCOPED_TRACE(message);
+  std::vector<PreOp> out;
+  try {
+    decode_pre_chunk(reinterpret_cast<const unsigned char*>(payload.data()),
+                     payload.size(), op_count, out);
+    ADD_FAILURE() << "decode_pre_chunk accepted the payload";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+  const std::string path = temp_path("guard.ecctrace");
+  write_file(path, trace_with_payload(payload, op_count));
+  const ValidateResult res = validate_file(path);
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.error.find(message), std::string::npos) << res.error;
+  ReplaySource replay(path);
+  try {
+    (void)replay.next(0);
+    ADD_FAILURE() << "replay surfaced a record of a malformed chunk";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(replay.ops_replayed(), 0u);
+  std::remove(path.c_str());
+}
+
+/// One well-formed record for core 0 (three one-byte varints).
+std::string good_record() { return std::string("\x00\x05\x02", 3); }
+
+TEST(DecoderGuards, OverlongVarint) {
+  std::string payload(10, '\xFF');  // ten continuation bytes
+  payload += std::string(20, '\0');
+  expect_guard_fires(payload, 1, "overlong varint");
+}
+
+TEST(DecoderGuards, VarintCutOffAtEachOfTheLastTenBytes) {
+  std::string prefix;
+  for (int i = 0; i < 8; ++i) prefix += good_record();
+  for (std::size_t cut = 1; cut <= ByteCursor::kMaxVarintBytes; ++cut) {
+    // The ninth record's line delta starts `cut` bytes before the end and
+    // never terminates.  Ten continuation bytes fit in the payload, so the
+    // last case is an overlong varint, not an overrun.
+    const std::string payload =
+        prefix + std::string("\x00\x05", 2) + std::string(cut, '\x80');
+    expect_guard_fires(payload, 9,
+                       cut < ByteCursor::kMaxVarintBytes
+                           ? "varint overruns chunk payload"
+                           : "overlong varint");
+  }
+}
+
+TEST(DecoderGuards, CoreIndexAbove16Bits) {
+  std::string payload;
+  put_varint(payload, std::uint64_t{0x10000} << 1);
+  put_varint(payload, 1);
+  put_varint(payload, 0);
+  payload += std::string(12, '\0');  // room for the fast path
+  expect_guard_fires(payload, 1, "implausible core index");
+}
+
+TEST(DecoderGuards, GapAbove32Bits) {
+  std::string payload;
+  put_varint(payload, 0);
+  put_varint(payload, std::uint64_t{1} << 32);
+  put_varint(payload, 0);
+  expect_guard_fires(payload, 1, "instruction gap exceeds 32 bits");
+}
+
+TEST(DecoderGuards, TrailingBytes) {
+  expect_guard_fires(good_record() + good_record() + '\0', 2,
+                     "trailing bytes after last record");
+}
+
+TEST(DecoderGuards, ReplayRejectsRecordBeyondHeaderCores) {
+  // Core 2 is a well-formed record, but the header declares 2 cores.
+  std::string payload = good_record();
+  put_varint(payload, std::uint64_t{2} << 1);
+  put_varint(payload, 0);
+  put_varint(payload, 0);
+  const std::string path = temp_path("stray_core.ecctrace");
+  write_file(path, trace_with_payload(payload, 2));
+  EXPECT_TRUE(validate_file(path).ok);
+  ReplaySource replay(path);
+  try {
+    (void)replay.next(0);
+    ADD_FAILURE() << "replay accepted a record for core 2 of 2";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the header's core count"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 // Property: for a spread of chunk sizes (including 1 and exact-boundary
@@ -354,6 +613,60 @@ TEST(Replay, MatchesSyntheticInAnyPullOrder) {
     EXPECT_EQ(a.is_write, b.is_write);
     ++pulled[core];
   }
+  std::remove(path.c_str());
+}
+
+// Small chunks put every core's stream across many chunk boundaries; one
+// core drained far ahead of the others must still see exactly its own
+// ops, and so must the cores left behind.
+TEST(Replay, DemuxAcrossChunkBoundaries) {
+  const std::string path = temp_path("replay_small_chunks.ecctrace");
+  const auto& desc = trace::workload_by_name("omnetpp");
+  const std::uint64_t seed = 5;
+  const unsigned cores = 4;
+  const std::uint64_t per_core = 1000;  // 4000 ops: 62.5 chunks of 64
+  {
+    TraceMeta meta;
+    meta.point = CapturePoint::kPreLlc;
+    meta.cores = cores;
+    meta.seed = seed;
+    meta.workload = desc.name;
+    TraceWriter writer(path, meta, 64);
+    trace::SyntheticSource gen(desc, cores, seed);
+    for (std::uint64_t i = 0; i < per_core; ++i) {
+      for (unsigned c = 0; c < cores; ++c) writer.append(gen.next(c), c);
+    }
+    writer.close();
+    ASSERT_EQ(writer.counters().chunks, 63u);
+  }
+  ReplaySource replay(path);
+  trace::SyntheticSource synth(desc, cores, seed);
+  auto expect_next = [&](unsigned core) {
+    const trace::MemOp a = replay.next(core);
+    const trace::MemOp b = synth.next(core);
+    ASSERT_EQ(a.line, b.line) << "core " << core;
+    ASSERT_EQ(a.gap, b.gap);
+    ASSERT_EQ(a.is_write, b.is_write);
+  };
+  // Core 1 a little way in, then core 0 all the way to the last chunk.
+  for (int i = 0; i < 100; ++i) expect_next(1);
+  for (std::uint64_t i = 0; i < per_core; ++i) expect_next(0);
+  EXPECT_EQ(replay.reader_counters().chunks_decoded, 63u);
+  EXPECT_THROW(replay.next(0), TraceError);
+  EXPECT_EQ(replay.ops_replayed(), 100 + per_core);
+  // The others are still intact, in a scrambled pull order.
+  std::mt19937_64 rng(10);
+  std::vector<std::uint64_t> pulled = {per_core, 100, 0, 0};
+  while (pulled[1] + pulled[2] + pulled[3] < 3 * per_core) {
+    const unsigned core = 1 + static_cast<unsigned>(rng() % 3);
+    if (pulled[core] == per_core) continue;
+    expect_next(core);
+    ++pulled[core];
+  }
+  for (unsigned c = 0; c < cores; ++c) {
+    EXPECT_THROW(replay.next(c), TraceError);
+  }
+  EXPECT_EQ(replay.ops_replayed(), cores * per_core);
   std::remove(path.c_str());
 }
 
