@@ -515,9 +515,10 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
   base.trace_out = g_config.trace_out;
   base.trace_point = g_config.trace_point;
 
-  // First phase: one LLC warm-up per (workload, warm-up class), which
-  // every cell of the class then starts from (sim::WarmState; the classes
-  // are exact, so results are unchanged).  warm[wi * schemes + si] is the
+  // First phase: one LLC warm-up (sim::warm: an LLC and a source, no
+  // memory system) per (workload, warm-up class), which every cell of the
+  // class then starts from (the classes are exact, so results are
+  // unchanged).  warm[wi * schemes + si] is the
   // state of scheme si on workload wi; each cell drops its entry once its
   // SystemSim holds a copy, so a class's state is freed with its last cell.
   std::vector<std::shared_ptr<const sim::WarmState>> warm(workloads.size() *
@@ -536,7 +537,7 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
         cell.workload = workloads[wi].name;
         cell.work = [&warm, &schemes, &workloads, wi, members, opts] {
           const auto state =
-              std::make_shared<const sim::WarmState>(sim::SystemSim::warm(
+              std::make_shared<const sim::WarmState>(sim::warm(
                   schemes[members.front()], workloads[wi], sim::CpuConfig{},
                   opts));
           for (const std::size_t si : members) {

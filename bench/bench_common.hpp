@@ -8,9 +8,11 @@
 // bit-identical at any thread count because every cell owns its simulator
 // and draws its workload stimulus from a per-workload RNG substream of the
 // root seed.
-// A first fan-out warms the LLC once per (workload, warm-up class) --
-// sim::WarmState, exact by construction -- and each cell starts from its
-// class's state (replayed or recorded sweeps warm up per cell).
+// A first fan-out warms the LLC once per (workload, warm-up class) with
+// sim::warm, which builds only an LLC, a synthetic source and the scheme's
+// maintenance rule (no memory system); the sim::WarmState is exact by
+// construction, and each cell starts from its class's state (replayed or
+// recorded sweeps warm up per cell).
 //
 // Each sweep writes sweep_<scale>.csv beside its figure CSVs.  The
 // committed bench_results/*.csv are goldens to compare against, never

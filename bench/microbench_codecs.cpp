@@ -333,7 +333,7 @@ void BM_MemorySystemStream(benchmark::State& state) {
 BENCHMARK(BM_MemorySystemStream);
 
 // The LLC half of a warm-up op: a workload's warm-up stream (8 cores
-// interleaved, its paper sweep seed, SystemSim::warm_up's length), drawn
+// interleaved, its paper sweep seed, sim::warm_up_ops long), drawn
 // before timing, through a fresh paper LLC with each op's set block
 // prefetched 4 ops ahead as the warm-up does.  Items are LLC accesses.
 void BM_LlcWarmupStream(benchmark::State& state, const char* workload) {
@@ -342,7 +342,7 @@ void BM_LlcWarmupStream(benchmark::State& state, const char* workload) {
   const cache::CacheConfig cfg;  // Table I
   trace::SyntheticSource source(trace::workload_by_name(workload), kCores,
                                 trace::paper_sweep_seed(workload));
-  std::vector<trace::MemOp> stream(3 * cfg.size_bytes / cfg.line_bytes);
+  std::vector<trace::MemOp> stream(sim::warm_up_ops(kCores));
   for (std::size_t k = 0; k < stream.size(); ++k) {
     stream[k] = source.next_untimed(static_cast<unsigned>(k % kCores));
   }
@@ -377,7 +377,7 @@ void BM_SystemSimMeasured(benchmark::State& state, const char* workload) {
   sim::SimOptions opts;
   opts.target_instructions = 1'000'000;
   opts.seed = trace::paper_sweep_seed(workload);
-  const sim::WarmState warm = sim::SystemSim::warm(scheme, desc, cpu, opts);
+  const sim::WarmState warm = sim::warm(scheme, desc, cpu, opts);
   std::uint64_t mem_cycles = 0;
   for (auto _ : state) {
     sim::SystemSim cell(scheme, desc, cpu, opts, &warm);

@@ -11,19 +11,102 @@ namespace eccsim::sim {
 
 namespace {
 
-std::uint32_t faulty_key(const dram::DramAddress& a) {
-  return (a.channel << 16) | (a.rank << 8) | a.bank;
-}
-
-// Namespace tag for LLC keys (data lines use their raw 64B index; XOR
-// cachelines carry ParityLayout's 1<<62 tag).
-constexpr std::uint64_t kEccKeyTag = 1ULL << 63;
-
 /// ECCSIM_CHECK set to anything but "0" enables the protocol checker for
 /// every run in the process (the CI sweeps use this).
 bool protocol_check_env() {
   const char* v = std::getenv("ECCSIM_CHECK");
   return v != nullptr && std::strcmp(v, "0") != 0;
+}
+
+}  // namespace
+
+MaintRule::MaintRule(const ecc::SchemeDesc& scheme,
+                     const dram::MemGeometry& geom,
+                     const std::vector<std::uint32_t>& faulty_banks)
+    : maint_(scheme.maint),
+      ecc_line_coverage_(scheme.ecc_line_coverage),
+      memline_shift_(
+          static_cast<unsigned>(std::countr_zero(scheme.line_bytes / 64))),
+      total_data_lines_(geom.total_data_lines()),
+      map_(geom) {
+  if (scheme.line_bytes % 64 != 0 ||
+      !std::has_single_bit(scheme.line_bytes)) {
+    throw std::invalid_argument(
+        "SystemSim: line size must be 64B times a power of two");
+  }
+  if (scheme.uses_ecc_parity) {
+    parity_layout_.emplace(geom, static_cast<unsigned>(
+                                     scheme.correction_ratio *
+                                     scheme.line_bytes));
+    faulty_banks_ = faulty_banks;
+  }
+}
+
+std::string MaintRule::beyond_memory(std::uint64_t memline) const {
+  return "memory line " + std::to_string(memline) +
+         " lies beyond the memory's " + std::to_string(total_data_lines_) +
+         " data lines";
+}
+
+std::uint64_t MaintRule::ecc_cacheline_key(std::uint64_t memline) const {
+  if (parity_layout_) return parity_layout_->xor_cacheline_key(memline);
+  return kEccKeyTag | (memline / ecc_line_coverage_);
+}
+
+std::optional<std::uint32_t> MaintRule::faulty_bank(
+    std::uint64_t memline) const {
+  const dram::DramAddress a = map_.decode(memline);
+  const std::uint32_t key = (a.channel << 16) | (a.rank << 8) | a.bank;
+  return std::ranges::find(faulty_banks_, key) != faulty_banks_.end()
+             ? std::optional(key)
+             : std::nullopt;
+}
+
+std::uint64_t warm_up_ops(unsigned cores) {
+  const cache::CacheConfig llc;
+  return 3 * (llc.size_bytes / llc.line_bytes) / cores * cores;
+}
+
+namespace {
+
+/// Warms `llc` to steady state before measuring (the paper warms caches
+/// for a billion instructions, Sec. IV-B), so that the measured phase's
+/// evictions -- and ECC-maintenance traffic -- reflect steady state: runs
+/// warm_up_ops of `source`'s ops, op k from core k % cores as a shared
+/// (PARSEC-style) footprint will run, untimed (next_untimed), through `llc`
+/// and `ecc_cache` (`llc` unless ECC lines have their own cache) under
+/// `rule`, drops every memory request and clears both caches' counters.
+/// Each op is pulled, and its LLC set block prefetched, kAhead ops before
+/// it runs.  Throws std::runtime_error on an op beyond the memory.
+void warm_up(trace::TraceSource& source, const MaintRule& rule,
+             cache::Cache& llc, cache::Cache& ecc_cache) {
+  const auto drop = [](std::uint64_t, bool, dram::LineClass) {};
+  const unsigned cores = source.cores();
+  const std::uint64_t ops = warm_up_ops(cores);
+  constexpr std::uint64_t kAhead = 4;
+  std::array<trace::MemOp, kAhead> ring;
+  unsigned pull_core = 0;
+  for (std::uint64_t k = 0; k < ops + kAhead; ++k) {
+    trace::MemOp& slot = ring[k % kAhead];
+    if (k >= kAhead) {  // op k - kAhead
+      const std::uint64_t memline = rule.memline_of(slot.line);
+      if (memline >= rule.total_data_lines()) {
+        throw std::runtime_error("LLC warm-up of " + source.workload().name +
+                                 ": " + rule.beyond_memory(memline));
+      }
+      rule.evict(ecc_cache,
+                 llc.access(slot.line, slot.is_write, cache::LineKind::kData),
+                 drop);
+      if (!slot.is_write) rule.degraded_read(ecc_cache, memline, drop);
+    }
+    if (k < ops) {
+      slot = source.next_untimed(pull_core);
+      llc.prefetch(slot.line);
+      if (++pull_core == cores) pull_core = 0;
+    }
+  }
+  llc.reset_stats();
+  ecc_cache.reset_stats();
 }
 
 }  // namespace
@@ -77,36 +160,28 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
         cfg.row_policy = opts.row_policy;
         return cfg;
       }()),
+      rule_(scheme, mem_.map().geometry(), opts.faulty_banks),
       llc_(warm != nullptr ? warm->llc : cache::Cache(cache::CacheConfig{})),
-      memline_shift_(
-          static_cast<unsigned>(std::countr_zero(scheme.line_bytes / 64))),
-      total_data_lines_(mem_.map().geometry().total_data_lines()),
-      degraded_(scheme.uses_ecc_parity && !opts.faulty_banks.empty()) {
+      warmed_(warm != nullptr) {
   if (opts.dedicated_ecc_cache_bytes != 0) {
     cache::CacheConfig ecc_cfg;
     ecc_cfg.size_bytes = opts.dedicated_ecc_cache_bytes;
     ecc_cfg.ways = 8;
     dedicated_ecc_cache_ = std::make_unique<cache::Cache>(ecc_cfg);
   }
-  if (scheme.line_bytes % 64 != 0 ||
-      !std::has_single_bit(scheme.line_bytes)) {
-    throw std::invalid_argument(
-        "SystemSim: line size must be 64B times a power of two");
-  }
   // Every op's memory line must lie inside the memory: then no address
   // wraps at its end, and no two footprint lines share one.  The count
   // includes the 128B-pair sibling (line ^ 1) one past an odd footprint.
-  const std::uint64_t copies = workload.multithreaded ? 1 : cpu_.cores;
-  std::uint64_t lines64 =
-      copies * std::max<std::uint64_t>(1, workload.footprint_bytes / 64);
-  lines64 += lines64 & 1;
+  const std::uint64_t lines64 =
+      (workload.multithreaded ? 1 : cpu_.cores) *
+      std::max<std::uint64_t>(1, workload.footprint_bytes / 64);
   const std::uint64_t memlines =
-      (lines64 + (1ULL << memline_shift_) - 1) >> memline_shift_;
-  if (memlines > total_data_lines_) {
+      rule_.memline_of(lines64 + (lines64 & 1) - 1) + 1;
+  if (memlines > rule_.total_data_lines()) {
     throw std::invalid_argument(
         "SystemSim: workload '" + workload.name + "' spans " +
         std::to_string(memlines) + " memory lines but the memory holds " +
-        std::to_string(total_data_lines_));
+        std::to_string(rule_.total_data_lines()));
   }
   if (warm != nullptr &&
       (!shares_warm_up(opts) || warm->key != warm_key(scheme, opts.dram_gen) ||
@@ -119,40 +194,23 @@ SystemSim::SystemSim(const ecc::SchemeDesc& scheme,
   }
   cores_.resize(cpu_.cores);
   build_source(workload, warm);
-  if (warm != nullptr) {
-    next_id_ = warm->next_id;
-    warmed_ = true;
-  }
-  if (scheme.uses_ecc_parity) {
-    const unsigned corr_bytes = static_cast<unsigned>(
-        scheme.correction_ratio * scheme.line_bytes);
-    parity_layout_.emplace(mem_.config().geometry(), corr_bytes);
-  }
   attach_protocol_checkers();
   attach_stats();
 }
 
-WarmState SystemSim::warm(const ecc::SchemeDesc& scheme,
-                          const trace::WorkloadDesc& workload,
-                          const CpuConfig& cpu, const SimOptions& opts) {
+WarmState warm(const ecc::SchemeDesc& scheme,
+               const trace::WorkloadDesc& workload, const CpuConfig& cpu,
+               const SimOptions& opts) {
   if (!shares_warm_up(opts)) {
-    throw std::invalid_argument(
-        "SystemSim::warm: replay, recording, faulty-bank and dedicated-ECC-"
-        "cache runs warm up per run");
+    throw std::invalid_argument("sim::warm: replay, recording, faulty-bank "
+                                "and dedicated-ECC-cache runs warm per run");
   }
-  // The instance dies here, so it must not register stats anywhere.
-  SimOptions quiet = opts;
-  quiet.stats = nullptr;
-  SystemSim sim(scheme, workload, cpu, quiet);
-  sim.warm_up();
-  auto& source = static_cast<trace::SyntheticSource&>(*sim.source_);
-  return WarmState{warm_key(scheme, opts.dram_gen),
-                   workload.name,
-                   cpu.cores,
-                   opts.seed,
-                   std::move(sim.llc_),
-                   std::move(source),
-                   sim.next_id_};
+  const MaintRule rule(scheme, scheme.mem_config(opts.dram_gen).geometry(), {});
+  WarmState state{warm_key(scheme, opts.dram_gen), workload.name, cpu.cores,
+                  opts.seed, cache::Cache(cache::CacheConfig{}),
+                  trace::SyntheticSource(workload, cpu.cores, opts.seed)};
+  warm_up(state.source, rule, state.llc, state.llc);
+  return state;
 }
 
 void SystemSim::build_source(const trace::WorkloadDesc& workload,
@@ -318,36 +376,21 @@ void SystemSim::finalize_stats() {
   }
 }
 
-bool SystemSim::bank_is_faulty(const dram::DramAddress& a) const {
-  if (opts_.faulty_banks.empty()) return false;
-  const std::uint32_t key = faulty_key(a);
-  return std::find(opts_.faulty_banks.begin(), opts_.faulty_banks.end(),
-                   key) != opts_.faulty_banks.end();
-}
-
-std::uint64_t SystemSim::ecc_cacheline_key(std::uint64_t memline) const {
-  if (scheme_.uses_ecc_parity) {
-    return parity_layout_->xor_cacheline_key(memline);
-  }
-  return kEccKeyTag | (memline / scheme_.ecc_line_coverage);
-}
-
 dram::DramAddress SystemSim::ecc_line_address(std::uint64_t key) const {
   const dram::MemGeometry& geom = mem_.map().geometry();
-  if (scheme_.uses_ecc_parity) {
+  if (const auto& layout = rule_.parity_layout()) {
     // Invert the XOR key: (plane, stripe, slot-bucket) -> the primary
     // group's parity line.  (Leftover lines share the bucket's parity
     // address in this traffic model; the functional manager keeps them
     // exact.)
-    return parity_layout_->parity_line_address(
-        parity_layout_->group_for_xor_key(key));
+    return layout->parity_line_address(layout->group_for_xor_key(key));
   }
   // Tiered baselines (LOT-ECC, Multi-ECC): the tier-2/correction line lives
   // in the reserved top rows of the same bank as the lines it covers.
-  const std::uint64_t first_line = (key & ~kEccKeyTag) *
+  const std::uint64_t first_line = (key & ~MaintRule::kEccKeyTag) *
                                    scheme_.ecc_line_coverage;
   dram::DramAddress a = mem_.map().decode(
-      std::min<std::uint64_t>(first_line, total_data_lines_ - 1));
+      std::min<std::uint64_t>(first_line, geom.total_data_lines() - 1));
   const std::uint64_t reserved = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(
              static_cast<double>(geom.rows_per_bank) *
@@ -357,7 +400,6 @@ dram::DramAddress SystemSim::ecc_line_address(std::uint64_t key) const {
 }
 
 void SystemSim::send_or_queue(const PendingReq& req) {
-  if (warmup_) return;  // cache state only; no memory traffic
   if (post_writer_) {
     // Post-LLC capture point: every request the memory system will see, in
     // issue order (drain_pending retries bypass this path, so a queued
@@ -381,126 +423,50 @@ void SystemSim::drain_pending() {
   }
 }
 
-bool SystemSim::request_read(std::uint64_t memline, int core) {
+void SystemSim::request_read(std::uint64_t memline, int core) {
   auto it = mshr_.find(memline);
   if (it != mshr_.end()) {
     if (core >= 0) it->second.push_back(core);
-    return true;
+    return;
   }
   const std::uint64_t id = next_id_++;
   id_to_memline_[id] = memline;
   auto& waiters = mshr_[memline];
   if (core >= 0) waiters.push_back(core);
-  send_or_queue(PendingReq{mem_.map().decode(in_memory(memline)),
-                           false, dram::LineClass::kData, id});
-  return true;
-}
-
-void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
-  // Each eviction touches at most one ECC/XOR cacheline, whose insertion
-  // can evict at most one further line: follow that chain to its end.
-  while (true) {
-    cache::AccessResult next;  // the ECC/XOR cacheline touch, if any
-    switch (kind) {
-      case cache::LineKind::kData: {
-        const std::uint64_t memline = in_memory(mem_line_of(addr));
-        // Warm-up drops the write, so it decodes only for the faulty-bank
-        // test below.
-        const dram::DramAddress daddr = !warmup_ || degraded_
-                                            ? mem_.map().decode(memline)
-                                            : dram::DramAddress{};
-        send_or_queue(PendingReq{daddr, true, dram::LineClass::kData,
-                                 next_id_++});
-        if (scheme_.maint == ecc::MaintTraffic::kNone) break;
-        // The write dirties the covering ECC/XOR cacheline (Fig. 7); a
-        // faulty bank uses its materialized ECC line (step D) instead of
-        // the parity's XOR line.
-        cache::LineKind ecc_kind =
-            scheme_.maint == ecc::MaintTraffic::kWriteOnEvict
-                ? cache::LineKind::kEcc
-                : cache::LineKind::kXor;
-        if (degraded_ && bank_is_faulty(daddr)) {
-          ecc_kind = cache::LineKind::kEcc;
-        }
-        next = ecc_cache().access(ecc_cacheline_key(memline), true, ecc_kind);
-        break;
-      }
-      case cache::LineKind::kEcc: {
-        // Tier-2 / materialized ECC line: one memory write (Sec. IV-C).
-        send_or_queue(PendingReq{ecc_request_address(addr), true,
-                                 dram::LineClass::kEccOther, next_id_++});
-        break;
-      }
-      case cache::LineKind::kXor: {
-        // Parity read-modify-write: read the old parity line, write the
-        // updated one (Sec. IV-C).
-        const dram::DramAddress paddr = ecc_request_address(addr);
-        send_or_queue(PendingReq{paddr, false, dram::LineClass::kEccParity,
-                                 next_id_++});
-        send_or_queue(PendingReq{paddr, true, dram::LineClass::kEccParity,
-                                 next_id_++});
-        break;
-      }
-    }
-    if (!next.writeback) return;
-    addr = next.victim_addr;
-    kind = next.victim_kind;
-  }
+  send_or_queue(PendingReq{mem_.map().decode(memline), false,
+                           dram::LineClass::kData, id});
 }
 
 bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
   Core& core = cores_[c];
-  if (!op.is_write) {
-    // Read: an LLC miss occupies an MLP slot; refuse (and stall the core)
-    // if none is free.  The slot count is tested first: it usually rules
-    // out the stall without a set scan.
-    if (core.outstanding_reads >= cpu_.mlp && !llc_.contains(op.line)) {
-      return false;
-    }
-    const auto r = llc_.access(op.line, false, cache::LineKind::kData);
-    if (!r.hit) wake_on_insert(op.line);
-    if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
-    if (!r.hit) {
-      ++core.outstanding_reads;
-      request_read(mem_line_of(op.line), static_cast<int>(c));
-    }
-    if (degraded_) degraded_read(op.line);
-    return true;
+  // A read that misses occupies an MLP slot: refuse it (and stall the
+  // core) if none is free.  The slot count is tested first: it usually
+  // rules out the stall without a set scan.
+  if (!op.is_write && core.outstanding_reads >= cpu_.mlp &&
+      !llc_.contains(op.line)) {
+    return false;
   }
-
-  // Write: write-allocate; the fetch-on-write read is non-blocking.
-  const auto r = llc_.access(op.line, true, cache::LineKind::kData);
+  const std::uint64_t memline = rule_.memline_of(op.line);
+  if (memline >= rule_.total_data_lines()) fail(rule_.beyond_memory(memline));
+  // A write allocates; its fetch-on-write read is non-blocking.
+  const auto r = llc_.access(op.line, op.is_write, cache::LineKind::kData);
   if (!r.hit) wake_on_insert(op.line);
-  if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
-  if (!r.hit) request_read(mem_line_of(op.line), -1);
-  return true;
-}
-
-void SystemSim::degraded_read(std::uint64_t line) {
-  const std::uint64_t memline = in_memory(mem_line_of(line));
-  const dram::DramAddress daddr = mem_.map().decode(memline);
-  if (!bank_is_faulty(daddr)) return;
-  const std::uint64_t key = ecc_cacheline_key(memline) | kEccKeyTag;
-  const auto er = ecc_cache().access(key, false, cache::LineKind::kEcc);
-  if (er.writeback) process_eviction(er.victim_addr, er.victim_kind);
-  if (!er.hit) {
-    send_or_queue(PendingReq{ecc_request_address(key & ~kEccKeyTag), false,
-                             dram::LineClass::kEccCorrection, next_id_++});
+  rule_.evict(ecc_cache(), r, to_memory());
+  if (!r.hit) {
+    if (!op.is_write) ++core.outstanding_reads;
+    request_read(memline, op.is_write ? -1 : static_cast<int>(c));
   }
-  if (warmup_) return;
+  if (op.is_write) return true;
+  const auto path = rule_.degraded_read(ecc_cache(), memline, to_memory());
+  if (!path.taken) return true;
   if (slow_path_hits_) slow_path_hits_->inc();
   if (tracer_) {
     tracer_->instant("eccparity", "fig6_slow_path", mem_.cycle(),
                      ecc_trace_tid_,
-                     {{"bank", static_cast<double>(faulty_key(daddr))},
-                      {"ecc_cached", er.hit ? 1.0 : 0.0}});
+                     {{"bank", static_cast<double>(path.bank)},
+                      {"ecc_cached", path.ecc_cached ? 1.0 : 0.0}});
   }
-}
-
-void SystemSim::warm_op(const trace::MemOp& op) {
-  const auto r = llc_.access(op.line, op.is_write, cache::LineKind::kData);
-  if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
-  if (degraded_ && !op.is_write) degraded_read(op.line);
+  return true;
 }
 
 void SystemSim::core_cycle(unsigned c) {
@@ -541,41 +507,6 @@ void SystemSim::core_cycle(unsigned c) {
   core.due = cpu_cycle_ + 1 + skipped;
 }
 
-void SystemSim::warm_up() {
-  // Warm the LLC to steady state before measuring (the paper warms caches
-  // for a billion instructions, Sec. IV-B): stream each core's access
-  // pattern through the cache with no timing or memory side effects, so
-  // the measured phase starts with a populated cache whose evictions --
-  // and therefore ECC-maintenance traffic -- reflect steady state.
-  warmup_ = true;
-  const std::uint64_t llc_lines =
-      cache::CacheConfig{}.size_bytes / cache::CacheConfig{}.line_bytes;
-  const std::uint64_t ops = 3 * llc_lines / cpu_.cores * cpu_.cores;
-  // Interleave cores so shared-footprint (PARSEC-style) workloads warm the
-  // cache the way they will run: op k belongs to core k % cores.  Each op
-  // runs its LLC access and the eviction chain behind it -- including
-  // ECC/XOR cacheline insertion and eviction -- so the LLC reaches its
-  // steady-state mix of data and ECC lines; send_or_queue drops every
-  // request while warmup_ is set.  Warm-up has no timing, so it never
-  // reads an op's gap (next_untimed).  Each op is pulled kAhead ops before
-  // it runs, in the same order, and the pull prefetches its LLC set block,
-  // so the set is in the host's cache by the time the op needs it.
-  constexpr std::uint64_t kAhead = 4;
-  std::array<trace::MemOp, kAhead> ring;
-  unsigned pull_core = 0;
-  for (std::uint64_t k = 0; k < ops + kAhead; ++k) {
-    trace::MemOp& slot = ring[k % kAhead];
-    if (k >= kAhead) warm_op(slot);  // op k - kAhead
-    if (k < ops) {
-      slot = source_->next_untimed(pull_core);
-      llc_.prefetch(slot.line);
-      if (++pull_core == cpu_.cores) pull_core = 0;
-    }
-  }
-  llc_.reset_stats();
-  warmup_ = false;
-}
-
 void SystemSim::cpu_cycle() {
   if (next_due_ <= cpu_cycle_) {
     for (unsigned c = 0; c < cpu_.cores; ++c) {
@@ -613,11 +544,12 @@ void SystemSim::handle_completions() {
     const std::uint64_t memline = it->second;
     id_to_memline_.erase(it);
     // Fill all 64B siblings of the memory line (128B-line prefetch effect).
-    for (std::uint64_t i = 0; i < (1ULL << memline_shift_); ++i) {
-      const std::uint64_t line = (memline << memline_shift_) + i;
+    const std::uint64_t siblings = scheme_.line_bytes / 64;
+    for (std::uint64_t i = 0; i < siblings; ++i) {
+      const std::uint64_t line = memline * siblings + i;
       const auto r = llc_.fill(line);
       wake_on_insert(line);
-      if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
+      rule_.evict(ecc_cache(), r, to_memory());
     }
     const auto w = mshr_.find(memline);
     if (w != mshr_.end()) {
@@ -635,7 +567,7 @@ void SystemSim::handle_completions() {
 }
 
 RunResult SystemSim::run() {
-  if (!warmed_) warm_up();
+  if (!warmed_) warm_up(*source_, rule_, llc_, ecc_cache());
 
   std::uint64_t committed_total = 0;
   std::uint64_t scrub_cursor = 0;
@@ -650,7 +582,8 @@ RunResult SystemSim::run() {
       // (Sec. VI-C).  Scrub reads are tagged as ECC traffic so their
       // bandwidth cost is visible in the statistics.
       send_or_queue(
-          PendingReq{mem_.map().decode(scrub_cursor % total_data_lines_),
+          PendingReq{mem_.map().decode(scrub_cursor %
+                                       rule_.total_data_lines()),
                      false, dram::LineClass::kEccOther, next_id_++});
       ++scrub_cursor;
     }
@@ -742,12 +675,6 @@ RunResult SystemSim::run() {
   close_trace_outputs();
   finalize_stats();
   return result;
-}
-
-void SystemSim::fail_beyond_memory(std::uint64_t memline) const {
-  fail("memory line " + std::to_string(memline) +
-       " lies beyond the memory's " + std::to_string(total_data_lines_) +
-       " data lines");
 }
 
 void SystemSim::fail(const std::string& what) const {

@@ -23,10 +23,10 @@
 //     on the same CPU cycle and in the same core order as a per-cycle
 //     visit of every core would draw and run them.
 //   3. LLC evictions expand into ECC-maintenance traffic per the scheme's
-//     model (Sec. IV-C): dirty data -> memory write (+ an ECC/XOR
+//     MaintRule (Sec. IV-C): dirty data -> memory write (+ an ECC/XOR
 //     cacheline touch for tiered/parity schemes); dirty ECC line -> one
 //     write; dirty XOR line -> parity read-modify-write (one read + one
-//     write).
+//     write).  The LLC warm-up runs the same rule and drops the requests.
 //
 // The result captures exactly what Figs. 9-17 report: memory energy split
 // into dynamic/background, performance (IPC), bandwidth utilization, and
@@ -145,12 +145,118 @@ struct RunResult {
   double avg_read_latency = 0;
 };
 
+/// The ECC-maintenance rule of one scheme on one memory system (Sec. IV-C,
+/// Fig. 6), shared by the LLC warm-up and the measured phase.  It follows
+/// the eviction chain through the cache holding ECC/XOR lines and reports
+/// each memory request as emit(line, is_write, line_class), `line` being a
+/// data memory line for LineClass::kData and an ECC/XOR cache key
+/// otherwise; SystemSim computes the DRAM address, the warm-up drops it.
+/// Callers check each op's memory line against total_data_lines() before
+/// its LLC access, so every data line in the caches lies in the memory.
+class MaintRule {
+ public:
+  /// Throws std::invalid_argument unless the memory-line size is 64B times
+  /// a power of two.  `faulty_banks` count only under ECC Parity.
+  MaintRule(const ecc::SchemeDesc& scheme, const dram::MemGeometry& geom,
+            const std::vector<std::uint32_t>& faulty_banks);
+
+  std::uint64_t memline_of(std::uint64_t line64) const {
+    return line64 >> memline_shift_;
+  }
+  /// Decode's domain: a memory line at or past it would alias another.
+  std::uint64_t total_data_lines() const { return total_data_lines_; }
+  /// The error text for such a line.
+  [[gnu::cold]] std::string beyond_memory(std::uint64_t memline) const;
+  const std::optional<eccparity::ParityLayout>& parity_layout() const {
+    return parity_layout_;
+  }
+
+  /// Tag of tiered and materialized ECC-line cache keys (data lines use
+  /// their raw 64B index; XOR cachelines carry ParityLayout's 1<<62 tag).
+  static constexpr std::uint64_t kEccKeyTag = 1ULL << 63;
+
+  /// Follows the dirty victim of `r`, if any, and every victim its ECC/XOR
+  /// cacheline touch evicts from `ecc_cache`, emitting their writebacks.
+  /// Each touch can evict at most one further line.
+  template <class Emit>
+  void evict(cache::Cache& ecc_cache, const cache::AccessResult& r,
+             Emit&& emit) const {
+    for (cache::AccessResult next = r; next.writeback;) {
+      const std::uint64_t addr = next.victim_addr;
+      const cache::LineKind kind = next.victim_kind;
+      next = cache::AccessResult{};
+      switch (kind) {
+        case cache::LineKind::kData: {
+          const std::uint64_t memline = memline_of(addr);
+          emit(memline, true, dram::LineClass::kData);
+          if (maint_ == ecc::MaintTraffic::kNone) break;
+          // The write dirties the covering ECC/XOR cacheline (Fig. 7); a
+          // faulty bank uses its materialized ECC line (step D) instead of
+          // the parity's XOR line.
+          const bool ecc_line =
+              maint_ == ecc::MaintTraffic::kWriteOnEvict ||
+              (!faulty_banks_.empty() && faulty_bank(memline).has_value());
+          next = ecc_cache.access(
+              ecc_cacheline_key(memline), true,
+              ecc_line ? cache::LineKind::kEcc : cache::LineKind::kXor);
+          break;
+        }
+        case cache::LineKind::kEcc:  // tier-2 / materialized ECC line
+          emit(addr, true, dram::LineClass::kEccOther);
+          break;
+        case cache::LineKind::kXor:  // parity read-modify-write
+          emit(addr, false, dram::LineClass::kEccParity);
+          emit(addr, true, dram::LineClass::kEccParity);
+          break;
+      }
+    }
+  }
+
+  struct SlowPath {
+    bool taken = false;       ///< the line's bank is faulty
+    bool ecc_cached = false;  ///< its ECC line was in the ECC cache
+    std::uint32_t bank = 0;   ///< the faulty bank's key
+  };
+  /// Steps A1/B of Fig. 6 (ECC Parity with faulty banks): a read of data
+  /// `memline` from a faulty bank also reads the bank's materialized ECC
+  /// line, through `ecc_cache`.
+  template <class Emit>
+  SlowPath degraded_read(cache::Cache& ecc_cache, std::uint64_t memline,
+                         Emit&& emit) const {
+    if (faulty_banks_.empty()) return SlowPath{};
+    const std::optional<std::uint32_t> bank = faulty_bank(memline);
+    if (!bank) return SlowPath{};
+    const std::uint64_t key = ecc_cacheline_key(memline) | kEccKeyTag;
+    const auto er = ecc_cache.access(key, false, cache::LineKind::kEcc);
+    evict(ecc_cache, er, emit);
+    if (!er.hit) {
+      emit(key & ~kEccKeyTag, false, dram::LineClass::kEccCorrection);
+    }
+    return SlowPath{true, er.hit, *bank};
+  }
+
+ private:
+  /// The cache key of the ECC/XOR cacheline covering data `memline`.
+  std::uint64_t ecc_cacheline_key(std::uint64_t memline) const;
+  /// The faulty_banks key of `memline`'s bank (a decode), or nothing.
+  std::optional<std::uint32_t> faulty_bank(std::uint64_t memline) const;
+
+  ecc::MaintTraffic maint_;
+  std::uint32_t ecc_line_coverage_;
+  unsigned memline_shift_;  ///< log2 of the 64B lines per memory line
+  std::uint64_t total_data_lines_;
+  dram::AddressMap map_;
+  std::optional<eccparity::ParityLayout> parity_layout_;
+  std::vector<std::uint32_t> faulty_banks_;  ///< empty unless ECC Parity
+};
+
 /// The scheme inputs the LLC warm-up reads.  The warm-up streams the
-/// workload's ops through the LLC and, for each dirty data eviction,
-/// touches the covering ECC/XOR cacheline; nothing else about the scheme
-/// reaches the cache.  Schemes with equal keys therefore warm one workload
-/// (same seed and core count) to the same WarmState, so a sweep can warm
-/// once per (workload, key) -- a warm-up class -- and share the result.
+/// workload's ops through the LLC under the scheme's MaintRule, which for
+/// each dirty data eviction touches the covering ECC/XOR cacheline; nothing
+/// else about the scheme reaches the cache.  Schemes with equal keys
+/// therefore warm one workload (same seed and core count) to the same
+/// WarmState, so a sweep can warm once per (workload, key) -- a warm-up
+/// class -- and share the result.
 struct WarmKey {
   ecc::MaintTraffic maint = ecc::MaintTraffic::kNone;
   bool uses_ecc_parity = false;
@@ -160,9 +266,9 @@ struct WarmKey {
   /// Tiered schemes' ECC key: data lines per ECC line (0 otherwise).
   std::uint32_t ecc_line_coverage = 0;
   /// ECC Parity's XOR key depends on the memory geometry (default
-  /// otherwise).  Tiered keys never wrap at the memory's end, because the
-  /// SystemSim constructor rejects a footprint larger than the memory, so
-  /// they need no geometry.
+  /// otherwise).  Tiered keys never wrap at the memory's end, because every
+  /// op's memory line is checked to lie in the memory, so they need no
+  /// geometry.
   dram::MemGeometry geometry{};
 
   friend bool operator==(const WarmKey&, const WarmKey&) = default;
@@ -182,10 +288,13 @@ bool shares_warm_up(const SimOptions& opts);
 std::vector<std::vector<std::size_t>> warm_classes(
     const std::vector<ecc::SchemeDesc>& schemes, dram::Generation gen);
 
-/// The end state of one LLC warm-up, built by SystemSim::warm and copied
-/// into each SystemSim of its class: the LLC image (counters cleared),
-/// the stimulus source positioned after the warm-up's ops, and the next
-/// request id (warm-up evictions draw ids for the traffic they drop).
+/// Ops the LLC warm-up streams, round-robin over `cores`: three LLC-sizes
+/// of lines, rounded down to whole rounds.
+std::uint64_t warm_up_ops(unsigned cores);
+
+/// The end state of one LLC warm-up, built by warm() and copied into each
+/// SystemSim of its class: the LLC image (counters cleared) and the
+/// stimulus source positioned after the warm-up's ops.
 struct WarmState {
   WarmKey key;
   std::string workload;  ///< trace::WorkloadDesc::name
@@ -193,8 +302,16 @@ struct WarmState {
   std::uint64_t seed;    ///< SimOptions::seed
   cache::Cache llc;
   trace::SyntheticSource source;
-  std::uint64_t next_id;
 };
+
+/// Runs only the LLC warm-up of (scheme, workload, cpu, opts) and returns
+/// its end state, which every scheme of the same warm-up class shares.
+/// Builds just the scheme's MaintRule, an LLC and the synthetic source;
+/// SystemSim::run warms a cold system with the same code.  Throws
+/// std::invalid_argument unless shares_warm_up(opts).
+WarmState warm(const ecc::SchemeDesc& scheme,
+               const trace::WorkloadDesc& workload, const CpuConfig& cpu,
+               const SimOptions& opts);
 
 /// One workload on one memory system.
 ///
@@ -210,10 +327,10 @@ class SystemSim {
   /// 8 MB LLC (plus the optional dedicated ECC cache), the stimulus source
   /// for `workload` (synthetic generators, or .ecctrace replay/recording
   /// per SimOptions), and the ECC Parity layout when the scheme uses it.
-  /// With `warm`, the LLC, the source and the request ids start from that
-  /// warm-up state instead, and run() skips its own warm-up; `warm` must
-  /// come from SystemSim::warm for this scheme's class, workload, seed and
-  /// core count, with shares_warm_up(opts) true.
+  /// With `warm`, the LLC and the source start from that warm-up state
+  /// instead, and run() skips its own warm-up; `warm` must come from
+  /// warm() for this scheme's class, workload, seed and core count, with
+  /// shares_warm_up(opts) true.
   /// Throws std::invalid_argument if the scheme's memory-line size is not
   /// 64B times a power of two, if the workload's footprint (all cores' private
   /// copies, or the one shared PARSEC footprint) holds more memory lines
@@ -223,14 +340,6 @@ class SystemSim {
             const CpuConfig& cpu = CpuConfig{},
             const SimOptions& opts = SimOptions{},
             const WarmState* warm = nullptr);
-
-  /// Runs only the LLC warm-up of (scheme, workload, cpu, opts) and
-  /// returns its end state, which every scheme of the same warm-up class
-  /// shares.  The one warm-up implementation: run() calls the same code.
-  /// Throws std::invalid_argument unless shares_warm_up(opts).
-  static WarmState warm(const ecc::SchemeDesc& scheme,
-                        const trace::WorkloadDesc& workload,
-                        const CpuConfig& cpu, const SimOptions& opts);
 
   /// Runs to completion and returns the metrics: warms the LLC to steady
   /// state (no timing side effects) unless constructed from a WarmState,
@@ -276,32 +385,10 @@ class SystemSim {
     std::uint64_t id;
   };
 
-  /// Converts a global 64B-line index to the scheme's memory-line index.
-  std::uint64_t mem_line_of(std::uint64_t line64) const {
-    return line64 >> memline_shift_;
-  }
-  /// `memline`, checked to lie in decode's domain.  The constructor's
-  /// footprint check keeps synthetic lines inside it; a replayed line
-  /// beyond it would alias another line, so it throws instead.
-  std::uint64_t in_memory(std::uint64_t memline) const {
-    if (memline >= total_data_lines_) fail_beyond_memory(memline);
-    return memline;
-  }
-  /// The cold halves of the run's fatal checks: each throws
-  /// std::runtime_error naming the workload, scheme and memory cycle.
-  [[noreturn, gnu::cold]] void fail_beyond_memory(
-      std::uint64_t memline) const;
+  /// The cold half of the run's fatal checks: throws std::runtime_error
+  /// naming the workload, scheme and memory cycle.
   [[noreturn, gnu::cold]] void fail(const std::string& what) const;
 
-  /// Streams 3 LLC-sizes of ops, round-robin over cores, through warm_op
-  /// with memory traffic suppressed, then clears the LLC counters.  Ops
-  /// are pulled a few ahead of execution so their LLC set blocks can be
-  /// prefetched.
-  void warm_up();
-  /// One warm-up op: its LLC access and the eviction chain that follows,
-  /// plus the faulty-bank ECC line read (degraded_read).  No timing, no
-  /// MLP slots and no demand reads.
-  void warm_op(const trace::MemOp& op);
   /// Visits the cores due on this CPU cycle, in index order.
   void cpu_cycle();
   void core_cycle(unsigned c);
@@ -309,12 +396,8 @@ class SystemSim {
   /// core must retry (a read that misses while every MLP slot is taken).
   /// A refusal has no side effects.  A full DRAM queue never refuses an
   /// op: send_or_queue parks the request in pending_ and drain_pending
-  /// retries it.
+  /// retries it.  An op beyond the memory fails the run.
   bool execute_op(unsigned c, const trace::MemOp& op);
-  /// Step A1/B of Fig. 6, for ECC Parity with faulty banks: a read of
-  /// data `line` from a faulty bank also reads the bank's materialized
-  /// ECC line, through the ECC cache.
-  void degraded_read(std::uint64_t line);
   /// Makes a sleeping core due on the current CPU cycle.
   void wake(Core& core) {
     if (core.due != kNever) return;
@@ -342,26 +425,24 @@ class SystemSim {
   /// Adds a finished (or, at the end of the measured phase, unfinished)
   /// stall's refused cycles to cpu.stalled_core_cycles.
   void end_stall(Core& core);
-  /// Handles an LLC eviction (and the ECC traffic it triggers).
-  void process_eviction(std::uint64_t addr, cache::LineKind kind);
+  /// The MaintRule's request handler: decodes each request it reports
+  /// (ecc_line_address for an ECC/XOR key), draws its id and sends it.
+  auto to_memory() {
+    return [this](std::uint64_t line, bool is_write, dram::LineClass lc) {
+      send_or_queue(PendingReq{lc == dram::LineClass::kData
+                                   ? mem_.map().decode(line)
+                                   : ecc_line_address(line),
+                               is_write, lc, next_id_++});
+    };
+  }
   /// Demand read for a memory line; registers the waiting core (or none).
-  /// Never called during warm-up.
-  bool request_read(std::uint64_t memline, int core);
+  void request_read(std::uint64_t memline, int core);
   void send_or_queue(const PendingReq& req);
   void drain_pending();
   void handle_completions();
 
-  // ECC traffic helpers -----------------------------------------------------
-  /// The LLC key of the ECC/XOR cacheline covering a data memory line.
-  std::uint64_t ecc_cacheline_key(std::uint64_t memline) const;
   /// The memory address of the ECC/parity line behind an ECC cacheline key.
   dram::DramAddress ecc_line_address(std::uint64_t key) const;
-  /// ecc_line_address for a request send_or_queue is about to see: during
-  /// warm-up, which drops the request, a placeholder that costs nothing.
-  dram::DramAddress ecc_request_address(std::uint64_t key) const {
-    return warmup_ ? dram::DramAddress{} : ecc_line_address(key);
-  }
-  bool bank_is_faulty(const dram::DramAddress& a) const;
 
   /// The cache holding ECC/XOR lines: the LLC itself, or the optional
   /// dedicated ECC cache.
@@ -401,6 +482,7 @@ class SystemSim {
   /// emit residual refresh commands from finalize().
   std::vector<std::unique_ptr<check::ProtocolChecker>> checkers_;
   dram::MemorySystem mem_;
+  MaintRule rule_;
   cache::Cache llc_;
   std::unique_ptr<cache::Cache> dedicated_ecc_cache_;
   std::vector<Core> cores_;
@@ -418,16 +500,7 @@ class SystemSim {
   /// Post-LLC capture: every DRAM request send_or_queue accepts after
   /// warmup, in issue order.
   std::unique_ptr<tracefile::TraceWriter> post_writer_;
-  std::optional<eccparity::ParityLayout> parity_layout_;
-
-  /// log2 of the 64B lines per memory line (0 for 64B, 1 for 128B).
-  unsigned memline_shift_;
-  /// The memory's data-line count (decode's domain), read once.
-  std::uint64_t total_data_lines_;
-  /// ECC Parity with faulty banks: reads may take Fig. 6's slow path.
-  bool degraded_;
-  bool warmup_ = false;  ///< suppresses memory traffic during LLC warmup
-  bool warmed_ = false;  ///< started from a WarmState: run() skips warm_up
+  bool warmed_ = false;  ///< the LLC is warm: run() skips the warm-up
   std::uint64_t next_id_ = 1;
   std::deque<PendingReq> pending_;
   // In-flight demand reads: memline -> cores waiting on it.

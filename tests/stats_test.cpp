@@ -466,6 +466,49 @@ TEST(SystemSimStats, EnablingStatsDoesNotPerturbResults) {
   EXPECT_EQ(base.background_epi_pj, observed.background_epi_pj);
 }
 
+TEST(SystemSimStats, WarmUpLeavesNoMeasuredCounters) {
+  // A run with no measured phase, whose warm-up streams milc through the
+  // LLC, a dedicated ECC cache and Fig. 6's slow path: every counter of
+  // the measured phase must still read zero, and nothing may be traced.
+  Config cfg;
+  cfg.enabled = true;
+  Collector col(cfg);
+  const std::string trace_path =
+      ::testing::TempDir() + "/eccsim_warmup_trace.json";
+  col.open_trace(trace_path);
+  sim::SimOptions opts;
+  opts.target_instructions = 0;
+  opts.seed = trace::paper_sweep_seed("milc");
+  opts.dedicated_ecc_cache_bytes = 128 * 1024;
+  opts.stats = &col;
+  for (std::uint32_t rank = 0; rank < 4; ++rank) {
+    for (std::uint32_t bank = 0; bank < 8; ++bank) {
+      opts.faulty_banks.push_back((0u << 16) | (rank << 8) | bank);
+    }
+  }
+  const sim::RunResult r = sim::run_experiment(
+      ecc::SchemeId::kLotEcc5Parity, ecc::SystemScale::kQuadEquivalent,
+      "milc", opts);
+  EXPECT_EQ(r.instructions, 0u);
+
+  const Registry& reg = col.registry();
+  for (const char* path :
+       {"llc.hits", "llc.misses", "llc.writebacks", "ecc_cache.hits",
+        "ecc_cache.misses", "ecc_cache.writebacks",
+        "eccparity.fig6_slow_path_hits"}) {
+    ASSERT_TRUE(reg.has(path)) << path;
+    EXPECT_EQ(reg.value(path), 0.0) << path;
+  }
+  Tracer* tr = col.tracer();
+  ASSERT_NE(tr, nullptr);
+  ASSERT_TRUE(tr->write());
+  const runner::Json doc = runner::Json::parse(slurp(trace_path));
+  for (const runner::Json& e : doc.at("traceEvents").items()) {
+    EXPECT_NE(e.at("name").as_string(), "fig6_slow_path");
+  }
+  std::remove(trace_path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Registry -> JSON serialization
 

@@ -53,8 +53,8 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
 }
 
 /// Every scheme at `scale` on `workload_name`: warmed alone vs through its
-/// class, compared by LLC image, the next 1,000 ops of every core, the next
-/// request id, and the full RunResult.
+/// class, compared by LLC image, the next 1,000 ops of every core and the
+/// full RunResult.
 void expect_classes_exact(ecc::SystemScale scale,
                           const std::string& workload_name) {
   const trace::WorkloadDesc& workload = trace::workload_by_name(workload_name);
@@ -63,14 +63,13 @@ void expect_classes_exact(ecc::SystemScale scale,
   const CpuConfig cpu;
   for (const auto& members : warm_classes(schemes, opts.dram_gen)) {
     const WarmState shared =
-        SystemSim::warm(schemes[members.front()], workload, cpu, opts);
+        warm(schemes[members.front()], workload, cpu, opts);
     for (const std::size_t si : members) {
       const ecc::SchemeDesc& scheme = schemes[si];
       SCOPED_TRACE(scheme.name + " on " + workload_name);
-      const WarmState alone = SystemSim::warm(scheme, workload, cpu, opts);
+      const WarmState alone = warm(scheme, workload, cpu, opts);
       EXPECT_TRUE(alone.key == shared.key);
       EXPECT_TRUE(alone.llc == shared.llc) << "LLC images differ";
-      EXPECT_EQ(alone.next_id, shared.next_id);
       trace::SyntheticSource a = alone.source;
       trace::SyntheticSource b = shared.source;
       for (unsigned c = 0; c < cpu.cores; ++c) {
@@ -126,7 +125,7 @@ TEST(WarmClass, RejectsStateOfAnotherRun) {
   SimOptions opts = options_for("omnetpp");
   const CpuConfig cpu;
   // chipkill36's class state, offered to another class, workload and seed.
-  const WarmState state = SystemSim::warm(schemes[0], omnetpp, cpu, opts);
+  const WarmState state = warm(schemes[0], omnetpp, cpu, opts);
   EXPECT_NO_THROW(SystemSim(schemes[5], omnetpp, cpu, opts, &state));  // raim
   EXPECT_THROW(SystemSim(schemes[2], omnetpp, cpu, opts, &state),
                std::invalid_argument);  // lotecc5
@@ -142,7 +141,7 @@ TEST(WarmClass, RejectsStateOfAnotherRun) {
   faulty.faulty_banks = {0};
   EXPECT_THROW(SystemSim(schemes[0], omnetpp, cpu, faulty, &state),
                std::invalid_argument);
-  EXPECT_THROW(SystemSim::warm(schemes[0], omnetpp, cpu, faulty),
+  EXPECT_THROW(warm(schemes[0], omnetpp, cpu, faulty),
                std::invalid_argument);
 }
 
