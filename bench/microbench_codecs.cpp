@@ -333,19 +333,18 @@ void BM_MemorySystemStream(benchmark::State& state) {
 BENCHMARK(BM_MemorySystemStream);
 
 // The LLC half of a warm-up op: a workload's warm-up stream (8 cores
-// interleaved, its paper sweep seed, sim::warm_up_ops long), drawn
-// before timing, through a fresh paper LLC with each op's set block
-// prefetched 4 ops ahead as the warm-up does.  Items are LLC accesses.
+// interleaved, its paper sweep seed, sim::warm_up_ops long), drawn with
+// the warm-up's block call before timing, through a fresh paper LLC with
+// each op's set block prefetched 8 ops ahead as the warm-up does.  Items
+// are LLC accesses.
 void BM_LlcWarmupStream(benchmark::State& state, const char* workload) {
   constexpr unsigned kCores = 8;
-  constexpr std::size_t kAhead = 4;
+  constexpr std::size_t kAhead = 8;
   const cache::CacheConfig cfg;  // Table I
   trace::SyntheticSource source(trace::workload_by_name(workload), kCores,
                                 trace::paper_sweep_seed(workload));
   std::vector<trace::MemOp> stream(sim::warm_up_ops(kCores));
-  for (std::size_t k = 0; k < stream.size(); ++k) {
-    stream[k] = source.next_untimed(static_cast<unsigned>(k % kCores));
-  }
+  source.next_rounds(stream.data(), stream.size() / kCores);
   for (auto _ : state) {
     state.PauseTiming();
     cache::Cache llc(cfg);
@@ -362,6 +361,30 @@ void BM_LlcWarmupStream(benchmark::State& state, const char* workload) {
 }
 BENCHMARK_CAPTURE(BM_LlcWarmupStream, omnetpp, "omnetpp");
 BENCHMARK_CAPTURE(BM_LlcWarmupStream, mcf, "mcf");
+
+// A whole LLC warm-up, as a sweep runs one per warm-up class: sim::warm
+// of a workload (8 cores, its paper sweep seed) on the paper-quad
+// LOT-ECC5+Parity system -- the generator's block draws, the LLC and the
+// maintenance rule's eviction chain.  Items are warm-up ops.
+void BM_WarmUp(benchmark::State& state, const char* workload) {
+  const ecc::SchemeDesc scheme = ecc::make_scheme(
+      ecc::SchemeId::kLotEcc5Parity, ecc::SystemScale::kQuadEquivalent);
+  const trace::WorkloadDesc& desc = trace::workload_by_name(workload);
+  const sim::CpuConfig cpu;
+  sim::SimOptions opts;
+  opts.seed = trace::paper_sweep_seed(workload);
+  for (auto _ : state) {
+    const sim::WarmState warm = sim::warm(scheme, desc, cpu, opts);
+    benchmark::DoNotOptimize(warm.llc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(
+                              sim::warm_up_ops(cpu.cores)));
+  state.SetLabel(workload);
+}
+BENCHMARK_CAPTURE(BM_WarmUp, omnetpp, "omnetpp")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WarmUp, mcf, "mcf")->Unit(benchmark::kMillisecond);
 
 // The CPU and DRAM layers of a sweep cell: the measured phase of a
 // workload on the paper-quad LOT-ECC5+Parity system at its paper sweep

@@ -90,6 +90,21 @@ class Rng {
   /// True with probability p.
   bool bernoulli(double p) { return next_double() < p; }
 
+  /// The integer form of bernoulli(p) for a p drawn against many times:
+  /// next_double() < p exactly when (next() >> 11) < bernoulli_threshold(p),
+  /// because the 53-bit draw is an integer and p * 2^53 is exact, so the
+  /// double compare becomes an integer one against ceil(p * 2^53).
+  static std::uint64_t bernoulli_threshold(double p) {
+    if (!(p > 0)) return 0;  // never (NaN included)
+    if (p >= 1) return std::uint64_t{1} << 53;  // always
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+  }
+  /// bernoulli(p) for threshold = bernoulli_threshold(p): the same draw
+  /// and the same outcome.
+  bool bernoulli_below(std::uint64_t threshold) {
+    return (next() >> 11) < threshold;
+  }
+
   /// Exponentially distributed variate with the given rate (1/mean).
   /// Used for fault inter-arrival times (the paper assumes exponential
   /// failure distributions, Sec. II / Fig. 2).

@@ -1,11 +1,11 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 namespace eccsim::sim {
 
@@ -73,36 +73,47 @@ namespace {
 /// for a billion instructions, Sec. IV-B), so that the measured phase's
 /// evictions -- and ECC-maintenance traffic -- reflect steady state: runs
 /// warm_up_ops of `source`'s ops, op k from core k % cores as a shared
-/// (PARSEC-style) footprint will run, untimed (next_untimed), through `llc`
-/// and `ecc_cache` (`llc` unless ECC lines have their own cache) under
-/// `rule`, drops every memory request and clears both caches' counters.
-/// Each op is pulled, and its LLC set block prefetched, kAhead ops before
-/// it runs.  Throws std::runtime_error on an op beyond the memory.
+/// (PARSEC-style) footprint will run, untimed, through `llc` and
+/// `ecc_cache` (`llc` unless ECC lines have their own cache) under `rule`,
+/// drops every memory request and clears both caches' counters.  The ops
+/// come a block of whole rounds (~kBlockOps ops) at a time from one
+/// next_rounds() call; each op's LLC set block is prefetched kAhead ops
+/// before it runs.  Throws std::runtime_error on an op beyond the memory.
 void warm_up(trace::TraceSource& source, const MaintRule& rule,
              cache::Cache& llc, cache::Cache& ecc_cache) {
+  constexpr std::size_t kBlockOps = 512;  // 8 KiB of ops
+  constexpr std::size_t kAhead = 8;
   const auto drop = [](std::uint64_t, bool, dram::LineClass) {};
+  // Tested before the op's is_write, a data-dependent branch that would
+  // otherwise run (and mispredict) in front of this loop-invariant one.
+  const bool degraded = rule.has_faulty_banks();
   const unsigned cores = source.cores();
-  const std::uint64_t ops = warm_up_ops(cores);
-  constexpr std::uint64_t kAhead = 4;
-  std::array<trace::MemOp, kAhead> ring;
-  unsigned pull_core = 0;
-  for (std::uint64_t k = 0; k < ops + kAhead; ++k) {
-    trace::MemOp& slot = ring[k % kAhead];
-    if (k >= kAhead) {  // op k - kAhead
-      const std::uint64_t memline = rule.memline_of(slot.line);
+  const std::uint64_t rounds = warm_up_ops(cores) / cores;
+  const std::size_t block_rounds = std::max<std::size_t>(1, kBlockOps / cores);
+  std::vector<trace::MemOp> block(block_rounds * cores);
+  for (std::uint64_t done = 0; done < rounds;) {
+    const std::size_t r = static_cast<std::size_t>(
+        std::min<std::uint64_t>(block_rounds, rounds - done));
+    const std::size_t n = r * cores;
+    source.next_rounds(block.data(), r);
+    done += r;
+    for (std::size_t k = 0; k < std::min(kAhead, n); ++k) {
+      llc.prefetch(block[k].line);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      if (k + kAhead < n) llc.prefetch(block[k + kAhead].line);
+      const trace::MemOp& op = block[k];
+      const std::uint64_t memline = rule.memline_of(op.line);
       if (memline >= rule.total_data_lines()) {
         throw std::runtime_error("LLC warm-up of " + source.workload().name +
                                  ": " + rule.beyond_memory(memline));
       }
       rule.evict(ecc_cache,
-                 llc.access(slot.line, slot.is_write, cache::LineKind::kData),
+                 llc.access(op.line, op.is_write, cache::LineKind::kData),
                  drop);
-      if (!slot.is_write) rule.degraded_read(ecc_cache, memline, drop);
-    }
-    if (k < ops) {
-      slot = source.next_untimed(pull_core);
-      llc.prefetch(slot.line);
-      if (++pull_core == cores) pull_core = 0;
+      if (degraded && !op.is_write) {
+        rule.degraded_read(ecc_cache, memline, drop);
+      }
     }
   }
   llc.reset_stats();

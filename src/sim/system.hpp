@@ -27,6 +27,9 @@
 //     cacheline touch for tiered/parity schemes); dirty ECC line -> one
 //     write; dirty XOR line -> parity read-modify-write (one read + one
 //     write).  The LLC warm-up runs the same rule and drops the requests.
+//     It pulls its ops a block of whole rounds at a time
+//     (TraceSource::next_rounds) and runs each block in (round, core)
+//     order, prefetching each op's LLC set block 8 ops ahead.
 //
 // The result captures exactly what Figs. 9-17 report: memory energy split
 // into dynamic/background, performance (IPC), bandwidth utilization, and
@@ -165,6 +168,9 @@ class MaintRule {
   }
   /// Decode's domain: a memory line at or past it would alias another.
   std::uint64_t total_data_lines() const { return total_data_lines_; }
+  /// False when degraded_read() never takes the slow path (no faulty
+  /// banks, or not ECC Parity).
+  bool has_faulty_banks() const { return !faulty_banks_.empty(); }
   /// The error text for such a line.
   [[gnu::cold]] std::string beyond_memory(std::uint64_t memline) const;
   const std::optional<eccparity::ParityLayout>& parity_layout() const {

@@ -7,9 +7,12 @@
 // (tracefile::RecordingSource).  The contract that makes record/replay
 // bit-identical is per-core determinism: for a given source
 // configuration, the sequence of ops returned for each core is fixed and
-// independent of how calls to different cores interleave.
+// independent of how calls to different cores interleave.  The LLC
+// warm-up, which has no timing, pulls whole rounds at a time through
+// next_rounds() instead of one next() per op.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,13 +28,15 @@ class TraceSource {
   /// Next memory operation for `core` (0-based, < cores()).
   virtual MemOp next(unsigned core) = 0;
 
-  /// next() for a caller that never reads the op's gap (the simulator's
-  /// LLC warm-up, which has no timing).  It advances `core`'s stream
-  /// exactly as next() does and returns the same line and is_write, but a
-  /// source may skip computing the gap and return 0 there.  The default is
-  /// next() itself, which is what recording and replay keep: a recording
-  /// must hold the full op, and a replay has the gap already decoded.
-  virtual MemOp next_untimed(unsigned core) { return next(core); }
+  /// The next `rounds` whole rounds, for a caller that never reads an
+  /// op's gap (the simulator's LLC warm-up): out[r * cores() + c] is the
+  /// op that round r's next(c) would return, and every core's stream
+  /// advances by `rounds` ops, exactly as that many round-robin next()
+  /// calls (core 0 first each round) would advance it.  A source may skip
+  /// computing the gaps and leave them 0.  The default is those next()
+  /// calls, in that order: a recording keeps it, because its file holds
+  /// the ops in call order.  Throws what those calls would throw.
+  virtual void next_rounds(MemOp* out, std::size_t rounds);
 
   /// The workload whose stimulus this source carries.
   virtual const WorkloadDesc& workload() const = 0;
@@ -52,9 +57,9 @@ class SyntheticSource final : public TraceSource {
                   std::uint64_t seed);
 
   MemOp next(unsigned core) override { return gens_[core].next(); }
-  MemOp next_untimed(unsigned core) override {
-    return gens_[core].next_untimed();
-  }
+  /// Draws each core's column from a local copy of its generator
+  /// (CoreGenerator::next_untimed, gaps 0) and writes the copy back.
+  void next_rounds(MemOp* out, std::size_t rounds) override;
   const WorkloadDesc& workload() const override { return desc_; }
   unsigned cores() const override {
     return static_cast<unsigned>(gens_.size());

@@ -85,10 +85,10 @@ std::uint64_t paper_sweep_seed(const std::string& name) {
 
 CoreGenerator::CoreGenerator(const WorkloadDesc& desc, unsigned core,
                              unsigned cores, std::uint64_t seed)
-    : stream_fraction_(desc.stream_fraction),
-      hot_access_prob_(desc.hot_access_prob),
-      sibling_locality_(desc.sibling_locality),
-      write_fraction_(desc.write_fraction) {
+    : stream_threshold_(Rng::bernoulli_threshold(desc.stream_fraction)),
+      hot_threshold_(Rng::bernoulli_threshold(desc.hot_access_prob)),
+      sibling_threshold_(Rng::bernoulli_threshold(desc.sibling_locality)),
+      write_threshold_(Rng::bernoulli_threshold(desc.write_fraction)) {
   SplitMix64 sm(seed ^ (0xc2b2ae3d27d4eb4fULL * (core + 1)));
   rng_ = Rng(sm.next());
   const std::uint64_t total_lines = desc.footprint_bytes / 64;

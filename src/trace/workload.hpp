@@ -81,7 +81,8 @@ class CoreGenerator {
 
   /// next() without the gap: the same RNG draws in the same order, so the
   /// stream stays in step with next(), but the gap's logarithm is skipped
-  /// and `gap` is 0.  Inline: it is the LLC warm-up's draw.
+  /// and `gap` is 0.  Inline: it is the draw of SyntheticSource's block
+  /// fill, which feeds the LLC warm-up.
   MemOp next_untimed() {
     (void)rng_.next_double();  // the gap's draw, so the stream stays in step
     return next_access();
@@ -95,28 +96,30 @@ class CoreGenerator {
     if (sibling_queued_) {
       op.line = sibling_;
       sibling_queued_ = false;
-    } else if (rng_.next_double() < stream_fraction_) {
+    } else if (rng_.bernoulli_below(stream_threshold_)) {
       op.line = region_base_ + stream_pos_;
       const std::uint64_t next = stream_pos_ + 1;
       stream_pos_ = next == region_lines_ ? 0 : next;
     } else {
       // Random access: to the hot prefix of the region, or anywhere in it.
       const std::uint64_t bound =
-          rng_.next_double() < hot_access_prob_ ? hot_lines_ : region_lines_;
+          rng_.bernoulli_below(hot_threshold_) ? hot_lines_ : region_lines_;
       op.line = region_base_ + rng_.next_below(bound);
-      sibling_queued_ = rng_.next_double() < sibling_locality_;
+      sibling_queued_ = rng_.bernoulli_below(sibling_threshold_);
       sibling_ = op.line ^ 1;
     }
-    op.is_write = rng_.next_double() < write_fraction_;
+    op.is_write = rng_.bernoulli_below(write_threshold_);
     return op;
   }
 
   Rng rng_;
-  // The workload's access mix (WorkloadDesc fields of the same names).
-  double stream_fraction_;
-  double hot_access_prob_;
-  double sibling_locality_;
-  double write_fraction_;
+  // The workload's access mix as Rng::bernoulli_threshold()s of the
+  // WorkloadDesc's stream_fraction, hot_access_prob, sibling_locality and
+  // write_fraction.
+  std::uint64_t stream_threshold_;
+  std::uint64_t hot_threshold_;
+  std::uint64_t sibling_threshold_;
+  std::uint64_t write_threshold_;
   std::uint64_t region_base_;   ///< first 64B line of this core's region
   std::uint64_t region_lines_;
   std::uint64_t hot_lines_;     ///< hot-set size, a prefix of the region

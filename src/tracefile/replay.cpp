@@ -41,6 +41,25 @@ trace::MemOp ReplaySource::next(unsigned core) {
   return fifo.ops[fifo.head++];
 }
 
+void ReplaySource::next_rounds(trace::MemOp* out, std::size_t rounds) {
+  for (const Fifo& fifo : fifos_) {
+    while (fifo.ops.size() - fifo.head < rounds) {
+      if (!decode_chunk()) {
+        TraceSource::next_rounds(out, rounds);  // throws where next() does
+        return;
+      }
+    }
+  }
+  const std::size_t n = fifos_.size();
+  for (std::size_t c = 0; c < n; ++c) {
+    Fifo& fifo = fifos_[c];
+    const trace::MemOp* in = fifo.ops.data() + fifo.head;
+    for (std::size_t r = 0; r < rounds; ++r) out[r * n + c] = in[r];
+    fifo.head += rounds;
+  }
+  replayed_ += rounds * n;
+}
+
 void ReplaySource::refill(unsigned core) {
   if (core >= fifos_.size()) {
     throw TraceError("ecctrace: replay asked for core " +
@@ -48,39 +67,44 @@ void ReplaySource::refill(unsigned core) {
                      std::to_string(fifos_.size()) + " cores");
   }
   while (fifos_[core].head == fifos_[core].ops.size()) {
-    TraceReader::Chunk chunk;
-    if (!reader_.next_chunk(chunk)) {
+    if (!decode_chunk()) {
       throw TraceError(
           "ecctrace: trace exhausted replaying " + reader_.path() +
           " (core " + std::to_string(core) + " after " +
           std::to_string(replayed_) +
           " ops); re-record with more --ops-per-core");
     }
-    // Drop each FIFO's replayed prefix once it is at least half the FIFO,
-    // so a core pulled far behind the others costs amortized O(1) per op.
-    for (Fifo& fifo : fifos_) {
-      if (fifo.head * 2 >= fifo.ops.size()) {
-        fifo.ops.erase(fifo.ops.begin(),
-                       fifo.ops.begin() +
-                           static_cast<std::ptrdiff_t>(fifo.head));
-        fifo.head = 0;
-      }
-    }
-    std::optional<std::uint32_t> stray_core;
-    decode_pre_records(chunk.data, chunk.size, chunk.op_count, prev_line_,
-                       [&](std::uint32_t c, const trace::MemOp& op) {
-                         if (c < fifos_.size()) {
-                           fifos_[c].ops.push_back(op);
-                         } else if (!stray_core) {
-                           stray_core = c;
-                         }
-                       });
-    if (stray_core) {
-      throw TraceError("ecctrace: record for core " +
-                       std::to_string(*stray_core) +
-                       " exceeds the header's core count");
+  }
+}
+
+bool ReplaySource::decode_chunk() {
+  TraceReader::Chunk chunk;
+  if (!reader_.next_chunk(chunk)) return false;
+  // Drop each FIFO's replayed prefix once it is at least half the FIFO,
+  // so a core pulled far behind the others costs amortized O(1) per op.
+  for (Fifo& fifo : fifos_) {
+    if (fifo.head * 2 >= fifo.ops.size()) {
+      fifo.ops.erase(fifo.ops.begin(),
+                     fifo.ops.begin() +
+                         static_cast<std::ptrdiff_t>(fifo.head));
+      fifo.head = 0;
     }
   }
+  std::optional<std::uint32_t> stray_core;
+  decode_pre_records(chunk.data, chunk.size, chunk.op_count, prev_line_,
+                     [&](std::uint32_t c, const trace::MemOp& op) {
+                       if (c < fifos_.size()) {
+                         fifos_[c].ops.push_back(op);
+                       } else if (!stray_core) {
+                         stray_core = c;
+                       }
+                     });
+  if (stray_core) {
+    throw TraceError("ecctrace: record for core " +
+                     std::to_string(*stray_core) +
+                     " exceeds the header's core count");
+  }
+  return true;
 }
 
 std::string ReplaySource::describe() const {

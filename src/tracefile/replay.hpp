@@ -11,7 +11,9 @@
 //   RecordingSource  a tee: passes an inner source through unchanged
 //                    while appending every op to a TraceWriter.
 //                    Observation-only by construction, so a recorded run
-//                    is bit-identical to an unrecorded one.
+//                    is bit-identical to an unrecorded one.  It keeps
+//                    TraceSource's round-robin next_rounds(), so a block
+//                    pull records the ops in per-op call order.
 //   record_workload_trace
 //                    generator-direct capture (no simulation): what
 //                    `tracetool record` and the tests use to produce
@@ -42,6 +44,12 @@ class ReplaySource final : public trace::TraceSource {
   /// or diverging from live generation.
   trace::MemOp next(unsigned core) override;
 
+  /// Decodes chunks until every core's FIFO holds `rounds` ops, then
+  /// copies each core's column out of its FIFO.  A trace that runs out
+  /// first is pulled round-robin through next(), which throws the same
+  /// TraceError, at the same op, as that many next() calls would.
+  void next_rounds(trace::MemOp* out, std::size_t rounds) override;
+
   const trace::WorkloadDesc& workload() const override { return desc_; }
   unsigned cores() const override { return reader_.meta().cores; }
   std::string describe() const override;
@@ -61,10 +69,14 @@ class ReplaySource final : public trace::TraceSource {
 
   /// next()'s slow path, kept out of line so next() stays a few loads:
   /// decodes chunks onto the FIFOs' tails until `core`'s FIFO is
-  /// non-empty.  Throws TraceError if `core` or any record's core is
-  /// beyond the header's count, the trace is exhausted, or a chunk is
-  /// corrupt -- before any op of that chunk is replayed.
+  /// non-empty.  Throws TraceError if `core` is beyond the header's
+  /// count, the trace is exhausted, or decode_chunk() throws.
   [[gnu::noinline]] void refill(unsigned core);
+  /// Decodes the next chunk onto the FIFOs' tails; false if the trace is
+  /// exhausted.  Throws TraceError if a chunk is corrupt or a record's
+  /// core is beyond the header's count -- before any op of that chunk is
+  /// replayed.
+  bool decode_chunk();
 
   TraceReader reader_;
   trace::WorkloadDesc desc_;

@@ -10,9 +10,11 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "sim/system.hpp"
 #include "trace/workload.hpp"
+#include "tracefile/reader.hpp"
 #include "tracefile/replay.hpp"
 
 namespace eccsim::sim {
@@ -145,6 +147,72 @@ TEST(TraceReplaySim, RecordingsPinCrossCoreCallOrder) {
         << std::hex << "0x" << file_fnv1a(path);
     std::remove(path.c_str());
   }
+}
+
+// The warm-up pulls replayed ops a block of whole rounds at a time.  A
+// trace recorded through SystemSim holds its measured-phase ops in the
+// order the cores drew them, not round-robin, so its chunks give the cores
+// uneven counts.  Blocks of any size, across chunk boundaries, must return
+// exactly what round-robin next() calls return, keep ops_replayed() exact,
+// and throw the same TraceError text when the trace runs out.
+TEST(TraceReplaySim, BlockPullsMatchPerOpPullsOnASimRecording) {
+  const std::string path = temp_path("block_pulls.ecctrace");
+  SimOptions opts = base_opts(trace::paper_sweep_seed("mcf"));
+  opts.target_instructions = 400'000;
+  opts.trace_out = path;
+  run_experiment(ecc::SchemeId::kLotEcc5Parity,
+                 ecc::SystemScale::kQuadEquivalent, "mcf", opts);
+  {
+    // The premise: past the warm-up, several chunks are not round-robin.
+    tracefile::TraceReader reader(path);
+    const std::uint64_t cores = reader.meta().cores;
+    std::uint64_t k = 0, off_pattern = 0;
+    tracefile::PreOp rec;
+    while (reader.next(rec)) {
+      if (k >= warm_up_ops(8) && rec.core != k % cores) ++off_pattern;
+      ++k;
+    }
+    ASSERT_GT(off_pattern, 10'000u);
+    ASSERT_GT(reader.chunk_count(),
+              warm_up_ops(8) / tracefile::kDefaultOpsPerChunk + 4);
+  }
+  tracefile::ReplaySource blocks(path), per_op(path);
+  const unsigned cores = per_op.cores();
+  constexpr std::size_t kRounds[] = {1, 64, 7, 513, 3000, 64};
+  std::vector<trace::MemOp> want, got;
+  std::string per_op_error;
+  for (std::size_t b = 0; per_op_error.empty(); ++b) {
+    const std::size_t rounds = kRounds[b % std::size(kRounds)];
+    want.clear();
+    try {
+      for (std::size_t r = 0; r < rounds; ++r) {
+        for (unsigned c = 0; c < cores; ++c) want.push_back(per_op.next(c));
+      }
+    } catch (const tracefile::TraceError& e) {
+      per_op_error = e.what();
+    }
+    got.assign(rounds * cores, trace::MemOp{});
+    if (!per_op_error.empty()) {
+      try {
+        blocks.next_rounds(got.data(), rounds);
+        FAIL() << "block " << b << " ran past the end of the trace";
+      } catch (const tracefile::TraceError& e) {
+        EXPECT_EQ(e.what(), per_op_error);
+      }
+    } else {
+      blocks.next_rounds(got.data(), rounds);
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].line, want[k].line) << "block " << b << " op " << k;
+        ASSERT_EQ(got[k].is_write, want[k].is_write) << "block " << b;
+        ASSERT_EQ(got[k].gap, want[k].gap) << "block " << b << " op " << k;
+      }
+    }
+    ASSERT_EQ(blocks.ops_replayed(), per_op.ops_replayed()) << "block " << b;
+  }
+  EXPECT_NE(per_op_error.find("trace exhausted"), std::string::npos)
+      << per_op_error;
+  EXPECT_GT(per_op.ops_replayed(), warm_up_ops(8));
+  std::remove(path.c_str());
 }
 
 TEST(TraceReplaySim, PostLlcCaptureMatchesMemoryTraffic) {

@@ -1,12 +1,15 @@
 // Tests for the synthetic workload generators and the TraceSource
-// contract (next_untimed included, for every source kind).
+// contract (next_rounds included, for every source kind).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "trace/source.hpp"
 #include "trace/workload.hpp"
@@ -167,27 +170,92 @@ TEST(SyntheticSource, MatchesPerCoreGenerators) {
   }
 }
 
-// The LLC warm-up draws with next_untimed(): it must return next()'s line
-// and is_write with gap 0, and leave every core's stream exactly where
-// next() would, so the ops after it are unchanged.  Runs of untimed and
-// timed draws alternate with varying lengths, then an all-timed tail.
-TEST(SyntheticSource, UntimedDrawsKeepEveryStreamInStep) {
+// The LLC warm-up draws whole rounds with next_rounds(): round r's column
+// c must be the line and is_write of what the r-th round-robin next(c)
+// returns, with gap 0, and every core's stream must be left exactly where
+// those next() calls leave it, so the ops after it are unchanged.  Blocks
+// of varying round counts alternate with uneven runs of per-core next()
+// calls (which put the cores at different stream positions), then an
+// all-timed tail.
+TEST(SyntheticSource, BlockDrawsKeepEveryStreamInStep) {
   constexpr unsigned kCores = 8;
-  constexpr int kMixed = 10'000, kTail = 2'000;
+  constexpr std::size_t kRounds[] = {1, 64, 3, 500, 17, 64, 2, 1000};
+  constexpr int kTail = 2'000;
   for (const auto& w : paper_workloads()) {
     const std::uint64_t seed = paper_sweep_seed(w.name);
-    SyntheticSource mixed(w, kCores, seed), timed(w, kCores, seed);
-    TraceSource& source = mixed;  // through the interface the sim uses
-    for (unsigned c = 0; c < kCores; ++c) {
-      const std::string where = w.name + " core " + std::to_string(c);
-      for (int i = 0; i < kMixed + kTail; ++i) {
-        const bool untimed = i < kMixed && (i / (1 + c % 5)) % 3 != 0;
-        const MemOp want = timed.next(c);
-        const MemOp got = untimed ? source.next_untimed(c) : source.next(c);
-        ASSERT_EQ(got.line, want.line) << where << " op " << i;
-        ASSERT_EQ(got.is_write, want.is_write) << where << " op " << i;
-        ASSERT_EQ(got.gap, untimed ? 0u : want.gap) << where << " op " << i;
+    SyntheticSource blocks(w, kCores, seed), timed(w, kCores, seed);
+    TraceSource& source = blocks;  // through the interface the sim uses
+    std::vector<MemOp> out;
+    for (std::size_t b = 0; b < std::size(kRounds); ++b) {
+      const std::size_t rounds = kRounds[b];
+      out.assign(rounds * kCores, MemOp{1, true, 1});
+      source.next_rounds(out.data(), rounds);
+      for (std::size_t r = 0; r < rounds; ++r) {
+        for (unsigned c = 0; c < kCores; ++c) {
+          const MemOp want = timed.next(c);
+          const MemOp& got = out[r * kCores + c];
+          const std::string where = w.name + " block " + std::to_string(b) +
+                                    " round " + std::to_string(r) +
+                                    " core " + std::to_string(c);
+          ASSERT_EQ(got.line, want.line) << where;
+          ASSERT_EQ(got.is_write, want.is_write) << where;
+          ASSERT_EQ(got.gap, 0u) << where;
+        }
       }
+      for (unsigned c = 0; c < kCores; ++c) {
+        for (std::size_t i = 0; i < (b + c) % 4; ++i) {
+          const MemOp want = timed.next(c);
+          const MemOp got = source.next(c);
+          ASSERT_EQ(got.line, want.line) << w.name << " core " << c;
+          ASSERT_EQ(got.is_write, want.is_write) << w.name << " core " << c;
+          ASSERT_EQ(got.gap, want.gap) << w.name << " core " << c;
+        }
+      }
+    }
+    for (int i = 0; i < kTail; ++i) {
+      const unsigned c = static_cast<unsigned>(i) % kCores;
+      const MemOp want = timed.next(c);
+      const MemOp got = source.next(c);
+      ASSERT_EQ(got.line, want.line) << w.name << " tail op " << i;
+      ASSERT_EQ(got.is_write, want.is_write) << w.name << " tail op " << i;
+      ASSERT_EQ(got.gap, want.gap) << w.name << " tail op " << i;
+    }
+  }
+}
+
+// The generator draws its Bernoulli outcomes against integer thresholds:
+// (next() >> 11) < Rng::bernoulli_threshold(p) must decide exactly as
+// next_double() < p does, for every 53-bit draw u.  Checked at each
+// threshold's edges for every workload's four probabilities and the
+// extreme and rounding-sensitive ones.
+TEST(CoreGenerator, IntegerThresholdsAreExact) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  std::vector<double> ps = {0.0,
+                            1.0,
+                            0.5,
+                            std::ldexp(1.0, -53),
+                            1.0 - std::ldexp(1.0, -53),
+                            std::nextafter(0.3, 0.0)};
+  for (const auto& w : paper_workloads()) {
+    ps.insert(ps.end(), {w.stream_fraction, w.hot_access_prob,
+                         w.sibling_locality, w.write_fraction});
+  }
+  for (const double p : ps) {
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    ASSERT_LE(t, kTop) << p;
+    for (const std::uint64_t u :
+         {std::uint64_t{0}, t - 1, t, t + 1, kTop - 1}) {
+      if (u >= kTop) continue;  // t - 1 at t = 0, t + 1 at t = 2^53
+      EXPECT_EQ(u < t, static_cast<double>(u) * 0x1.0p-53 < p)
+          << "p = " << p << ", u = " << u << ", threshold " << t;
+    }
+  }
+  // And through the generator's own calls: the same draws, same outcomes.
+  for (const double p : ps) {
+    Rng a(99), b(99);
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(a.bernoulli_below(t), b.bernoulli(p)) << p;
     }
   }
 }
@@ -216,7 +284,9 @@ std::uint64_t stream_digest(unsigned cores, std::uint64_t ops, Draw draw) {
 // The committed sweeps are functions of these op streams.  Both digests
 // of every paper workload (8 cores, its paper sweep seed, 100k ops per
 // core) are pinned, so a change to the generator that alters next() and
-// next_untimed() alike -- which comparing the two cannot see -- fails.
+// the warm-up's block draws alike -- which comparing the two cannot see --
+// fails.  The untimed digest, taken when the warm-up drew one op at a
+// time, hashes the block draws' columns (gaps 0).
 TEST(SyntheticSource, PaperStreamsMatchPinnedDigests) {
   struct Pinned {
     const char* name;
@@ -240,55 +310,75 @@ TEST(SyntheticSource, PaperStreamsMatchPinnedDigests) {
       {"facesim", 0xa302181a7c50cd5cULL, 0x57fcd571e398dfb2ULL},
       {"ferret", 0xe76f16d07dffdf4bULL, 0x9dd7b7d53b4d3cdeULL},
   };
+  constexpr unsigned kCores = 8;
+  constexpr std::uint64_t kOps = 100'000;
   ASSERT_EQ(std::size(kPinned), paper_workloads().size());
+  std::vector<MemOp> rounds(kOps * kCores);
   for (const Pinned& p : kPinned) {
     const WorkloadDesc& w = workload_by_name(p.name);
-    SyntheticSource timed(w, 8, paper_sweep_seed(w.name));
-    SyntheticSource untimed(w, 8, paper_sweep_seed(w.name));
+    SyntheticSource timed(w, kCores, paper_sweep_seed(w.name));
+    SyntheticSource untimed(w, kCores, paper_sweep_seed(w.name));
     const std::uint64_t t = stream_digest(
-        8, 100'000, [&](unsigned c) { return timed.next(c); });
-    const std::uint64_t u = stream_digest(
-        8, 100'000, [&](unsigned c) { return untimed.next_untimed(c); });
+        kCores, kOps, [&](unsigned c) { return timed.next(c); });
+    // The warm-up's block size, then whatever is left.
+    for (std::uint64_t done = 0; done < kOps;) {
+      const std::uint64_t n = std::min<std::uint64_t>(64, kOps - done);
+      untimed.next_rounds(rounds.data() + done * kCores, n);
+      done += n;
+    }
+    std::vector<std::uint64_t> pos(kCores, 0);
+    const std::uint64_t u =
+        stream_digest(kCores, kOps, [&](unsigned c) {
+          return rounds[pos[c]++ * kCores + c];
+        });
     EXPECT_EQ(t, p.timed) << p.name << " next()";
-    EXPECT_EQ(u, p.untimed) << p.name << " next_untimed()";
+    EXPECT_EQ(u, p.untimed) << p.name << " next_rounds()";
   }
 }
 
 // Recording must capture the full op and replay hands back what was
-// recorded, so both keep next_untimed() == next(), gap included.
-TEST(TraceSource, RecordingAndReplayUntimedReturnTheFullOp) {
+// recorded, so both return next()'s ops from next_rounds(), gaps
+// included.  Block pulls and next() calls alternate on both.
+TEST(TraceSource, RecordingAndReplayBlocksReturnTheFullOp) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "trace_test_untimed.ecctrace")
+      (std::filesystem::temp_directory_path() / "trace_test_blocks.ecctrace")
           .string();
   const auto& desc = workload_by_name("lbm");
-  constexpr int kOps = 600;
-  bool saw_gap = false;
+  constexpr unsigned kCores = 2;
+  constexpr std::size_t kRounds = 300;  // per source, 3 rounds per step
+  std::vector<MemOp> out(3 * kCores);
+  // Pulls kRounds rounds from `source`, every other step as one 3-round
+  // block, and checks each op (gap included) against `reference`.
+  const auto check = [&](TraceSource& source, const char* what) {
+    SyntheticSource reference(desc, kCores, 11);
+    bool saw_gap = false;
+    for (std::size_t step = 0; step < kRounds / 3; ++step) {
+      if (step % 2 == 0) {
+        source.next_rounds(out.data(), 3);
+      } else {
+        for (std::size_t k = 0; k < out.size(); ++k) {
+          out[k] = source.next(static_cast<unsigned>(k % kCores));
+        }
+      }
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        const MemOp want = reference.next(static_cast<unsigned>(k % kCores));
+        ASSERT_EQ(out[k].line, want.line) << what << " step " << step;
+        ASSERT_EQ(out[k].is_write, want.is_write) << what << " step " << step;
+        ASSERT_EQ(out[k].gap, want.gap) << what << " step " << step;
+        if (step % 2 == 0 && out[k].gap != 0) saw_gap = true;
+      }
+    }
+    EXPECT_TRUE(saw_gap) << what << ": lbm's gaps must not all be zero";
+  };
   {
     tracefile::RecordingSource rec(
-        std::make_unique<SyntheticSource>(desc, 2, 11), path, 11);
-    SyntheticSource reference(desc, 2, 11);
-    for (int i = 0; i < kOps; ++i) {
-      const unsigned c = static_cast<unsigned>(i % 2);
-      const MemOp got = i % 3 == 0 ? rec.next_untimed(c) : rec.next(c);
-      const MemOp want = reference.next(c);
-      ASSERT_EQ(got.line, want.line) << "op " << i;
-      ASSERT_EQ(got.is_write, want.is_write) << "op " << i;
-      ASSERT_EQ(got.gap, want.gap) << "op " << i;
-      if (i % 3 == 0 && got.gap != 0) saw_gap = true;
-    }
+        std::make_unique<SyntheticSource>(desc, kCores, 11), path, 11);
+    check(rec, "recording");
     rec.writer().close();
   }
-  EXPECT_TRUE(saw_gap) << "lbm's gaps must not all be zero";
   tracefile::ReplaySource replay(path);
-  SyntheticSource reference(desc, 2, 11);
-  for (int i = 0; i < kOps; ++i) {
-    const unsigned c = static_cast<unsigned>(i % 2);
-    const MemOp got = i % 2 == 0 ? replay.next_untimed(c) : replay.next(c);
-    const MemOp want = reference.next(c);
-    ASSERT_EQ(got.line, want.line) << "op " << i;
-    ASSERT_EQ(got.is_write, want.is_write) << "op " << i;
-    ASSERT_EQ(got.gap, want.gap) << "op " << i;
-  }
+  check(replay, "replay");
+  EXPECT_EQ(replay.ops_replayed(), kRounds * kCores);
   std::remove(path.c_str());
 }
 

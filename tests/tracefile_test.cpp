@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -681,6 +683,84 @@ TEST(Replay, ExhaustedTraceThrows) {
   std::remove(path.c_str());
 }
 
+/// `cores` x `per_core` omnetpp ops (seed 5), round-robin, in chunks of
+/// 64 ops, written to `path`.
+void write_small_chunk_trace(const std::string& path, unsigned cores,
+                             std::uint64_t per_core) {
+  TraceMeta meta;
+  meta.point = CapturePoint::kPreLlc;
+  meta.cores = cores;
+  meta.seed = 5;
+  meta.workload = "omnetpp";
+  TraceWriter writer(path, meta, 64);
+  trace::SyntheticSource gen(trace::workload_by_name(meta.workload), cores,
+                             meta.seed);
+  for (std::uint64_t i = 0; i < per_core; ++i) {
+    for (unsigned c = 0; c < cores; ++c) writer.append(gen.next(c), c);
+  }
+  writer.close();
+}
+
+/// Pulls `rounds`-round blocks from `replay` until it throws; returns the
+/// TraceError's text.
+std::string block_pull_error(ReplaySource& replay, std::size_t rounds) {
+  std::vector<trace::MemOp> out(rounds * replay.cores());
+  try {
+    for (;;) replay.next_rounds(out.data(), rounds);
+  } catch (const TraceError& e) {
+    return e.what();
+  }
+}
+
+/// Pulls round-robin through next() until `replay` throws; returns the
+/// TraceError's text.
+std::string per_op_pull_error(ReplaySource& replay) {
+  try {
+    for (;;) {
+      for (unsigned c = 0; c < replay.cores(); ++c) (void)replay.next(c);
+    }
+  } catch (const TraceError& e) {
+    return e.what();
+  }
+}
+
+// A block pull fails as round-robin next() calls fail: an exhausted trace
+// throws the same TraceError text after the same ops_replayed(), and a
+// corrupt chunk throws its CRC error before any op of that chunk (or of
+// the block that needs it) is handed out.
+TEST(Replay, BlockPullThrowsWhatPerOpPullsThrow) {
+  const std::string path = temp_path("block_errors.ecctrace");
+  constexpr unsigned kCores = 4;
+  write_small_chunk_trace(path, kCores, 1000);  // 63 chunks of <= 64 ops
+  {
+    ReplaySource blocks(path), per_op(path);
+    const std::string want = per_op_pull_error(per_op);
+    EXPECT_NE(want.find("trace exhausted"), std::string::npos) << want;
+    EXPECT_EQ(block_pull_error(blocks, 64), want);  // 1000 = 15*64 + 40
+    EXPECT_EQ(blocks.ops_replayed(), per_op.ops_replayed());
+    EXPECT_EQ(blocks.ops_replayed(), 1000u * kCores);
+  }
+  // Flip one payload byte of chunk 20 (ops 1280..1343: rounds 320..335).
+  std::string bytes = read_file(path);
+  std::size_t pos = 8 + 4 + 4 + 4 + 8 + 4 + std::string("omnetpp").size() + 4;
+  for (int chunk = 0; chunk < 20; ++chunk) {
+    std::uint32_t payload = 0;
+    std::memcpy(&payload, bytes.data() + pos + 4, 4);
+    pos += 16 + payload;
+  }
+  bytes[pos + 16 + 1] = static_cast<char>(bytes[pos + 16 + 1] ^ 0x10);
+  const std::string bad = temp_path("block_errors_bad.ecctrace");
+  write_file(bad, bytes);
+  ReplaySource blocks(bad), per_op(bad);
+  const std::string want = per_op_pull_error(per_op);
+  EXPECT_NE(want.find("CRC"), std::string::npos) << want;
+  EXPECT_EQ(per_op.ops_replayed(), 1280u);
+  EXPECT_EQ(block_pull_error(blocks, 64), want);
+  EXPECT_EQ(blocks.ops_replayed(), 1280u);  // blocks of rounds 0..319
+  std::remove(path.c_str());
+  std::remove(bad.c_str());
+}
+
 TEST(Replay, RejectsPostLlcTrace) {
   const std::string path = temp_path("postonly.ecctrace");
   TraceMeta meta;
@@ -724,6 +804,43 @@ TEST(Recording, TeePassesThroughAndProducesReplayableFile) {
     EXPECT_EQ(a.line, seen[static_cast<std::size_t>(i)].line);
   }
   std::remove(path.c_str());
+}
+
+// RecordingSource keeps TraceSource's round-robin next_rounds(): a
+// recording driven by block pulls writes the same bytes as one driven by
+// the same ops pulled through next(), gaps and call order included.
+TEST(Recording, BlockPullsRecordPerOpCallOrder) {
+  const auto& desc = trace::workload_by_name("milc");
+  const std::string blocks_path = temp_path("rec_blocks.ecctrace");
+  const std::string per_op_path = temp_path("rec_per_op.ecctrace");
+  constexpr unsigned kCores = 4;
+  constexpr std::size_t kRounds[] = {1, 64, 5, 200, 64};
+  {
+    RecordingSource blocks(
+        std::make_unique<trace::SyntheticSource>(desc, kCores, 3),
+        blocks_path, 3, 64);
+    RecordingSource per_op(
+        std::make_unique<trace::SyntheticSource>(desc, kCores, 3),
+        per_op_path, 3, 64);
+    std::vector<trace::MemOp> out;
+    for (const std::size_t rounds : kRounds) {
+      out.resize(rounds * kCores);
+      blocks.next_rounds(out.data(), rounds);
+      for (std::size_t r = 0; r < rounds; ++r) {
+        for (unsigned c = 0; c < kCores; ++c) (void)per_op.next(c);
+      }
+      (void)blocks.next(1);  // uneven positions for the next block
+      (void)per_op.next(1);
+    }
+    blocks.writer().close();
+    per_op.writer().close();
+  }
+  const std::string want = read_file(per_op_path);
+  EXPECT_GT(want.size(), 1000u);
+  EXPECT_TRUE(read_file(blocks_path) == want)
+      << "block-pulled recording differs from the per-op one";
+  std::remove(blocks_path.c_str());
+  std::remove(per_op_path.c_str());
 }
 
 // The contract that makes traces interchangeable with live sweep stimulus:
