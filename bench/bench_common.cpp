@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -458,48 +460,34 @@ std::string serialize(const sim::RunResult& r) {
   return os.str();
 }
 
-/// Fans `cells` out over the runner with the standard stderr progress (a
-/// per-cell line on a terminal, else only the summary).
-runner::Report run_cells(const std::string& label,
-                         const std::vector<runner::Cell>& cells) {
-  runner::RunOptions opts;
-  obs::Heartbeat& hb = obs::Heartbeat::global();
-  const bool tty = isatty(fileno(stderr)) != 0;
-  opts.progress = [&label, &hb, tty](std::size_t done, std::size_t total,
-                                     const runner::Cell& cell) {
-    if (hb.enabled()) {
-      obs::Heartbeat::Tick t;
-      t.phase = label;
-      t.done = done;
-      t.total = total;
-      t.counters = {{"cells_done", static_cast<double>(done)}};
-      hb.tick(t);
-    }
-    // The heartbeat's --progress line supersedes the plain one; printing
-    // both would interleave two \r lines on the same row.  A \r line only
-    // makes sense on a terminal: in a log it is one line per cell.
-    if (hb.config().stderr_line || !tty) return;
-    std::fprintf(stderr, "\r[%s] %zu/%zu (%s / %s)        ", label.c_str(),
-                 done, total, cell.workload.c_str(), cell.scheme.c_str());
-    std::fflush(stderr);
-  };
-  runner::Report report = runner::run_cells(cells, opts);
-  std::fprintf(stderr,
-               "%s[%s] %zu cells, %.1fs wall (%.1fs serial-equivalent, "
-               "%.2fx on %u threads)\n",
-               tty ? "\r" : "", label.c_str(), cells.size(),
-               report.wall_seconds, report.cell_seconds, report.speedup(),
-               report.threads);
-  return report;
+/// Ends the run for a sweep cell that threw (max_mem_cycles, the drain
+/// guard, a protocol violation, trace I/O): names the cell on stderr,
+/// marks the manifest failed and exits 1.  The lock is never released, so
+/// a second failing worker waits here while the first one's exit runs.
+[[noreturn]] void fail_cell(const std::string& workload,
+                            const std::string& scheme,
+                            const std::string& scale, const char* what) {
+  static std::mutex mu;
+  const std::lock_guard<std::mutex> lock(mu);
+  std::fprintf(stderr, "\n%s: sweep cell %s/%s (%s) failed: %s\n",
+               g_bench_name.c_str(), workload.c_str(), scheme.c_str(),
+               scale.c_str(), what);
+  obs::note_exit_code(1);
+  std::exit(1);
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
-  // One cell per (workload, scheme), fanned out over the runner.  Each
-  // cell builds its own SimOptions with the workload's substream seed, so
-  // schemes stay paired per workload and nothing depends on execution
-  // order.  With --stats every cell additionally owns one Collector
-  // (single-threaded registries; merged on the main thread at exit, so the
-  // bit-identical-at-any-thread-count guarantee is untouched).
+  // One cell per (workload, scheme).  Each cell's SimOptions carry the
+  // workload's substream seed, so schemes stay paired per workload and
+  // nothing depends on execution order.  With --stats every cell
+  // additionally owns one Collector (single-threaded registries; merged on
+  // the main thread at exit, so the bit-identical-at-any-thread-count
+  // guarantee is untouched).
   const std::string scale_label = scale_name(scale);
   std::vector<ecc::SchemeDesc> schemes;
   for (const auto id : ecc::all_schemes()) {
@@ -515,94 +503,111 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
   base.trace_out = g_config.trace_out;
   base.trace_point = g_config.trace_point;
 
-  // First phase: one LLC warm-up (sim::warm: an LLC and a source, no
-  // memory system) per (workload, warm-up class), which every cell of the
-  // class then starts from (the classes are exact, so results are
-  // unchanged).  warm[wi * schemes + si] is the
-  // state of scheme si on workload wi; each cell drops its entry once its
-  // SystemSim holds a copy, so a class's state is freed with its last cell.
-  std::vector<std::shared_ptr<const sim::WarmState>> warm(workloads.size() *
-                                                          schemes.size());
-  if (sim::shares_warm_up(base)) {
-    const auto classes = sim::warm_classes(schemes, g_config.dram);
-    std::vector<runner::Cell> warm_cells;
-    for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-      sim::SimOptions opts = base;
-      opts.seed = trace::paper_sweep_seed(wi);
-      for (const auto& members : classes) {
-        runner::Cell cell;
-        for (const std::size_t si : members) {
-          cell.scheme += (cell.scheme.empty() ? "" : ",") + schemes[si].name;
-        }
-        cell.workload = workloads[wi].name;
-        cell.work = [&warm, &schemes, &workloads, wi, members, opts] {
-          const auto state =
-              std::make_shared<const sim::WarmState>(sim::warm(
-                  schemes[members.front()], workloads[wi], sim::CpuConfig{},
-                  opts));
-          for (const std::size_t si : members) {
-            warm[wi * schemes.size() + si] = state;
-          }
-          return sim::RunResult{};
-        };
-        warm_cells.push_back(std::move(cell));
-      }
-    }
-    run_cells("warm-up " + scale_label, warm_cells);
-  }
-
-  std::vector<runner::Cell> cells;
-  cells.reserve(workloads.size() * schemes.size());
+  // Per-cell options, resolved on this thread in cell order: trace paths
+  // (a missing file is one clear error), recordings named per cell so no
+  // two cells of the process share a file, and the stats collectors.
+  std::vector<sim::SimOptions> opts(workloads.size() * schemes.size(), base);
   for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-    const std::uint64_t seed = trace::paper_sweep_seed(wi);
     for (std::size_t si = 0; si < schemes.size(); ++si) {
-      runner::Cell cell;
-      cell.scheme = schemes[si].name;
-      cell.workload = workloads[wi].name;
-      // Trace paths resolve on this thread (clear errors); recordings get
-      // per-cell names so no two cells of the process share a file.
-      sim::SimOptions opts = base;
-      opts.seed = seed;
+      const std::string& workload = workloads[wi].name;
+      const std::string& scheme = schemes[si].name;
+      sim::SimOptions& o = opts[wi * schemes.size() + si];
+      o.seed = trace::paper_sweep_seed(wi);
       if (!base.trace_in.empty()) {
-        opts.trace_in =
-            resolve_trace_in(cell.workload, cell.scheme, scale_label);
+        o.trace_in = resolve_trace_in(workload, scheme, scale_label);
       }
       if (!base.trace_out.empty()) {
-        opts.trace_out = base.trace_out + "/" +
-                         cell_file_name(cell.workload, cell.scheme,
-                                        scale_label) +
-                         ".ecctrace";
+        o.trace_out = base.trace_out + "/" +
+                      cell_file_name(workload, scheme, scale_label) +
+                      ".ecctrace";
       }
       if (g_config.stats.enabled) {
-        opts.stats = add_collector(cell.workload, cell.scheme, scale_label);
+        o.stats = add_collector(workload, scheme, scale_label);
       }
-      cell.work = [scheme = schemes[si], &workload = workloads[wi], opts,
-                   &state = warm[wi * schemes.size() + si]] {
-        const auto run = [&] {
-          sim::SystemSim system(scheme, workload, sim::CpuConfig{}, opts,
-                                state.get());
-          state.reset();
-          return system.run();
-        };
-        if (opts.trace_in.empty() && opts.trace_out.empty()) return run();
-        // Trace I/O can fail mid-run (exhausted/corrupt trace, full disk);
-        // the runner's workers do not catch exceptions, so fail the whole
-        // bench here with a readable message instead of std::terminate.
-        try {
-          return run();
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "\n%s: trace failure in cell %s/%s: %s\n",
-                       g_bench_name.c_str(), workload.name.c_str(),
-                       scheme.name.c_str(), e.what());
-          obs::note_exit_code(1);
-          std::exit(1);
-        }
-      };
-      cells.push_back(std::move(cell));
     }
   }
 
-  const runner::Report report = run_cells("sweep " + scale_label, cells);
+  // One work item per (workload, warm-up class), workload-major: it runs
+  // the LLC warm-up once (sim::warm: an LLC and a source, no memory
+  // system), starts each member's SystemSim from that state (the classes
+  // are exact, so results are unchanged) and frees it when it returns.
+  // A replayed or recorded sweep warms per cell, so each cell is its own
+  // item.
+  const bool shared = sim::shares_warm_up(base);
+  std::vector<std::vector<std::size_t>> classes;
+  if (shared) {
+    classes = sim::warm_classes(schemes, g_config.dram);
+  } else {
+    for (std::size_t si = 0; si < schemes.size(); ++si) classes.push_back({si});
+  }
+
+  const std::string label = "sweep " + scale_label;
+  obs::Heartbeat& hb = obs::Heartbeat::global();
+  const bool tty = isatty(fileno(stderr)) != 0;
+  std::mutex progress_mu;
+  std::size_t done = 0;
+  // Called by a worker as each cell finishes; serialized.
+  const auto progress = [&](std::size_t wi, std::size_t si) {
+    const std::lock_guard<std::mutex> lock(progress_mu);
+    ++done;
+    if (hb.enabled()) {
+      obs::Heartbeat::Tick t;
+      t.phase = label;
+      t.done = done;
+      t.total = opts.size();
+      t.counters = {{"cells_done", static_cast<double>(done)}};
+      hb.tick(t);
+    }
+    // The heartbeat's --progress line supersedes the plain one; printing
+    // both would interleave two \r lines on the same row.  A \r line only
+    // makes sense on a terminal: in a log it is one line per cell.
+    if (hb.config().stderr_line || !tty) return;
+    std::fprintf(stderr, "\r[%s] %zu/%zu (%s / %s)        ", label.c_str(),
+                 done, opts.size(), workloads[wi].name.c_str(),
+                 schemes[si].name.c_str());
+    std::fflush(stderr);
+  };
+
+  runner::Report report;
+  report.cells.resize(opts.size());
+  report.threads = runner::default_thread_count();
+  std::vector<double> item_seconds(workloads.size() * classes.size());
+  const auto start = std::chrono::steady_clock::now();
+  runner::parallel_for(item_seconds.size(), report.threads, [&](std::size_t g) {
+    STATS_SCOPE("bench.sweep_item");
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::size_t wi = g / classes.size();
+    const std::vector<std::size_t>& members = classes[g % classes.size()];
+    std::size_t si = members.front();
+    try {
+      std::optional<sim::WarmState> state;
+      if (shared) {
+        state.emplace(sim::warm(schemes[si], workloads[wi], sim::CpuConfig{},
+                                opts[wi * schemes.size() + si]));
+      }
+      for (const std::size_t member : members) {
+        si = member;
+        const std::size_t i = wi * schemes.size() + si;
+        const auto c0 = std::chrono::steady_clock::now();
+        sim::SystemSim system(schemes[si], workloads[wi], sim::CpuConfig{},
+                              opts[i], state ? &*state : nullptr);
+        report.cells[i].result = system.run();
+        report.cells[i].wall_seconds = seconds_since(c0);
+        progress(wi, si);
+      }
+    } catch (const std::exception& e) {
+      fail_cell(workloads[wi].name, schemes[si].name, scale_label, e.what());
+    }
+    item_seconds[g] = seconds_since(t0);
+  });
+  report.wall_seconds = seconds_since(start);
+  for (const double s : item_seconds) report.cell_seconds += s;
+  std::fprintf(stderr,
+               "%s[%s] %zu cells, %.1fs wall (%.1fs serial-equivalent, "
+               "%.2fx on %u threads)\n",
+               tty ? "\r" : "", label.c_str(), report.cells.size(),
+               report.wall_seconds, report.cell_seconds, report.speedup(),
+               report.threads);
 
   // Persist the per-cell metrics + fan-out timings (this is where the
   // realized speedup is recorded).

@@ -2,17 +2,18 @@
 //
 // Figures 9-17 all consume the same sweep: every workload x every scheme at
 // one system scale (bench/sweep_figures.cpp builds all of them, one sweep
-// per scale).  The sweep's cells are independent, so they fan out over the
-// runner (src/runner), whose threads claim cells in index order -- thread
-// count comes from RUNNER_THREADS (default: all cores) and results are
-// bit-identical at any thread count because every cell owns its simulator
-// and draws its workload stimulus from a per-workload RNG substream of the
-// root seed.
-// A first fan-out warms the LLC once per (workload, warm-up class) with
-// sim::warm, which builds only an LLC, a synthetic source and the scheme's
-// maintenance rule (no memory system); the sim::WarmState is exact by
-// construction, and each cell starts from its class's state (replayed or
-// recorded sweeps warm up per cell).
+// per scale).  A sweep is one runner::parallel_for over work items, one
+// per (workload, warm-up class) in workload-major order, whose threads
+// claim items in index order; the thread count comes from RUNNER_THREADS
+// (default: all cores).  An item warms the LLC once with sim::warm (only
+// an LLC, a synthetic source and the scheme's maintenance rule, no memory
+// system), runs each member scheme's SystemSim from that exact
+// sim::WarmState, and frees it; a replayed or recorded sweep warms per
+// cell, so each cell is its own item.  Results are bit-identical at any
+// thread count because every cell owns its simulator and draws its
+// workload stimulus from a per-workload RNG substream of the root seed.
+// A cell that throws ends the run: it is named on stderr, the manifest
+// says "failed", the exit code is 1.
 //
 // Each sweep writes sweep_<scale>.csv beside its figure CSVs.  The
 // committed bench_results/*.csv are goldens to compare against, never
@@ -124,10 +125,11 @@ sim::SimOptions sim_options();
 
 /// Simulates all (workload x scheme) cells at one scale, writes
 /// sweep_<scale>.csv and results/sweep_<scale>.json, and returns the rows
-/// in (workload, scheme) order.  Holds one warm-up state (~1.5 MB) per
-/// (workload, warm-up class) between its two fan-outs and frees them all
-/// before it returns.  Per-cell files (--trace, --trace-out) and the
-/// per-cell --trace-in fallback are named <workload>_<scheme>_<scale>.
+/// in (workload, scheme) order.  Each busy thread holds one warm-up state
+/// and one SystemSim at a time.  The report's serial cost (cell_seconds)
+/// sums the work items' wall times, warm-ups included.  Per-cell files
+/// (--trace, --trace-out) and the per-cell --trace-in fallback are named
+/// <workload>_<scheme>_<scale>.
 std::vector<sim::RunResult> sweep(ecc::SystemScale scale);
 
 /// Percent reduction of `ours` relative to `baseline` ((1 - ours/base)*100).

@@ -1,44 +1,9 @@
 #include "runner/runner.hpp"
 
-#include <chrono>
-#include <mutex>
-
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "runner/thread_pool.hpp"
-#include "stats/scope.hpp"
 
 namespace eccsim::runner {
-
-Report run_cells(const std::vector<Cell>& cells, const RunOptions& opts) {
-  STATS_SCOPE("runner.run_cells");
-  Report report;
-  report.cells.resize(cells.size());
-  const unsigned threads =
-      opts.threads != 0 ? opts.threads : default_thread_count();
-  report.threads = threads;
-
-  const auto sweep_start = std::chrono::steady_clock::now();
-  std::mutex progress_mu;
-  std::size_t done = 0;
-  parallel_for(cells.size(), threads, [&](std::size_t i) {
-    STATS_SCOPE("runner.cell");
-    const auto t0 = std::chrono::steady_clock::now();
-    report.cells[i].result = cells[i].work();
-    const auto t1 = std::chrono::steady_clock::now();
-    report.cells[i].wall_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    if (opts.progress) {
-      std::lock_guard<std::mutex> lock(progress_mu);
-      opts.progress(++done, cells.size(), cells[i]);
-    }
-  });
-  const auto sweep_end = std::chrono::steady_clock::now();
-  report.wall_seconds =
-      std::chrono::duration<double>(sweep_end - sweep_start).count();
-  for (const auto& c : report.cells) report.cell_seconds += c.wall_seconds;
-  return report;
-}
 
 std::uint64_t substream_seed(std::uint64_t root_seed, std::uint64_t stream) {
   // SplitMix64 walks a Weyl sequence, so seeding it at root^f(stream) and

@@ -1,24 +1,22 @@
-// Parallel experiment runner (the fan-out-and-aggregate layer).
+// Sweep results and their JSON encoding (the aggregate half of the runner).
 //
 // Every evaluation figure in the paper is a grid of independent cells --
-// one `sim::SystemSim` per (workload x ECC scheme) point -- that the bench
-// binaries used to execute serially.  This runner fans the cells out with
-// runner::parallel_for (threads claim cells in index order) and collects
-// results *by cell index*, so the output vector is bit-identical whatever
-// the thread count: each cell owns its simulator, its workload generators,
-// and (via `substream_seed`) its own deterministic RNG substream, and
-// nothing is shared between cells but the result slots.
+// one `sim::SystemSim` per (workload x ECC scheme) point.  The bench
+// front-end (bench::sweep) fans them out with runner::parallel_for and
+// files each result *by cell index* into a `Report`, so the result vector
+// is bit-identical whatever the thread count: each cell owns its
+// simulator, its workload generators, and (via `substream_seed`) its own
+// deterministic RNG substream, and nothing is shared between cells but
+// the result slots and a read-only warm-up state.
 //
-// The runner also standardizes observability: `Report` carries per-cell
-// wall-clock plus the fan-out wall-clock (their ratio is the realized
-// speedup), and the `to_json` / `write_json` helpers emit the
-// machine-readable `results/<name>.json` files described in
-// docs/REPRODUCING.md (the bench front-end stamps them with the run
-// manifest).
+// `Report` carries per-cell wall-clock plus the fan-out wall-clock and
+// its serial-equivalent cost (their ratio is the realized speedup), and
+// the `to_json` / `write_json` helpers emit the machine-readable
+// `results/<name>.json` files described in docs/REPRODUCING.md (the bench
+// front-end stamps them with the run manifest).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,15 +24,6 @@
 #include "sim/system.hpp"
 
 namespace eccsim::runner {
-
-/// One independent experiment: a label pair plus the closure that runs it.
-/// The closure must be self-contained (capture everything by value) --
-/// cells execute concurrently in arbitrary order.
-struct Cell {
-  std::string scheme;    ///< ECC scheme label (or ablation knob value)
-  std::string workload;  ///< workload label
-  std::function<sim::RunResult()> work;
-};
 
 /// A finished cell: the simulator's metrics plus how long it took.
 struct CellResult {
@@ -47,29 +36,15 @@ struct Report {
   std::vector<CellResult> cells;
   unsigned threads = 1;      ///< thread count used
   double wall_seconds = 0;   ///< fan-out wall-clock (start to last finish)
-  double cell_seconds = 0;   ///< sum of per-cell wall-clock (serial cost)
+  /// Serial cost: the summed wall-clock of the fan-out's work items, which
+  /// may include work no cell's own wall_seconds counts (a shared warm-up)
+  double cell_seconds = 0;
 
   /// Realized parallel speedup: serial-equivalent time over wall time.
   double speedup() const {
     return wall_seconds > 0 ? cell_seconds / wall_seconds : 1.0;
   }
 };
-
-/// Fan-out knobs.
-struct RunOptions {
-  /// Thread count; 0 means default_thread_count() (i.e. the
-  /// RUNNER_THREADS environment variable or the hardware concurrency).
-  unsigned threads = 0;
-  /// Called after each cell completes (from the completing worker thread,
-  /// serialized by the runner): (cells done, cells total, finished cell).
-  std::function<void(std::size_t, std::size_t, const Cell&)> progress;
-};
-
-/// Runs every cell and returns their results in cell order.
-/// Deterministic: the thread count and scheduling interleaving cannot
-/// affect any result, only the timing fields.
-Report run_cells(const std::vector<Cell>& cells,
-                 const RunOptions& opts = RunOptions{});
 
 /// Derives a statistically independent 64-bit seed for substream `stream`
 /// of `root_seed` (SplitMix64 fan-out).  Cells that must observe the same

@@ -2,8 +2,11 @@
 // the environment into one RunConfig and never writes the environment
 // back.  Unknown flags and malformed values must exit with code 2 (and
 // unknown flags point at --help); --help and --list-workloads must
-// succeed; an output that cannot be written fails the run.  Death tests: init() mutates process-global state and
-// terminates the process on these paths, so every case runs in a child.
+// succeed; an output that cannot be written, or a sweep cell that throws,
+// fails the run.  The smoke quad sweep's progress line, heartbeat and
+// timings are checked here too.  Death tests: init() mutates
+// process-global state and terminates the process on these paths, so
+// every case runs in a child.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,6 +22,7 @@
 
 #include "bench_common.hpp"
 #include "runner/json.hpp"
+#include "tracefile/writer.hpp"
 
 namespace eccsim::bench {
 namespace {
@@ -57,6 +61,14 @@ void expect_config(const Env& env, const std::vector<std::string>& args,
 }
 
 using BenchFlagsDeathTest = ::testing::Test;
+
+/// Reads a JSON document a run left behind.
+runner::Json read_json(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return runner::Json::parse(text.str());
+}
 
 TEST(BenchFlagsDeathTest, UnknownFlagExitsWithUsageError) {
   EXPECT_EXIT(run_init({}, {"--bogus"}), ::testing::ExitedWithCode(2),
@@ -338,42 +350,35 @@ TEST(BenchFlagsDeathTest, LostOutputFailsTheRun) {
       },
       ::testing::ExitedWithCode(1),
       "could not write bench_results/smoke/lost.csv");
-  std::ifstream in(dir / "results/smoke/bench_flags_test.manifest.json");
-  std::stringstream text;
-  text << in.rdbuf();
-  const runner::Json m = runner::Json::parse(text.str());
+  const runner::Json m =
+      read_json(dir / "results/smoke/bench_flags_test.manifest.json");
   EXPECT_EQ(m.at("status").as_string(), "failed");
   EXPECT_EQ(m.at("exit_code").as_number(), 1.0);
   fs::remove_all(dir);
 }
 
 /// Runs the smoke quad sweep with stderr sent to a file and reports
-/// whether that file holds exactly the two fan-out summary lines.
-bool sweep_prints_only_summaries() {
+/// whether that file holds exactly the sweep's one summary line.
+bool sweep_prints_only_its_summary() {
   run_init({}, {"--smoke"});
   const char* path = "progress.txt";
   if (std::freopen(path, "w", stderr) == nullptr) return false;
   (void)sweep(ecc::SystemScale::kQuadEquivalent);
   std::fflush(stderr);
   std::ifstream in(path);
-  std::string warm;
-  std::string cells;
+  std::string summary;
   std::string rest;
-  std::getline(in, warm);
-  std::getline(in, cells);
+  std::getline(in, summary);
   const bool more = static_cast<bool>(std::getline(in, rest));
-  const std::regex warm_line(R"(^\[warm-up quad\] \d+ cells, )");
-  const std::regex cells_line(R"(^\[sweep quad\] \d+ cells, )");
-  return std::regex_search(warm, warm_line) &&
-         std::regex_search(cells, cells_line) &&
-         warm.find('\r') == std::string::npos &&
-         cells.find('\r') == std::string::npos && !more;
+  const std::regex summary_line(R"(^\[sweep quad\] \d+ cells, )");
+  return std::regex_search(summary, summary_line) &&
+         summary.find('\r') == std::string::npos && !more;
 }
 
 TEST(BenchFlagsDeathTest, ProgressLineOnlyOnTerminal) {
-  // Under ctest stderr is a pipe, not a terminal: each of a sweep's two
-  // fan-outs (the LLC warm-up, then the cells) must print only its summary
-  // line, with no carriage return and no per-cell line.
+  // Under ctest stderr is a pipe, not a terminal: the sweep's one fan-out
+  // must print only its summary line, with no carriage return and no
+  // per-cell line.
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "bench_flags_progress";
   fs::remove_all(dir);
@@ -381,9 +386,90 @@ TEST(BenchFlagsDeathTest, ProgressLineOnlyOnTerminal) {
   EXPECT_EXIT(
       {
         fs::current_path(dir);
-        std::exit(sweep_prints_only_summaries() ? 0 : 1);
+        std::exit(sweep_prints_only_its_summary() ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
+  fs::remove_all(dir);
+}
+
+TEST(BenchFlagsDeathTest, ProgressReachesTotalAndTimingsArePopulated) {
+  // The smoke quad sweep at 4 threads: the last heartbeat snapshot counts
+  // every cell done, and results/smoke/sweep_quad.json times every cell
+  // and the fan-out.  The serial cost sums the work items, warm-ups
+  // included, so it is at least the cells' own wall times.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "bench_flags_timings";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  EXPECT_EXIT(
+      {
+        fs::current_path(dir);
+        setenv("RUNNER_THREADS", "4", 1);
+        run_init({}, {"--smoke", "--status", "status.json"});
+        (void)sweep(ecc::SystemScale::kQuadEquivalent);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  const runner::Json status = read_json(dir / "status.json");
+  EXPECT_EQ(status.at("phase").as_string(), "sweep quad");
+  EXPECT_EQ(status.at("done").as_number(), 128.0);
+  EXPECT_EQ(status.at("total").as_number(), 128.0);
+  const runner::Json run =
+      read_json(dir / "results/smoke/sweep_quad.json").at("run");
+  EXPECT_EQ(run.at("threads").as_number(), 4.0);
+  EXPECT_GT(run.at("wall_seconds").as_number(), 0.0);
+  EXPECT_GT(run.at("speedup").as_number(), 0.0);
+  ASSERT_EQ(run.at("cells").size(), 128u);
+  double cells_seconds = 0;
+  for (const runner::Json& c : run.at("cells").items()) {
+    EXPECT_GT(c.at("wall_seconds").as_number(), 0.0);
+    cells_seconds += c.at("wall_seconds").as_number();
+  }
+  EXPECT_GE(run.at("cell_seconds").as_number(), cells_seconds);
+  fs::remove_all(dir);
+}
+
+TEST(BenchFlagsDeathTest, FailingCellNamesItselfAndFailsTheRun) {
+  // Every workload's shared pre-LLC trace holds one op per core, far too
+  // few for the LLC warm-up, so the first cell's run throws.  The sweep
+  // must name that cell, mark the manifest failed and exit 1 instead of
+  // reaching std::terminate.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "bench_flags_failing";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "traces");
+  const auto& workloads = trace::paper_workloads();
+  for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
+    tracefile::TraceMeta meta;
+    meta.cores = sim::CpuConfig{}.cores;
+    meta.seed = trace::paper_sweep_seed(wi);
+    meta.workload = workloads[wi].name;
+    tracefile::TraceWriter writer(
+        (dir / "traces" / (workloads[wi].name + ".ecctrace")).string(), meta);
+    for (std::uint32_t core = 0; core < meta.cores; ++core) {
+      writer.append(trace::MemOp{core, false, 10}, core);
+    }
+    writer.close();
+  }
+  const std::string cell =
+      workloads.front().name + "/" +
+      ecc::make_scheme(ecc::all_schemes().front(),
+                       ecc::SystemScale::kQuadEquivalent)
+          .name;
+  EXPECT_EXIT(
+      {
+        fs::current_path(dir);
+        setenv("RUNNER_THREADS", "1", 1);
+        run_init({}, {"--smoke", "--trace-in", "traces"});
+        (void)sweep(ecc::SystemScale::kQuadEquivalent);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(1),
+      "sweep cell " + cell + R"( \(quad\) failed: )");
+  const runner::Json m =
+      read_json(dir / "results/smoke/bench_flags_test.manifest.json");
+  EXPECT_EQ(m.at("status").as_string(), "failed");
+  EXPECT_EQ(m.at("exit_code").as_number(), 1.0);
   fs::remove_all(dir);
 }
 

@@ -1,7 +1,7 @@
-// Tests for the parallel experiment runner (src/runner): parallel_for
-// executes every index exactly once, fan-out results are bit-identical at
-// any thread count (the property every figure binary now depends on), and
-// the emitted JSON round-trips with all cells intact.
+// Tests for the experiment runner (src/runner): parallel_for executes
+// every index exactly once, substream seeds are stable, and the JSON
+// writer and a sweep report round-trip with all cells intact.  The sweep's
+// own fan-out is tested through bench::sweep in bench_flags_test.
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -38,119 +38,6 @@ TEST(ParallelForTest, DefaultThreadCountHonorsEnvironment) {
   EXPECT_GE(default_thread_count(), 1u);
   unsetenv("RUNNER_THREADS");
   EXPECT_GE(default_thread_count(), 1u);
-}
-
-// --- run_cells determinism -------------------------------------------------
-
-// A cheap deterministic stand-in for a SystemSim run: hashes a few RNG
-// draws from the cell's substream into the metric fields.
-std::vector<Cell> synthetic_cells(int n) {
-  std::vector<Cell> cells;
-  for (int i = 0; i < n; ++i) {
-    Cell c;
-    c.scheme = "scheme" + std::to_string(i % 4);
-    c.workload = "wl" + std::to_string(i / 4);
-    const std::uint64_t seed =
-        substream_seed(7, static_cast<std::uint64_t>(i / 4));
-    c.work = [seed, i] {
-      Rng rng(seed);
-      sim::RunResult r;
-      r.scheme = "scheme" + std::to_string(i % 4);
-      r.workload = "wl" + std::to_string(i / 4);
-      for (int k = 0; k < 1000; ++k) r.instructions += rng.next_below(100);
-      r.ipc = rng.next_double();
-      r.epi_pj = rng.next_double() * 1000;
-      r.mem.reads = rng.next();
-      return r;
-    };
-    cells.push_back(std::move(c));
-  }
-  return cells;
-}
-
-bool same_result(const sim::RunResult& a, const sim::RunResult& b) {
-  return a.scheme == b.scheme && a.workload == b.workload &&
-         a.instructions == b.instructions && a.ipc == b.ipc &&
-         a.epi_pj == b.epi_pj && a.mem.reads == b.mem.reads;
-}
-
-TEST(RunCellsTest, ParallelMatchesSerialBitExactly) {
-  const auto cells = synthetic_cells(64);
-  RunOptions serial;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.threads = 4;
-  const Report a = run_cells(cells, serial);
-  const Report b = run_cells(cells, parallel);
-  ASSERT_EQ(a.cells.size(), b.cells.size());
-  EXPECT_EQ(a.threads, 1u);
-  EXPECT_EQ(b.threads, 4u);
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_TRUE(same_result(a.cells[i].result, b.cells[i].result))
-        << "cell " << i << " diverged between 1 and 4 threads";
-  }
-}
-
-TEST(RunCellsTest, RealSweepCellsAreThreadCountInvariant) {
-  // A miniature of the real bench sweep: 2 schemes x 2 workloads through
-  // sim::SystemSim, 1 thread vs 4 threads, exact double equality.
-  std::vector<Cell> cells;
-  const ecc::SchemeId schemes[] = {ecc::SchemeId::kChipkill36,
-                                   ecc::SchemeId::kLotEcc5Parity};
-  const char* workloads[] = {"milc", "mcf"};
-  for (std::uint64_t wi = 0; wi < 2; ++wi) {
-    for (const auto id : schemes) {
-      Cell c;
-      c.scheme = ecc::to_string(id);
-      c.workload = workloads[wi];
-      const std::uint64_t seed = substream_seed(1, wi);
-      c.work = [id, seed, name = std::string(workloads[wi])] {
-        sim::SimOptions opts;
-        opts.target_instructions = 20'000;
-        opts.seed = seed;
-        return sim::run_experiment(id, ecc::SystemScale::kDualEquivalent,
-                                   name, opts);
-      };
-      cells.push_back(std::move(c));
-    }
-  }
-  RunOptions serial;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.threads = 4;
-  const Report a = run_cells(cells, serial);
-  const Report b = run_cells(cells, parallel);
-  ASSERT_EQ(a.cells.size(), 4u);
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    const auto& ra = a.cells[i].result;
-    const auto& rb = b.cells[i].result;
-    EXPECT_EQ(ra.instructions, rb.instructions);
-    EXPECT_EQ(ra.mem_cycles, rb.mem_cycles);
-    EXPECT_EQ(ra.ipc, rb.ipc);  // exact: same arithmetic, same order
-    EXPECT_EQ(ra.epi_pj, rb.epi_pj);
-    EXPECT_EQ(ra.mapi, rb.mapi);
-    EXPECT_EQ(ra.mem.reads, rb.mem.reads);
-    EXPECT_EQ(ra.mem.writes, rb.mem.writes);
-    EXPECT_EQ(ra.mem.ecc_reads, rb.mem.ecc_reads);
-    EXPECT_EQ(ra.mem.ecc_writes, rb.mem.ecc_writes);
-  }
-}
-
-TEST(RunCellsTest, ProgressReachesTotalAndTimingsArePopulated) {
-  const auto cells = synthetic_cells(16);
-  RunOptions opts;
-  opts.threads = 4;
-  std::size_t last_done = 0;
-  opts.progress = [&](std::size_t done, std::size_t total, const Cell&) {
-    EXPECT_EQ(total, 16u);
-    EXPECT_GT(done, last_done);  // serialized, strictly increasing
-    last_done = done;
-  };
-  const Report r = run_cells(cells, opts);
-  EXPECT_EQ(last_done, 16u);
-  EXPECT_GT(r.wall_seconds, 0.0);
-  EXPECT_GT(r.cell_seconds, 0.0);
-  EXPECT_GT(r.speedup(), 0.0);
 }
 
 TEST(RunnerTest, SubstreamSeedsAreStableAndDistinct) {
@@ -245,10 +132,23 @@ TEST(JsonTest, RandomStringsRoundTripExactly) {
 // --- Report JSON -----------------------------------------------------------
 
 TEST(ReportJsonTest, RoundTripCarriesAllCells) {
-  const auto cells = synthetic_cells(32);
-  RunOptions opts;
-  opts.threads = 4;
-  const Report report = run_cells(cells, opts);
+  // A hand-built report: 32 cells of RNG-drawn metrics, as a 4-thread
+  // fan-out would file them.
+  Report report;
+  report.threads = 4;
+  report.wall_seconds = 1.5;
+  report.cell_seconds = 5.25;
+  Rng rng(7);
+  for (int i = 0; i < 32; ++i) {
+    CellResult c;
+    c.result.scheme = "scheme" + std::to_string(i % 4);
+    c.result.workload = "wl" + std::to_string(i / 4);
+    c.result.ipc = rng.next_double();
+    c.result.epi_pj = rng.next_double() * 1000;
+    c.result.mem.reads = rng.next_below(1u << 30);
+    c.wall_seconds = rng.next_double();
+    report.cells.push_back(c);
+  }
 
   const std::string path = "/tmp/eccsim_runner_test_report.json";
   ASSERT_TRUE(write_json(path, to_json(report)));
@@ -257,10 +157,12 @@ TEST(ReportJsonTest, RoundTripCarriesAllCells) {
                    std::istreambuf_iterator<char>());
   const Json back = Json::parse(text);
 
-  ASSERT_EQ(back.at("cells").size(), cells.size());
+  ASSERT_EQ(back.at("cells").size(), report.cells.size());
   EXPECT_EQ(back.at("threads").as_number(), 4.0);
-  EXPECT_GT(back.at("wall_seconds").as_number(), 0.0);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  EXPECT_EQ(back.at("wall_seconds").as_number(), 1.5);
+  EXPECT_EQ(back.at("cell_seconds").as_number(), 5.25);
+  EXPECT_EQ(back.at("speedup").as_number(), 3.5);
+  for (std::size_t i = 0; i < report.cells.size(); ++i) {
     const Json& c = back.at("cells").items()[i];
     EXPECT_EQ(c.at("scheme").as_string(), report.cells[i].result.scheme);
     EXPECT_EQ(c.at("workload").as_string(),
@@ -269,6 +171,7 @@ TEST(ReportJsonTest, RoundTripCarriesAllCells) {
     EXPECT_EQ(c.at("epi_pj").as_number(), report.cells[i].result.epi_pj);
     EXPECT_EQ(c.at("traffic").at("reads").as_number(),
               static_cast<double>(report.cells[i].result.mem.reads));
+    EXPECT_EQ(c.at("wall_seconds").as_number(), report.cells[i].wall_seconds);
   }
   std::filesystem::remove(path);
 }
